@@ -1,10 +1,13 @@
 """Hot numeric kernels: field synthesis, RK4 propagators, Euler-Maruyama.
 
-Every function here is written in the numba-compatible numpy subset and is
-compiled with ``@njit(cache=True, nogil=True)`` unless the environment
-variable ``SPINFLIP_NO_NUMBA`` is set (1/true/yes), in which case the same
-source runs as plain numpy/Python.  ``benchmarks/bench_kernels.py`` compares
-the two paths.
+The scalar per-point field functions and the Euler-Maruyama loops are written
+in the numba-compatible numpy subset and are compiled with
+``@njit(cache=True, nogil=True)`` unless the environment variable
+``SPINFLIP_NO_NUMBA`` is set (1/true/yes), in which case the same source runs
+as plain numpy/Python.  The field grids and the RK4 propagators are plain
+vectorized numpy: the propagated equations are linear with coefficients that
+depend on t alone, so every RK4 step is a transfer matrix built from fields
+evaluated on all stage times at once (see :func:`_rk4_linear`).
 
 Angle cubics enter as raw coefficient arrays (rad/ns^j); material parameters
 as scalars.  Error signalling is NaN poisoning: a non-cancellable
@@ -31,6 +34,15 @@ EDGE_FRAC = 1e-6
 DEN_GUARD = 1e-6
 LHOP_STEP = 1e-6
 NONCANCEL_TOL = 1e-6
+
+# Size in bytes of one (steps, d, d) array of the RK4 transfer-matrix scan;
+# a block holds as many steps as fit.  A block keeps at most about eight such
+# arrays alive, so memory stays near 1 MB whatever the step count: 512 steps
+# of the 4x4 complex density superoperator, about 1800 of the real 3x3 Bloch
+# matrix.  Twice this budget raised the peak RSS of a simulate-and-validate
+# run by about 6%; much less, and the per-call numpy overhead, paid while
+# holding the interpreter lock, starts to dominate the Bloch sweeps.
+BLOCK_BYTES = 1 << 17
 
 NUMBA_ENABLED = False
 if os.environ.get("SPINFLIP_NO_NUMBA", "").lower() not in ("1", "true", "yes"):
@@ -59,6 +71,15 @@ def dpoly3(c, t):
 
 
 @njit
+def _parts(cot, sph, cph, thd, phd, b0, alpha, beta, eta):
+    # shared by the scalar and the vectorized field synthesis
+    n1 = -beta * thd * cot * cph + beta * (phd + eta * b0) * sph
+    n2 = alpha * thd * cot * sph + alpha * (phd + eta * b0) * cph - beta * thd
+    d0 = alpha * cot - beta * sph
+    return n1, n2, d0
+
+
+@njit
 def field_parts(t, tc, pc, b0, alpha, beta, eta):
     """Numerators of B1, B2 and the shared denominator factor (no eta, no xi).
 
@@ -67,15 +88,8 @@ def field_parts(t, tc, pc, b0, alpha, beta, eta):
     """
     th = poly3(tc, t)
     ph = poly3(pc, t)
-    thd = dpoly3(tc, t)
-    phd = dpoly3(pc, t)
-    cot = math.cos(th) / math.sin(th)
-    sph = math.sin(ph)
-    cph = math.cos(ph)
-    n1 = -beta * thd * cot * cph + beta * (phd + eta * b0) * sph
-    n2 = alpha * thd * cot * sph + alpha * (phd + eta * b0) * cph - beta * thd
-    d0 = alpha * cot - beta * sph
-    return n1, n2, d0
+    return _parts(math.cos(th) / math.sin(th), math.sin(ph), math.cos(ph),
+                  dpoly3(tc, t), dpoly3(pc, t), b0, alpha, beta, eta)
 
 
 @njit
@@ -115,25 +129,41 @@ def xyz_at(t, tc, pc, tf, b0, alpha, beta, eta):
     return b2, (alpha / beta) * b1, b0 + b1
 
 
-@njit
+def _b1_b2(ts, tc, pc, tf, b0, alpha, beta, eta, xi_x, xi_y):
+    """b1_b2 over an array of times, bit-identical to it point by point.
+
+    The common branch is evaluated in one pass; endpoint-clamp points get
+    the zero limits, and the few points inside the denominator guard window
+    go through the scalar b1_b2 (L'Hopital value or NaN poisoning).
+    """
+    ts = np.asarray(ts, dtype=float)
+    with np.errstate(all="ignore"):
+        th = poly3(tc, ts)
+        ph = poly3(pc, ts)
+        n1, n2, d0 = _parts(np.cos(th) / np.sin(th), np.sin(ph), np.cos(ph),
+                            dpoly3(tc, ts), dpoly3(pc, ts), b0, alpha, beta, eta)
+        b1 = n1 / (eta * (1.0 + xi_x) * d0)
+        b2 = n2 / (eta * (1.0 + xi_y) * d0)
+    edge = EDGE_FRAC * tf
+    inside = (ts >= edge) & (ts <= tf - edge)
+    b1[~inside] = 0.0
+    b2[~inside] = 0.0
+    for i in np.flatnonzero(inside & (np.abs(d0) < DEN_GUARD * alpha)):
+        b1[i], b2[i] = b1_b2(ts[i], tc, pc, tf, b0, alpha, beta, eta, xi_x, xi_y)
+    return b1, b2
+
+
+def _xyz(ts, tc, pc, tf, b0, alpha, beta, eta):
+    b1, b2 = _b1_b2(ts, tc, pc, tf, b0, alpha, beta, eta, 0.0, 0.0)
+    return b2, (alpha / beta) * b1, b0 + b1
+
+
 def b1_b2_grid(ts, tc, pc, tf, b0, alpha, beta, eta, xi_x, xi_y):
-    out = np.empty((ts.shape[0], 2))
-    for i in range(ts.shape[0]):
-        b1, b2 = b1_b2(ts[i], tc, pc, tf, b0, alpha, beta, eta, xi_x, xi_y)
-        out[i, 0] = b1
-        out[i, 1] = b2
-    return out
+    return np.column_stack(_b1_b2(ts, tc, pc, tf, b0, alpha, beta, eta, xi_x, xi_y))
 
 
-@njit
 def xyz_grid(ts, tc, pc, tf, b0, alpha, beta, eta):
-    out = np.empty((ts.shape[0], 3))
-    for i in range(ts.shape[0]):
-        x, y, z = xyz_at(ts[i], tc, pc, tf, b0, alpha, beta, eta)
-        out[i, 0] = x
-        out[i, 1] = y
-        out[i, 2] = z
-    return out
+    return np.column_stack(_xyz(ts, tc, pc, tf, b0, alpha, beta, eta))
 
 
 @njit
@@ -146,17 +176,87 @@ def denominator_grid(ts, tc, pc, alpha, beta):
     return out
 
 
-@njit
-def _spin_deriv(t, a, b, tc, pc, tf, b0, alpha, beta, eta, pref, hbar):
-    x, y, z = xyz_at(t, tc, pc, tf, b0, alpha, beta, eta)
-    hz = pref * z / hbar
-    hxy = (pref / hbar) * complex(x, y)
-    da = -1j * (hz * a + hxy * b)
-    db = -1j * (hxy.conjugate() * a - hz * b)
-    return da, db
+def _rk4_linear(gen, y0, tf, steps, normalize=False):
+    """Fixed-step RK4 for the linear system y' = A(t) y on [0, tf].
+
+    gen(t) returns A at an array of times, shape (len(t), d, d).  A does not
+    depend on y, so the RK4 step k is y -> M_k y with
+
+        M = I + dt/6 (A1 + 2 K2 + 2 K3 + K4),
+        K2 = A2 (I + dt/2 A1),  K3 = A2 (I + dt/2 K2),  K4 = A4 (I + dt K3),
+
+    A1, A2, A4 taken at k dt, k dt + dt/2 and k dt + dt.  Steps run in
+    blocks of BLOCK_BYTES per (steps, d, d) array.  Inside a block the prefix
+    products M_j ... M_0 come from a Hillis-Steele scan (log2 of the block
+    length batched matmuls); the block's last state seeds the next block.
+
+    With normalize, every state is divided by its norm, as a loop that
+    renormalizes after each step does, and the largest one-step |norm - 1|
+    (the ratio of successive norms) is returned as the drift; else 0.0.
+    Returns the (steps + 1, d) trajectory and the drift.
+    """
+    y = np.asarray(y0)
+    traj = np.empty((steps + 1, y.shape[0]), dtype=y.dtype)
+    traj[0] = y
+    eye = np.eye(y.shape[0])
+    dt = tf / steps
+    drift = 0.0
+    block = BLOCK_BYTES // traj.itemsize // y.shape[0] ** 2
+    for start in range(0, steps, block):
+        t = np.arange(start, min(start + block, steps)) * dt
+        with np.errstate(over="ignore", invalid="ignore"):
+            # m gathers A1 + 2 K2 + 2 K3 + K4 term by term, so that at most
+            # about eight (len(t), d, d) arrays are alive at once
+            a1, a2 = gen(t), gen(t + 0.5 * dt)
+            k = a2 + 0.5 * dt * (a2 @ a1)
+            m = a1 + 2.0 * k
+            k = a2 + 0.5 * dt * (a2 @ k)
+            m += 2.0 * k
+            del a1, a2
+            a4 = gen(t + dt)
+            m += a4 + dt * (a4 @ k)
+            m = eye + dt / 6.0 * m
+            span = 1
+            while span < len(t):
+                m[span:] = m[span:] @ m[:-span]
+                span *= 2
+            ys = m @ y
+        if normalize:
+            norms = np.linalg.norm(ys, axis=1)
+            ratios = norms / np.concatenate(([1.0], norms[:-1]))
+            drift = max(drift, float(np.abs(ratios - 1.0).max()))
+            ys = ys / norms[:, None]
+        traj[start + 1:start + 1 + len(t)] = ys
+        y = ys[-1]
+    return traj, drift
 
 
-@njit
+def _hamiltonian(x, y, z, pref):
+    """pref [[Z, X+iY], [X-iY, -Z]], one 2x2 per entry of the field arrays."""
+    h = np.empty(np.shape(z) + (2, 2), dtype=np.complex128)
+    h[..., 0, 0] = pref * z
+    h[..., 0, 1] = pref * (x + 1j * y)
+    h[..., 1, 0] = pref * (x - 1j * y)
+    h[..., 1, 1] = -pref * z
+    return h
+
+
+def _commutator(h):
+    """Superoperator of [h, .] on row-major vec(rho): kron(h, I) - kron(I, h^T)."""
+    c = np.zeros((len(h), 2, 2, 2, 2), dtype=h.dtype)
+    for j in range(2):
+        c[:, :, j, :, j] += h                  # (h rho)_ij = h_ik rho_kj
+        c[:, j, :, j, :] -= h.transpose(0, 2, 1)  # (rho h)_ij = rho_ik h_kj
+    return c.reshape(-1, 4, 4)
+
+
+def _printed_rates(x, y, z, b0, eta, lam2):
+    """As-printed source-noise decay rates of (u, v, w)."""
+    zp = z - b0
+    ke = 0.5 * lam2 * eta * eta
+    return ke * (y * y + zp * zp), ke * (x * x + zp * zp), ke * (x * x + y * y)
+
+
 def rk4_spin(tc, pc, tf, b0, alpha, beta, eta, pref, hbar, psi0, steps):
     """RK4 Schrodinger propagation under the synthesized fields.
 
@@ -164,225 +264,71 @@ def rk4_spin(tc, pc, tf, b0, alpha, beta, eta, pref, hbar, psi0, steps):
     maximum pre-renormalization drift |norm - 1| is returned alongside the
     (steps+1, 2) trajectory.
     """
-    traj = np.empty((steps + 1, 2), dtype=np.complex128)
-    a = psi0[0]
-    b = psi0[1]
-    traj[0, 0] = a
-    traj[0, 1] = b
-    dt = tf / steps
-    drift = 0.0
-    for k in range(steps):
-        t = k * dt
-        k1a, k1b = _spin_deriv(t, a, b, tc, pc, tf, b0, alpha, beta, eta, pref, hbar)
-        k2a, k2b = _spin_deriv(t + 0.5 * dt, a + 0.5 * dt * k1a, b + 0.5 * dt * k1b,
-                               tc, pc, tf, b0, alpha, beta, eta, pref, hbar)
-        k3a, k3b = _spin_deriv(t + 0.5 * dt, a + 0.5 * dt * k2a, b + 0.5 * dt * k2b,
-                               tc, pc, tf, b0, alpha, beta, eta, pref, hbar)
-        k4a, k4b = _spin_deriv(t + dt, a + dt * k3a, b + dt * k3b,
-                               tc, pc, tf, b0, alpha, beta, eta, pref, hbar)
-        a = a + dt / 6.0 * (k1a + 2.0 * k2a + 2.0 * k3a + k4a)
-        b = b + dt / 6.0 * (k1b + 2.0 * k2b + 2.0 * k3b + k4b)
-        nrm = math.sqrt(abs(a) ** 2 + abs(b) ** 2)
-        d = abs(nrm - 1.0)
-        if d > drift:
-            drift = d
-        a /= nrm
-        b /= nrm
-        traj[k + 1, 0] = a
-        traj[k + 1, 1] = b
-    return traj, drift
+    def gen(t):
+        return (-1j / hbar) * _hamiltonian(*_xyz(t, tc, pc, tf, b0, alpha, beta, eta), pref)
+    return _rk4_linear(gen, np.asarray(psi0, dtype=np.complex128), tf, steps,
+                       normalize=True)
 
 
-@njit
 def rk4_spin_const(x, y, z, pref, hbar, psi0, tf, steps):
     """RK4 under a constant field triple (free precession / no drive)."""
-    traj = np.empty((steps + 1, 2), dtype=np.complex128)
-    a = psi0[0]
-    b = psi0[1]
-    traj[0, 0] = a
-    traj[0, 1] = b
-    hz = pref * z / hbar
-    hxy = (pref / hbar) * complex(x, y)
-    dt = tf / steps
-    for k in range(steps):
-        aa, bb = a, b
-        k1a = -1j * (hz * aa + hxy * bb)
-        k1b = -1j * (hxy.conjugate() * aa - hz * bb)
-        a2 = aa + 0.5 * dt * k1a
-        b2 = bb + 0.5 * dt * k1b
-        k2a = -1j * (hz * a2 + hxy * b2)
-        k2b = -1j * (hxy.conjugate() * a2 - hz * b2)
-        a3 = aa + 0.5 * dt * k2a
-        b3 = bb + 0.5 * dt * k2b
-        k3a = -1j * (hz * a3 + hxy * b3)
-        k3b = -1j * (hxy.conjugate() * a3 - hz * b3)
-        a4 = aa + dt * k3a
-        b4 = bb + dt * k3b
-        k4a = -1j * (hz * a4 + hxy * b4)
-        k4b = -1j * (hxy.conjugate() * a4 - hz * b4)
-        a = aa + dt / 6.0 * (k1a + 2.0 * k2a + 2.0 * k3a + k4a)
-        b = bb + dt / 6.0 * (k1b + 2.0 * k2b + 2.0 * k3b + k4b)
-        nrm = math.sqrt(abs(a) ** 2 + abs(b) ** 2)
-        a /= nrm
-        b /= nrm
-        traj[k + 1, 0] = a
-        traj[k + 1, 1] = b
-    return traj
+    a = (-1j / hbar) * _hamiltonian(x, y, z, pref)
+
+    def gen(t):
+        return np.broadcast_to(a, (len(t), 2, 2))
+    return _rk4_linear(gen, np.asarray(psi0, dtype=np.complex128), tf, steps,
+                       normalize=True)[0]
 
 
-@njit
-def _bloch_deriv(t, u, v, w, tc, pc, tf, b0, alpha, beta, eta, gamma, lam2, channel):
-    x, y, z = xyz_at(t, tc, pc, tf, b0, alpha, beta, eta)
-    du = -4.0 * gamma * u + eta * z * v - eta * y * w
-    dv = -eta * z * u - 4.0 * gamma * v + eta * x * w
-    dw = eta * y * u - eta * x * v - 4.0 * gamma * w
-    if channel == 1:
-        zp = z - b0
-        ke = 0.5 * lam2 * eta * eta
-        du -= ke * (y * y + zp * zp) * u
-        dv -= ke * (x * x + zp * zp) * v
-        dw -= ke * (x * x + y * y) * w
-    return du, dv, dw
-
-
-@njit
 def rk4_bloch(tc, pc, tf, b0, alpha, beta, eta, gamma, lam2, channel, r0, steps):
     """RK4 Bloch propagation: dephasing at rate gamma plus, for channel 1,
     the as-printed source-noise decay diag(-lam2 eta^2/2 * field combos)."""
-    traj = np.empty((steps + 1, 3))
-    u, v, w = r0[0], r0[1], r0[2]
-    traj[0, 0] = u
-    traj[0, 1] = v
-    traj[0, 2] = w
-    dt = tf / steps
-    for k in range(steps):
-        t = k * dt
-        k1u, k1v, k1w = _bloch_deriv(t, u, v, w, tc, pc, tf, b0, alpha, beta, eta,
-                                     gamma, lam2, channel)
-        k2u, k2v, k2w = _bloch_deriv(t + 0.5 * dt, u + 0.5 * dt * k1u, v + 0.5 * dt * k1v,
-                                     w + 0.5 * dt * k1w, tc, pc, tf, b0, alpha, beta, eta,
-                                     gamma, lam2, channel)
-        k3u, k3v, k3w = _bloch_deriv(t + 0.5 * dt, u + 0.5 * dt * k2u, v + 0.5 * dt * k2v,
-                                     w + 0.5 * dt * k2w, tc, pc, tf, b0, alpha, beta, eta,
-                                     gamma, lam2, channel)
-        k4u, k4v, k4w = _bloch_deriv(t + dt, u + dt * k3u, v + dt * k3v, w + dt * k3w,
-                                     tc, pc, tf, b0, alpha, beta, eta, gamma, lam2, channel)
-        u = u + dt / 6.0 * (k1u + 2.0 * k2u + 2.0 * k3u + k4u)
-        v = v + dt / 6.0 * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
-        w = w + dt / 6.0 * (k1w + 2.0 * k2w + 2.0 * k3w + k4w)
-        traj[k + 1, 0] = u
-        traj[k + 1, 1] = v
-        traj[k + 1, 2] = w
-    return traj
+    def gen(t):
+        x, y, z = _xyz(t, tc, pc, tf, b0, alpha, beta, eta)
+        a = np.zeros((len(t), 3, 3))
+        a[:, 0, 1], a[:, 0, 2] = eta * z, -eta * y
+        a[:, 1, 0], a[:, 1, 2] = -eta * z, eta * x
+        a[:, 2, 0], a[:, 2, 1] = eta * y, -eta * x
+        rates = _printed_rates(x, y, z, b0, eta, lam2) if channel == 1 else (0.0,) * 3
+        for i, rate in enumerate(rates):
+            a[:, i, i] = -4.0 * gamma - rate
+        return a
+    return _rk4_linear(gen, np.asarray(r0, dtype=float), tf, steps)[0]
 
 
-@njit
-def _density_deriv(t, r00, r01, r10, r11, tc, pc, tf, b0, alpha, beta, eta,
-                   pref, hbar, gamma, lam2, channel):
-    x, y, z = xyz_at(t, tc, pc, tf, b0, alpha, beta, eta)
-    h00 = pref * z
-    h01 = pref * complex(x, y)
-    h10 = h01.conjugate()
-    # unitary part -(i/hbar)[H, rho], written out for H = [[h00, h01], [h10, -h00]]
-    hr00 = h00 * r00 + h01 * r10
-    hr01 = h00 * r01 + h01 * r11
-    hr10 = h10 * r00 - h00 * r10
-    hr11 = h10 * r01 - h00 * r11
-    rh00 = r00 * h00 + r01 * h10
-    rh01 = r00 * h01 - r01 * h00
-    rh10 = r10 * h00 + r11 * h10
-    rh11 = r10 * h01 - r11 * h00
-    im = -1j / hbar
-    d00 = im * (hr00 - rh00)
-    d01 = im * (hr01 - rh01)
-    d10 = im * (hr10 - rh10)
-    d11 = im * (hr11 - rh11)
-    if gamma != 0.0:
-        # -(gamma/2) sum_i [sigma_i, [sigma_i, rho]] = -4 gamma (rho - tr(rho) I/2)
-        tr = r00 + r11
-        d00 += -4.0 * gamma * (r00 - 0.5 * tr)
-        d01 += -4.0 * gamma * r01
-        d10 += -4.0 * gamma * r10
-        d11 += -4.0 * gamma * (r11 - 0.5 * tr)
-    if lam2 != 0.0 and channel == 2:
-        # x-only drive operator Hp = pref [[Z', iY], [-iY, -Z']]
-        zp = z - b0
-        p00 = pref * zp
-        p01 = pref * complex(0.0, y)
-        p10 = p01.conjugate()
-        a00 = p00 * r00 + p01 * r10
-        a01 = p00 * r01 + p01 * r11
-        a10 = p10 * r00 - p00 * r10
-        a11 = p10 * r01 - p00 * r11
-        b00 = r00 * p00 + r01 * p10
-        b01 = r00 * p01 - r01 * p00
-        b10 = r10 * p00 + r11 * p10
-        b11 = r10 * p01 - r11 * p00
-        q00 = a00 - b00
-        q01 = a01 - b01
-        q10 = a10 - b10
-        q11 = a11 - b11
-        # [Hp, [Hp, rho]]
-        e00 = p00 * q00 + p01 * q10 - (q00 * p00 + q01 * p10)
-        e01 = p00 * q01 + p01 * q11 - (q00 * p01 - q01 * p00)
-        e10 = p10 * q00 - p00 * q10 - (q10 * p00 + q11 * p10)
-        e11 = p10 * q01 - p00 * q11 - (q10 * p01 - q11 * p00)
-        fac = -lam2 / (2.0 * hbar * hbar)
-        d00 += fac * e00
-        d01 += fac * e01
-        d10 += fac * e10
-        d11 += fac * e11
-    if lam2 != 0.0 and channel == 1:
-        # as-printed Bloch decay lifted to the density matrix
-        zp = z - b0
-        ke = 0.5 * lam2 * eta * eta
-        u = (r01 + r10).real
-        v = (-1j * (r01 - r10)).real
-        w = (r00 - r11).real
-        du = -ke * (y * y + zp * zp) * u
-        dv = -ke * (x * x + zp * zp) * v
-        dw = -ke * (x * x + y * y) * w
-        d00 += 0.5 * dw
-        d11 += -0.5 * dw
-        d01 += 0.5 * complex(du, dv)
-        d10 += 0.5 * complex(du, -dv)
-    return d00, d01, d10, d11
-
-
-@njit
 def rk4_density(tc, pc, tf, b0, alpha, beta, eta, pref, hbar, gamma, lam2,
                 channel, rho0, steps):
     """RK4 density-matrix propagation (channel 0 none, 1 as-printed, 2 x-only)."""
-    traj = np.empty((steps + 1, 2, 2), dtype=np.complex128)
-    r00, r01 = rho0[0, 0], rho0[0, 1]
-    r10, r11 = rho0[1, 0], rho0[1, 1]
-    traj[0, 0, 0] = r00
-    traj[0, 0, 1] = r01
-    traj[0, 1, 0] = r10
-    traj[0, 1, 1] = r11
-    dt = tf / steps
-    for k in range(steps):
-        t = k * dt
-        k1 = _density_deriv(t, r00, r01, r10, r11, tc, pc, tf, b0, alpha, beta,
-                            eta, pref, hbar, gamma, lam2, channel)
-        k2 = _density_deriv(t + 0.5 * dt, r00 + 0.5 * dt * k1[0], r01 + 0.5 * dt * k1[1],
-                            r10 + 0.5 * dt * k1[2], r11 + 0.5 * dt * k1[3],
-                            tc, pc, tf, b0, alpha, beta, eta, pref, hbar, gamma, lam2, channel)
-        k3 = _density_deriv(t + 0.5 * dt, r00 + 0.5 * dt * k2[0], r01 + 0.5 * dt * k2[1],
-                            r10 + 0.5 * dt * k2[2], r11 + 0.5 * dt * k2[3],
-                            tc, pc, tf, b0, alpha, beta, eta, pref, hbar, gamma, lam2, channel)
-        k4 = _density_deriv(t + dt, r00 + dt * k3[0], r01 + dt * k3[1],
-                            r10 + dt * k3[2], r11 + dt * k3[3],
-                            tc, pc, tf, b0, alpha, beta, eta, pref, hbar, gamma, lam2, channel)
-        r00 = r00 + dt / 6.0 * (k1[0] + 2.0 * k2[0] + 2.0 * k3[0] + k4[0])
-        r01 = r01 + dt / 6.0 * (k1[1] + 2.0 * k2[1] + 2.0 * k3[1] + k4[1])
-        r10 = r10 + dt / 6.0 * (k1[2] + 2.0 * k2[2] + 2.0 * k3[2] + k4[2])
-        r11 = r11 + dt / 6.0 * (k1[3] + 2.0 * k2[3] + 2.0 * k3[3] + k4[3])
-        traj[k + 1, 0, 0] = r00
-        traj[k + 1, 0, 1] = r01
-        traj[k + 1, 1, 0] = r10
-        traj[k + 1, 1, 1] = r11
-    return traj
+    # -(gamma/2) sum_i [sigma_i, [sigma_i, rho]] = -4 gamma (rho - tr(rho) I/2);
+    # vec(I) = (1, 0, 0, 1) in the row-major (00, 01, 10, 11) order
+    vec_i = np.array([1.0, 0.0, 0.0, 1.0])
+    dephasing = -4.0 * gamma * (np.eye(4) - 0.5 * np.outer(vec_i, vec_i))
+
+    def gen(t):
+        x, y, z = _xyz(t, tc, pc, tf, b0, alpha, beta, eta)
+        a = _commutator(_hamiltonian(x, y, z, pref))
+        a *= -1j / hbar
+        a += dephasing
+        if lam2 != 0.0 and channel == 2:
+            # x-only drive operator Hp = pref [[Z', iY], [-iY, -Z']]
+            c = _commutator(_hamiltonian(0.0, y, z - b0, pref))
+            a += -lam2 / (2.0 * hbar * hbar) * (c @ c)
+        if lam2 != 0.0 and channel == 1:
+            # as-printed Bloch decay lifted to the density matrix, linear over
+            # the complex numbers: u = r01 + r10, v = -i (r01 - r10), w = r00 - r11
+            ru, rv, rw = _printed_rates(x, y, z, b0, eta, lam2)
+            a[:, 0, 0] -= 0.5 * rw
+            a[:, 0, 3] += 0.5 * rw
+            a[:, 3, 0] += 0.5 * rw
+            a[:, 3, 3] -= 0.5 * rw
+            a[:, 1, 1] -= 0.5 * (ru + rv)
+            a[:, 1, 2] -= 0.5 * (ru - rv)
+            a[:, 2, 1] -= 0.5 * (ru - rv)
+            a[:, 2, 2] -= 0.5 * (ru + rv)
+        return a
+    traj, _ = _rk4_linear(gen, np.asarray(rho0, dtype=np.complex128).reshape(4),
+                          tf, steps)
+    return traj.reshape(steps + 1, 2, 2)
 
 
 @njit

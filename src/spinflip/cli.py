@@ -234,13 +234,22 @@ def cmd_b0max(config: dict, args) -> int:
 
 
 def _parse_grid(spec: str) -> list[float]:
+    """Sweep axis values; gamma and lambda0^2 must be finite and >= 0."""
     spec = spec.strip()
     if not spec:
         return []
-    if ":" in spec:
-        lo, hi, n = spec.split(":")
-        return [float(v) for v in np.linspace(float(lo), float(hi), int(n))]
-    return [float(tok) for tok in spec.split(",") if tok.strip()]
+    try:
+        if ":" in spec:
+            lo, hi, n = spec.split(":")
+            grid = [float(v) for v in np.linspace(float(lo), float(hi), int(n))]
+        else:
+            grid = [float(tok) for tok in spec.split(",") if tok.strip()]
+    except ValueError as exc:
+        raise ConfigError(f"cannot parse sweep grid {spec!r}: {exc}") from exc
+    for value in grid:
+        if not (np.isfinite(value) and value >= 0.0):
+            raise ConfigError(f"sweep grid values must be finite and >= 0, got {value!r}")
+    return grid
 
 
 def cmd_sweep(config: dict, args) -> int:

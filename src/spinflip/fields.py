@@ -61,19 +61,13 @@ class SingularityReport:
         return all(self.cancellable)
 
 
-def _pack(design: TrajectoryDesign):
-    m = design.mat
-    return (design.theta.coeff_array(), design.phi.coeff_array(), design.tf,
-            design.b0, m.alpha, m.beta, m.eta)
-
-
 def effective_fields(design: TrajectoryDesign, t: float) -> tuple[float, float]:
     """(B1, B2) in T at time t; endpoint values are the (zero) inside limits.
 
     Raises SingularityError when t falls in the guard window of a
     denominator zero whose numerators do not cancel.
     """
-    tc, pc, tf, b0, al, be, eta = _pack(design)
+    tc, pc, tf, b0, al, be, eta = design.kernel_args()
     if not 0.0 <= t <= tf:
         raise ValueError(f"t={t} outside [0, {tf}]")
     b1, b2 = K.b1_b2(t, tc, pc, tf, b0, al, be, eta,
@@ -109,7 +103,7 @@ def electric_fields(design: TrajectoryDesign, t: float) -> tuple[float, float]:
     differentiated by central differences with step E_STEP_FRAC * tf.  The
     step-halved estimate must agree to 1e-4 relative, else IntegratorError.
     """
-    tc, pc, tf, b0, al, be, eta = _pack(design)
+    tc, pc, tf, b0, al, be, eta = design.kernel_args()
     xi_x, xi_y = design.mat.xi_x, design.mat.xi_y
     edge = E_EDGE_FRAC * tf
     t = min(max(t, edge), tf - edge)
@@ -145,7 +139,7 @@ def sample_fields(design: TrajectoryDesign, samples: int) -> list[FieldSample]:
     for ts_bad, ok, res in zip(rep.times, rep.cancellable, rep.numerator_residuals):
         if not ok:
             raise SingularityError(ts_bad, res)
-    tc, pc, tf, b0, al, be, eta = _pack(design)
+    tc, pc, tf, b0, al, be, eta = design.kernel_args()
     ts = np.linspace(0.0, tf, samples)
     bs = K.b1_b2_grid(ts, tc, pc, tf, b0, al, be, eta,
                       design.mat.xi_x, design.mat.xi_y)
@@ -163,7 +157,7 @@ def verify_cancellation(design: TrajectoryDesign, ts: float) -> float:
     The root is cancellable when the residual is below
     CANCEL_REL_TOL * (|beta thetad| + |beta (phid + eta B0)|).
     """
-    tc, pc, tf, b0, al, be, eta = _pack(design)
+    tc, pc, tf, b0, al, be, eta = design.kernel_args()
     n1, n2, _ = K.field_parts(ts, tc, pc, b0, al, be, eta)
     return max(abs(n1), abs(n2))
 
@@ -188,7 +182,7 @@ def detect_singularities(design: TrajectoryDesign, grid: int = 1001) -> Singular
     """
     if grid < 100:
         raise ValueError(f"grid must be >= 100, got {grid}")
-    tc, pc, tf, b0, al, be, eta = _pack(design)
+    tc, pc, tf, b0, al, be, eta = design.kernel_args()
     eps = K.EDGE_FRAC * tf
     ts = np.linspace(eps, tf - eps, grid)
     fv = K.denominator_grid(ts, tc, pc, al, be)

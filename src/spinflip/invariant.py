@@ -145,10 +145,7 @@ def propagate_schrodinger(design: TrajectoryDesign, psi0: np.ndarray,
     nrm = np.linalg.norm(psi0)
     if abs(nrm - 1.0) > 1e-9:
         raise ValueError(f"psi0 norm {nrm} differs from 1 beyond 1e-9")
-    tc, pc = design.theta.coeff_array(), design.phi.coeff_array()
-    m = design.mat
-    pref = 0.5 * m.g * MU_B
-    args = (tc, pc, design.tf, design.b0, m.alpha, m.beta, m.eta, pref, HBAR)
+    args = (*design.kernel_args(), 0.5 * design.mat.g * MU_B, HBAR)
     traj, drift = K.rk4_spin(*args, psi0, steps)
     fine, _ = K.rk4_spin(*args, psi0, 2 * steps)
     if np.isnan(traj).any():

@@ -143,12 +143,6 @@ def noise_bloch_rhs(r: np.ndarray, fields: FieldTriple, b0: float, lam: float,
     raise ValueError(f"channel must be one of {CHANNELS}, got {channel!r}")
 
 
-def _design_args(design: TrajectoryDesign):
-    m = design.mat
-    return (design.theta.coeff_array(), design.phi.coeff_array(), design.tf,
-            design.b0, m.alpha, m.beta, m.eta)
-
-
 @dataclass(frozen=True)
 class BlochTrajectory:
     times: np.ndarray
@@ -170,7 +164,7 @@ def propagate_bloch(design: TrajectoryDesign, gamma: float = 0.0,
     """RK4 on the Bloch equation with dephasing plus as-printed noise decay."""
     lam2 = lambda0**2 * design.tf
     channel = 1 if lambda0 > 0.0 else 0
-    traj = K.rk4_bloch(*_design_args(design), gamma, lam2, channel,
+    traj = K.rk4_bloch(*design.kernel_args(), gamma, lam2, channel,
                        np.asarray(r0, dtype=float), steps)
     if np.isnan(traj).any():
         raise IntegratorError("Bloch propagation produced non-finite components")
@@ -222,7 +216,7 @@ def propagate_density(design: TrajectoryDesign, gamma: float = 0.0,
     lam2 = lambda0**2 * design.tf
     code = _CHANNEL_CODE[channel] if lambda0 > 0.0 else 0
     pref = 0.5 * design.mat.g * MU_B
-    traj = K.rk4_density(*_design_args(design), pref, HBAR, gamma, lam2, code,
+    traj = K.rk4_density(*design.kernel_args(), pref, HBAR, gamma, lam2, code,
                          np.asarray(rho0, dtype=complex), steps)
     if np.isnan(traj).any():
         raise IntegratorError("density propagation produced non-finite entries")
@@ -231,10 +225,11 @@ def propagate_density(design: TrajectoryDesign, gamma: float = 0.0,
 
 def noise_increments(seed: int, n_traj: int, steps: int, dt: float) -> np.ndarray:
     """Wiener increments dW ~ Normal(0, dt), one private generator per
-    trajectory seeded as seed XOR trajectory index."""
+    trajectory, spawned from np.random.SeedSequence(seed) so that the streams
+    of different trajectories and different seeds are independent."""
     out = np.empty((n_traj, steps))
-    for i in range(n_traj):
-        rng = np.random.default_rng(seed ^ i)
+    for i, child in enumerate(np.random.SeedSequence(seed).spawn(n_traj)):
+        rng = np.random.default_rng(child)
         out[i] = rng.normal(0.0, np.sqrt(dt), steps)
     return out
 
@@ -262,7 +257,7 @@ def sse_trajectory(design: TrajectoryDesign, noise: NoiseParams,
     lam = noise.lambda0 * np.sqrt(design.tf)
     psi0 = np.array([1.0, 0.0], dtype=complex)
     pref = 0.5 * design.mat.g * MU_B
-    states = K.em_states(*_design_args(design), pref, HBAR, lam, psi0, dw[0], steps)
+    states = K.em_states(*design.kernel_args(), pref, HBAR, lam, psi0, dw[0], steps)
     if np.isnan(states).any():
         raise IntegratorError("SSE trajectory produced non-finite amplitudes")
     cross = states[:, 0] * states[:, 1].conjugate()
@@ -293,7 +288,7 @@ def ensemble_average(design: TrajectoryDesign, noise: NoiseParams,
     lam = noise.lambda0 * np.sqrt(design.tf)
     psi0 = np.array([1.0, 0.0], dtype=complex)
     pref = 0.5 * design.mat.g * MU_B
-    bloch, fid = K.em_ensemble(*_design_args(design), pref, HBAR, lam, psi0,
+    bloch, fid = K.em_ensemble(*design.kernel_args(), pref, HBAR, lam, psi0,
                                dw, steps)
     if np.isnan(bloch).any():
         raise IntegratorError("ensemble propagation produced non-finite components")

@@ -113,6 +113,13 @@ class TrajectoryDesign:
         phi = solve_phi(tf, b0, mat, theta)
         return cls(theta=theta, phi=phi, tf=tf, b0=b0, mat=mat)
 
+    def kernel_args(self) -> tuple:
+        """(theta coeffs, phi coeffs, tf, B0, alpha, beta, eta): the design
+        arguments of the field kernels and propagators in _kernels."""
+        m = self.mat
+        return (self.theta.coeff_array(), self.phi.coeff_array(), self.tf,
+                self.b0, m.alpha, m.beta, m.eta)
+
     def boundary_residuals(self) -> np.ndarray:
         """The eight boundary-condition residuals, in imposition order."""
         th, ph, tf = self.theta, self.phi, self.tf

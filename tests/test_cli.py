@@ -144,6 +144,20 @@ class TestSweep:
         assert header == ["axis_value", "F"]
         assert rows.size == 0
 
+    def test_negative_gamma_rejected(self):
+        code, out, err = invoke(["sweep", "--axis", "gamma", "--grid=-0.5",
+                                 "--steps", "1000"])
+        assert code == 2
+        assert out == "" and "-0.5" in err
+
+    @pytest.mark.parametrize("grid", ["-0.01", "0.01,nan", "0.01,inf"])
+    def test_bad_lambda0_sq_rejected(self, grid):
+        # sqrt(-0.01) would be NaN and silently select the noiseless channel
+        code, out, err = invoke(["sweep", "--axis", "lambda0_sq", f"--grid={grid}",
+                                 "--steps", "1000"])
+        assert code == 2
+        assert out == "" and "finite and >= 0" in err
+
     def test_mc_mode_reports_standard_error(self):
         code, out, _ = invoke(["sweep", "--axis", "lambda0_sq",
                                "--grid", "0.02", "--mc", "--n-traj", "64",

@@ -1,27 +1,70 @@
-"""Consistency of the numba-compiled kernels with their pure-Python source.
+"""The vectorized kernels against independent references.
 
-When numba is active each kernel exposes the undecorated function as
-.py_func; running both on identical inputs checks that compilation does not
-change the numerics.  Under SPINFLIP_NO_NUMBA=1 the dispatched function *is*
-the Python source and these tests degenerate to smoke tests.
+The field grids must equal the scalar per-point kernels bit for bit.  Each
+RK4 propagator must stay within 1e-12 of a step-by-step RK4 loop written
+here over the reference right-hand sides in :mod:`spinflip.opensys` and
+:func:`spinflip.build_heff`, at step counts below one scan block and across
+a block boundary that is not a block multiple.
 """
 
 import numpy as np
 import pytest
 
+from spinflip import (FieldTriple, IntegratorError, TrajectoryDesign,
+                      bloch_rhs, bloch_to_density, build_heff,
+                      density_to_bloch, detect_singularities, fields_xyz_at,
+                      lindblad_step_rhs, noise_bloch_rhs, noise_master_rhs,
+                      propagate_bloch, xonly_hprime)
 from spinflip import _kernels as K
 from spinflip.constants import HBAR, MU_B
 
-
-def plain(fn):
-    return getattr(fn, "py_func", fn)
+STEP_COUNTS = (300, 2500)
+GAMMA, LAM2 = 0.02, 0.03
+TOL = 1e-12
 
 
 @pytest.fixture(scope="module")
 def args(design):
-    m = design.mat
-    return (design.theta.coeff_array(), design.phi.coeff_array(), design.tf,
-            design.b0, m.alpha, m.beta, m.eta)
+    return design.kernel_args()
+
+
+@pytest.fixture(scope="module")
+def pref(mat):
+    return 0.5 * mat.g * MU_B
+
+
+@pytest.fixture(scope="module")
+def fields(design):
+    """fields_xyz_at, cached: the stage times repeat across the references."""
+    cache = {}
+
+    def at(t):
+        if t not in cache:
+            cache[t] = fields_xyz_at(design, t)
+        return cache[t]
+    return at
+
+
+def rk4_reference(rhs, y0, tf, steps, normalize=False):
+    """Step-by-step RK4 of y' = rhs(t, y); optionally renormalized per step,
+    returning the largest pre-renormalization |norm - 1| as the drift."""
+    dt = tf / steps
+    y = np.array(y0)
+    traj = [y]
+    drift = 0.0
+    for k in range(steps):
+        t = k * dt
+        k1 = rhs(t, y)
+        k2 = rhs(t + 0.5 * dt, y + 0.5 * dt * k1)
+        k3 = rhs(t + 0.5 * dt, y + 0.5 * dt * k2)
+        k4 = rhs(t + dt, y + dt * k3)
+        y = y + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        if normalize:
+            nrm = np.linalg.norm(y)
+            drift = max(drift, abs(nrm - 1.0))
+            y = y / nrm
+        traj.append(y)
+    return np.array(traj), drift
 
 
 def test_numba_flag_exported():
@@ -29,37 +72,89 @@ def test_numba_flag_exported():
 
 
 def test_field_kernels_match(args):
-    ts = np.linspace(1e-5, 1 - 1e-5, 257)
-    fast = K.b1_b2_grid(ts, *args, 0.0, 0.0)
-    slow = plain(K.b1_b2_grid)(ts, *args, 0.0, 0.0)
-    assert np.array_equal(fast, slow)
-    assert np.array_equal(K.xyz_grid(ts, *args), plain(K.xyz_grid)(ts, *args))
+    # endpoints and clamp edges, the guarded root tf/2 and a point inside its
+    # window, and a dense interior grid
+    ts = np.concatenate([np.linspace(0.0, 1.0, 4001),
+                         [1e-7, 1.0 - 1e-7, 0.5, 0.5 + 1e-9]])
+    for xi_x, xi_y in ((0.0, 0.0), (0.03, -0.02)):
+        loop = np.array([K.b1_b2(t, *args, xi_x, xi_y) for t in ts])
+        assert np.array_equal(K.b1_b2_grid(ts, *args, xi_x, xi_y), loop)
+    loop = np.array([K.xyz_at(t, *args) for t in ts])
+    assert np.array_equal(K.xyz_grid(ts, *args), loop)
 
 
-def test_rk4_spin_matches(args):
-    psi0 = np.array([1.0, 0.0], dtype=complex)
-    pref = 0.5 * (-0.44) * MU_B
-    fast, drift_f = K.rk4_spin(*args, pref, HBAR, psi0, 500)
-    slow, drift_s = plain(K.rk4_spin)(*args, pref, HBAR, psi0, 500)
-    assert np.allclose(fast, slow, atol=1e-13)
-    assert drift_f == pytest.approx(drift_s, abs=1e-15)
+def test_field_grids_emit_no_warnings(args):
+    with np.errstate(all="raise"):
+        K.xyz_grid(np.linspace(0.0, 1.0, 1001), *args)
 
 
-def test_rk4_bloch_matches(args):
-    r0 = np.array([0.0, 0.0, 1.0])
-    fast = K.rk4_bloch(*args, 0.02, 0.01, 1, r0, 400)
-    slow = plain(K.rk4_bloch)(*args, 0.02, 0.01, 1, r0, 400)
-    assert np.allclose(fast, slow, atol=1e-13)
+def test_rk4_bloch_matches(args, design, mat, fields):
+    r0 = np.array([0.36, -0.48, 0.8])
+    lam = np.sqrt(LAM2)
+
+    def printed(t, r):
+        f = fields(t)
+        return (bloch_rhs(r, f, GAMMA, mat) + noise_bloch_rhs(r, f, design.b0, lam, mat)
+                - bloch_rhs(r, f, 0.0, mat))
+    for steps in STEP_COUNTS:
+        for channel, rhs in ((0, lambda t, r: bloch_rhs(r, fields(t), GAMMA, mat)),
+                             (1, printed)):
+            ref, _ = rk4_reference(rhs, r0, design.tf, steps)
+            got = K.rk4_bloch(*args, GAMMA, LAM2, channel, r0, steps)
+            assert got.shape == (steps + 1, 3)
+            assert np.abs(got - ref).max() < TOL, (steps, channel)
 
 
-def test_rk4_density_matches(args):
-    rho0 = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
-    pref = 0.5 * (-0.44) * MU_B
-    for channel in (0, 1, 2):
-        fast = K.rk4_density(*args, pref, HBAR, 0.01, 0.02, channel, rho0, 300)
-        slow = plain(K.rk4_density)(*args, pref, HBAR, 0.01, 0.02, channel,
-                                    rho0, 300)
-        assert np.allclose(fast, slow, atol=1e-13)
+def test_rk4_density_matches(args, design, mat, pref, fields):
+    rho0 = np.array([[0.7, 0.2 - 0.3j], [0.2 + 0.3j, 0.3]])
+    lam = np.sqrt(LAM2)
+    zero = np.zeros((2, 2))
+
+    def lindblad(t, rho):
+        return lindblad_step_rhs(rho, build_heff(fields(t), mat), GAMMA)
+
+    def printed(t, rho):
+        f, r = fields(t), density_to_bloch(rho)
+        decay = noise_bloch_rhs(r, f, design.b0, lam, mat) - bloch_rhs(r, f, 0.0, mat)
+        return lindblad(t, rho) + bloch_to_density(decay) - 0.5 * np.eye(2)
+
+    def xonly(t, rho):
+        hp = xonly_hprime(fields(t), design.b0, mat)
+        return lindblad(t, rho) + noise_master_rhs(rho, zero, hp, lam)
+
+    for steps in STEP_COUNTS:
+        for channel, rhs in ((0, lindblad), (1, printed), (2, xonly)):
+            ref, _ = rk4_reference(lambda t, y: rhs(t, y.reshape(2, 2)).reshape(4),
+                                   rho0.reshape(4), design.tf, steps)
+            got = K.rk4_density(*args, pref, HBAR, GAMMA, LAM2, channel, rho0, steps)
+            assert got.shape == (steps + 1, 2, 2)
+            assert np.abs(got.reshape(-1, 4) - ref).max() < TOL, (steps, channel)
+
+
+def test_rk4_spin_matches(args, design, mat, pref, fields):
+    psi0 = np.array([0.6, 0.8j])
+    for steps in STEP_COUNTS:
+        ref, ref_drift = rk4_reference(
+            lambda t, psi: -1j / HBAR * build_heff(fields(t), mat) @ psi,
+            psi0, design.tf, steps, normalize=True)
+        got, drift = K.rk4_spin(*args, pref, HBAR, psi0, steps)
+        assert np.abs(got - ref).max() < TOL, steps
+        assert drift == pytest.approx(ref_drift, abs=TOL)
+
+
+def test_rk4_spin_const_matches(mat, pref):
+    f = FieldTriple(0.01, -0.02, 0.15)
+    h = build_heff(f, mat)
+    psi0 = np.array([0.6, 0.8j])
+    for steps in STEP_COUNTS:
+        ref, _ = rk4_reference(lambda t, psi: -1j / HBAR * h @ psi, psi0, 1.0, steps,
+                               normalize=True)
+        got = K.rk4_spin_const(*f, pref, HBAR, psi0, 1.0, steps)
+        assert np.abs(got - ref).max() < TOL, steps
+
+
+def plain(fn):
+    return getattr(fn, "py_func", fn)
 
 
 def test_em_ensemble_matches(args):
@@ -84,3 +179,20 @@ def test_nan_poisoning_on_noncancellable(design):
     b1, b2 = K.b1_b2(t_bad, bad.theta.coeff_array(), bad.phi.coeff_array(),
                      bad.tf, bad.b0, m.alpha, m.beta, m.eta, 0.0, 0.0)
     assert np.isnan(b1) and np.isnan(b2)
+
+
+def test_propagate_bloch_rejects_noncancellable_design(design):
+    # At the default 10000 steps no stage time of this B0 = 2 design lands in
+    # a guard window: the divergent fields stay finite there.  The step count
+    # whose half-step grid j dt/2 passes closest to a non-cancellable root
+    # puts a stage time inside its window; the NaN fields there must poison
+    # the scan and surface as IntegratorError.
+    bad = TrajectoryDesign.design(1.0, 2.0, design.mat)
+    rep = detect_singularities(bad)
+    t_bad = [t for t, ok in zip(rep.times, rep.cancellable) if not ok][0]
+    steps = min(range(1000, 20001),
+                key=lambda n: abs(np.round(2 * t_bad * n) / (2 * n) - t_bad))
+    t_stage = np.round(2 * t_bad * steps) / (2 * steps)
+    assert np.isnan(K.b1_b2(t_stage, *bad.kernel_args(), 0.0, 0.0)[0])
+    with pytest.raises(IntegratorError, match="non-finite"):
+        propagate_bloch(bad, steps=steps)

@@ -263,10 +263,16 @@ class TestSSE:
         assert abs(flat.var() - dt) < 3 * se_var
 
     def test_per_trajectory_generators(self):
-        # trajectory i draws from generator seeded seed ^ i
-        dw = noise_increments(seed=40, n_traj=3, steps=16, dt=0.1)
-        single = noise_increments(seed=40 ^ 2, n_traj=1, steps=16, dt=0.1)
-        assert np.array_equal(dw[2], single[0])
+        # seed ^ i seeding made 1232, 1234 and 1235 share one set of 256
+        # trajectories in a different order; spawned streams share none
+        sets = []
+        for seed in (1232, 1234, 1235):
+            dw = noise_increments(seed=seed, n_traj=256, steps=16, dt=0.1)
+            assert np.array_equal(dw, noise_increments(seed=seed, n_traj=256,
+                                                       steps=16, dt=0.1))
+            sets.append({row.tobytes() for row in dw})
+        assert all(len(s) == 256 for s in sets)
+        assert not (sets[0] & sets[1] or sets[1] & sets[2] or sets[0] & sets[2])
 
 
 class TestEnsemble:
