@@ -1,7 +1,7 @@
 """Inverse-engineered electric-field pulses for fast spin flips in
 spin-orbit-coupled quantum dots, with closed- and open-system validation."""
 
-from .constants import CONSTANTS, HBAR, K_B, MU_B, MaterialParams, gaas
+from .constants import HBAR, K_B, MU_B, MaterialParams, gaas
 from .core import (FieldTriple, build_heff, bloch_to_density, commutator,
                    density_to_bloch, spin_to_bloch, spin_to_density,
                    zeeman_splitting)
@@ -9,8 +9,8 @@ from .errors import (ConfigError, DegenerateReferenceError, IntegratorError,
                      SingularityError)
 from .fields import (FieldSample, SingularityReport, compute_b0_max,
                      detect_singularities, effective_fields, electric_fields,
-                     fields_xyz, fields_xyz_at, sample_fields,
-                     verify_cancellation)
+                     fields_xyz, fields_xyz_at, require_cancellable,
+                     sample_fields, verify_cancellation)
 from .invariant import (InvariantSpec, PerturbedEvolution, Propagation,
                         chi_eigenstates, fidelity, invariance_residual,
                         invariant_matrix, lr_phase,

@@ -1,13 +1,14 @@
 """Hot numeric kernels: field synthesis, RK4 propagators, Euler-Maruyama.
 
-The scalar per-point field functions and the Euler-Maruyama loops are written
-in the numba-compatible numpy subset and are compiled with
-``@njit(cache=True, nogil=True)`` unless the environment variable
-``SPINFLIP_NO_NUMBA`` is set (1/true/yes), in which case the same source runs
-as plain numpy/Python.  The field grids and the RK4 propagators are plain
-vectorized numpy: the propagated equations are linear with coefficients that
+Everything here is plain numpy.  The scalar per-point field functions serve
+single-instant callers and the guard-window points of the field grids; the
+grids themselves, the denominator scan and every propagator are vectorized
+over time.  The propagated RK4 equations are linear with coefficients that
 depend on t alone, so every RK4 step is a transfer matrix built from fields
-evaluated on all stage times at once (see :func:`_rk4_linear`).
+evaluated on all stage times at once (see :func:`_rk4_linear`).  The
+Euler-Maruyama kernels share one lock-step loop over trajectories whose
+per-step coefficients come from one field evaluation on the step grid (see
+:func:`_em_lockstep`).
 
 Angle cubics enter as raw coefficient arrays (rad/ns^j); material parameters
 as scalars.  Error signalling is NaN poisoning: a non-cancellable
@@ -26,7 +27,6 @@ Numerical guards (times in units of tf):
 from __future__ import annotations
 
 import math
-import os
 
 import numpy as np
 
@@ -44,33 +44,15 @@ NONCANCEL_TOL = 1e-6
 # holding the interpreter lock, starts to dominate the Bloch sweeps.
 BLOCK_BYTES = 1 << 17
 
-NUMBA_ENABLED = False
-if os.environ.get("SPINFLIP_NO_NUMBA", "").lower() not in ("1", "true", "yes"):
-    try:
-        from numba import njit as _numba_njit
-        NUMBA_ENABLED = True
-    except ImportError:  # pragma: no cover - numba is a declared dependency
-        pass
 
-if NUMBA_ENABLED:
-    def njit(func):
-        return _numba_njit(cache=True, nogil=True)(func)
-else:
-    def njit(func):
-        return func
-
-
-@njit
 def poly3(c, t):
     return ((c[3] * t + c[2]) * t + c[1]) * t + c[0]
 
 
-@njit
 def dpoly3(c, t):
     return (3.0 * c[3] * t + 2.0 * c[2]) * t + c[1]
 
 
-@njit
 def _parts(cot, sph, cph, thd, phd, b0, alpha, beta, eta):
     # shared by the scalar and the vectorized field synthesis
     n1 = -beta * thd * cot * cph + beta * (phd + eta * b0) * sph
@@ -79,7 +61,6 @@ def _parts(cot, sph, cph, thd, phd, b0, alpha, beta, eta):
     return n1, n2, d0
 
 
-@njit
 def field_parts(t, tc, pc, b0, alpha, beta, eta):
     """Numerators of B1, B2 and the shared denominator factor (no eta, no xi).
 
@@ -92,7 +73,6 @@ def field_parts(t, tc, pc, b0, alpha, beta, eta):
                   dpoly3(tc, t), dpoly3(pc, t), b0, alpha, beta, eta)
 
 
-@njit
 def b1_b2(t, tc, pc, tf, b0, alpha, beta, eta, xi_x, xi_y):
     """Effective drive fields (B1, B2) in T at one instant.
 
@@ -122,7 +102,6 @@ def b1_b2(t, tc, pc, tf, b0, alpha, beta, eta, xi_x, xi_y):
     return n1 / (eta * fx * d0), n2 / (eta * fy * d0)
 
 
-@njit
 def xyz_at(t, tc, pc, tf, b0, alpha, beta, eta):
     """Hamiltonian field triple (X, Y, Z); independent of the xi factors."""
     b1, b2 = b1_b2(t, tc, pc, tf, b0, alpha, beta, eta, 0.0, 0.0)
@@ -166,14 +145,15 @@ def xyz_grid(ts, tc, pc, tf, b0, alpha, beta, eta):
     return np.column_stack(_xyz(ts, tc, pc, tf, b0, alpha, beta, eta))
 
 
-@njit
+def _denominator(t, tc, pc, alpha, beta):
+    """alpha cot(theta) - beta sin(phi) at one instant, as denominator_grid."""
+    th = poly3(tc, t)
+    return alpha * math.cos(th) / math.sin(th) - beta * math.sin(poly3(pc, t))
+
+
 def denominator_grid(ts, tc, pc, alpha, beta):
-    out = np.empty(ts.shape[0])
-    for i in range(ts.shape[0]):
-        th = poly3(tc, ts[i])
-        ph = poly3(pc, ts[i])
-        out[i] = alpha * math.cos(th) / math.sin(th) - beta * math.sin(ph)
-    return out
+    th = poly3(tc, ts)
+    return alpha * np.cos(th) / np.sin(th) - beta * np.sin(poly3(pc, ts))
 
 
 def _rk4_linear(gen, y0, tf, steps, normalize=False):
@@ -331,7 +311,47 @@ def rk4_density(tc, pc, tf, b0, alpha, beta, eta, pref, hbar, gamma, lam2,
     return traj.reshape(steps + 1, 2, 2)
 
 
-@njit
+def _em_lockstep(tc, pc, tf, b0, alpha, beta, eta, pref, hbar, lam, psi0, dw, steps):
+    """Euler-Maruyama under the x-only noise operator, all trajectories in
+    lock step; yields the amplitude arrays (p0, p1) at steps 0 .. steps.
+
+    dw has shape (n_traj, steps).  The drift and noise coefficients of every
+    step come from one field evaluation on the step grid k tf / steps.  Each
+    step renormalizes the states.
+    """
+    dt = tf / steps
+    x, y, z = _xyz(np.arange(steps) * dt, tc, pc, tf, b0, alpha, beta, eta)
+    zp = z - b0
+    h00 = pref * z
+    h01 = pref * (x + 1j * y)
+    q00 = pref * zp
+    q01 = pref * (1j * y)
+    # Hp^2 = pref^2 (Y^2 + Z'^2) * identity
+    drift = -0.5 * lam * lam * pref * pref * (y * y + zp * zp) / (hbar * hbar)
+    a00 = -1j / hbar * h00 + drift
+    a01 = -1j / hbar * h01
+    a10 = -1j / hbar * h01.conjugate()
+    a11 = 1j / hbar * h00 + drift
+    s00 = -1j * lam / hbar * q00
+    s01 = -1j * lam / hbar * q01
+    s10 = -1j * lam / hbar * q01.conjugate()
+    s11 = 1j * lam / hbar * q00
+    n = dw.shape[0]
+    p0 = np.full(n, psi0[0], dtype=np.complex128)
+    p1 = np.full(n, psi0[1], dtype=np.complex128)
+    yield p0, p1
+    for k in range(steps):
+        dwk = dw[:, k]
+        n0 = (a00[k] * p0 + a01[k] * p1) * dt + (s00[k] * p0 + s01[k] * p1) * dwk
+        n1 = (a10[k] * p0 + a11[k] * p1) * dt + (s10[k] * p0 + s11[k] * p1) * dwk
+        p0 = p0 + n0
+        p1 = p1 + n1
+        nrm = np.sqrt(np.abs(p0) ** 2 + np.abs(p1) ** 2)
+        p0 = p0 / nrm
+        p1 = p1 / nrm
+        yield p0, p1
+
+
 def em_ensemble(tc, pc, tf, b0, alpha, beta, eta, pref, hbar, lam, psi0, dw, steps):
     """Euler-Maruyama ensemble under the x-only noise operator.
 
@@ -339,50 +359,17 @@ def em_ensemble(tc, pc, tf, b0, alpha, beta, eta, pref, hbar, lam, psi0, dw, ste
     (vectorized across the ensemble axis).  Returns the ensemble-mean Bloch
     trajectory (steps+1, 3) and the per-trajectory final fidelities |psi_1|.
     """
-    n = dw.shape[0]
-    p0 = np.full(n, psi0[0], dtype=np.complex128)
-    p1 = np.full(n, psi0[1], dtype=np.complex128)
     bloch = np.empty((steps + 1, 3))
-    dt = tf / steps
-    inv_n = 1.0 / n
-    for k in range(steps + 1):
-        re = (p0 * np.conj(p1)).real
-        im = (p0 * np.conj(p1)).imag
-        bloch[k, 0] = 2.0 * inv_n * re.sum()
-        bloch[k, 1] = 2.0 * inv_n * im.sum()
+    inv_n = 1.0 / dw.shape[0]
+    for k, (p0, p1) in enumerate(_em_lockstep(tc, pc, tf, b0, alpha, beta, eta, pref,
+                                              hbar, lam, psi0, dw, steps)):
+        cross = p0 * np.conj(p1)
+        bloch[k, 0] = 2.0 * inv_n * cross.real.sum()
+        bloch[k, 1] = 2.0 * inv_n * cross.imag.sum()
         bloch[k, 2] = inv_n * (np.abs(p0) ** 2 - np.abs(p1) ** 2).sum()
-        if k == steps:
-            break
-        t = k * dt
-        x, y, z = xyz_at(t, tc, pc, tf, b0, alpha, beta, eta)
-        zp = z - b0
-        h00 = pref * z
-        h01 = pref * complex(x, y)
-        q00 = pref * zp
-        q01 = pref * complex(0.0, y)
-        # Hp^2 = pref^2 (Y^2 + Z'^2) * identity
-        drift = -0.5 * lam * lam * pref * pref * (y * y + zp * zp) / (hbar * hbar)
-        a00 = -1j / hbar * h00 + drift
-        a01 = -1j / hbar * h01
-        a10 = -1j / hbar * h01.conjugate()
-        a11 = 1j / hbar * h00 + drift
-        s00 = -1j * lam / hbar * q00
-        s01 = -1j * lam / hbar * q01
-        s10 = -1j * lam / hbar * q01.conjugate()
-        s11 = 1j * lam / hbar * q00
-        dwk = dw[:, k]
-        n0 = (a00 * p0 + a01 * p1) * dt + (s00 * p0 + s01 * p1) * dwk
-        n1 = (a10 * p0 + a11 * p1) * dt + (s10 * p0 + s11 * p1) * dwk
-        p0 = p0 + n0
-        p1 = p1 + n1
-        nrm = np.sqrt(np.abs(p0) ** 2 + np.abs(p1) ** 2)
-        p0 = p0 / nrm
-        p1 = p1 / nrm
-    fid = np.abs(p1)
-    return bloch, fid
+    return bloch, np.abs(p1)
 
 
-@njit
 def em_states(tc, pc, tf, b0, alpha, beta, eta, pref, hbar, lam, psi0, dw, steps):
     """Single Euler-Maruyama trajectory storing the full state history.
 
@@ -390,36 +377,7 @@ def em_states(tc, pc, tf, b0, alpha, beta, eta, pref, hbar, lam, psi0, dw, steps
     renormalized each step.
     """
     traj = np.empty((steps + 1, 2), dtype=np.complex128)
-    p0 = psi0[0]
-    p1 = psi0[1]
-    traj[0, 0] = p0
-    traj[0, 1] = p1
-    dt = tf / steps
-    for k in range(steps):
-        t = k * dt
-        x, y, z = xyz_at(t, tc, pc, tf, b0, alpha, beta, eta)
-        zp = z - b0
-        h00 = pref * z
-        h01 = pref * complex(x, y)
-        q00 = pref * zp
-        q01 = pref * complex(0.0, y)
-        drift = -0.5 * lam * lam * pref * pref * (y * y + zp * zp) / (hbar * hbar)
-        a00 = -1j / hbar * h00 + drift
-        a01 = -1j / hbar * h01
-        a10 = -1j / hbar * h01.conjugate()
-        a11 = 1j / hbar * h00 + drift
-        s00 = -1j * lam / hbar * q00
-        s01 = -1j * lam / hbar * q01
-        s10 = -1j * lam / hbar * q01.conjugate()
-        s11 = 1j * lam / hbar * q00
-        dwk = dw[k]
-        n0 = (a00 * p0 + a01 * p1) * dt + (s00 * p0 + s01 * p1) * dwk
-        n1 = (a10 * p0 + a11 * p1) * dt + (s10 * p0 + s11 * p1) * dwk
-        p0 = p0 + n0
-        p1 = p1 + n1
-        nrm = math.sqrt(abs(p0) ** 2 + abs(p1) ** 2)
-        p0 /= nrm
-        p1 /= nrm
-        traj[k + 1, 0] = p0
-        traj[k + 1, 1] = p1
+    for k, (p0, p1) in enumerate(_em_lockstep(tc, pc, tf, b0, alpha, beta, eta, pref,
+                                              hbar, lam, psi0, dw[None, :], steps)):
+        traj[k] = p0[0], p1[0]
     return traj

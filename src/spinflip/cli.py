@@ -26,7 +26,8 @@ from .constants import MaterialParams
 from .core import spin_to_bloch
 from .errors import (ConfigError, DegenerateReferenceError, IntegratorError,
                      SingularityError)
-from .fields import compute_b0_max, design_is_realizable, sample_fields
+from .fields import (compute_b0_max, design_is_realizable, require_cancellable,
+                     sample_fields)
 from .lowdin import (FourLevelModel, build_full_hamiltonian, lowdin_reduce,
                      orbital_adiabaticity, partition, validity_check,
                      xi_factors)
@@ -178,6 +179,7 @@ def cmd_design(config: dict, args) -> int:
 
 def cmd_simulate(config: dict, args) -> int:
     design = design_from(config)
+    require_cancellable(design)
     gamma = config["decoherence"]["gamma_per_ns"]
     lambda0 = config["noise"]["lambda0"]
     channel = config["noise"]["channel"]
@@ -256,6 +258,7 @@ def cmd_sweep(config: dict, args) -> int:
     design = design_from(config)
     steps = config["integrator"]["steps"]
     grid = _parse_grid(args.grid)
+    require_cancellable(design)
     mc = bool(args.mc)
     columns = ["axis_value", "F"] + (["standard_error"] if mc else [])
     table = OutputTable(columns=columns, meta=_meta(config))
@@ -383,7 +386,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--epsilon", type=float, help="initialization error")
     p.add_argument("--phi0", type=float, help="initialization phase (rad)")
     p.add_argument("--steps", type=int, help="RK4 step count")
-    p.add_argument("--seed", type=int, help="noise seed")
 
     p = sub.add_parser("b0max", help="tabulate the B0 upper limit vs t_f")
     common(p)

@@ -18,19 +18,6 @@ MEV_PER_E_CM_TO_V_PER_CM = 1e-3
 
 
 @dataclass(frozen=True)
-class PhysicalConstants:
-    """CODATA constants in the internal unit system (meV, ns, T, K)."""
-
-    mu_B: float = MU_B
-    hbar: float = HBAR
-    k_B: float = K_B
-    volt_conv: float = MEV_PER_E_CM_TO_V_PER_CM
-
-
-CONSTANTS = PhysicalConstants()
-
-
-@dataclass(frozen=True)
 class MaterialParams:
     """Spin-orbit strengths and g-factor defining the host material.
 

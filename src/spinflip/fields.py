@@ -135,10 +135,7 @@ def sample_fields(design: TrajectoryDesign, samples: int) -> list[FieldSample]:
     Raises SingularityError when the design carries any non-cancellable
     denominator zero (the fields diverge there even if no sample lands on it).
     """
-    rep = detect_singularities(design)
-    for ts_bad, ok, res in zip(rep.times, rep.cancellable, rep.numerator_residuals):
-        if not ok:
-            raise SingularityError(ts_bad, res)
+    require_cancellable(design)
     tc, pc, tf, b0, al, be, eta = design.kernel_args()
     ts = np.linspace(0.0, tf, samples)
     bs = K.b1_b2_grid(ts, tc, pc, tf, b0, al, be, eta,
@@ -187,9 +184,6 @@ def detect_singularities(design: TrajectoryDesign, grid: int = 1001) -> Singular
     ts = np.linspace(eps, tf - eps, grid)
     fv = K.denominator_grid(ts, tc, pc, al, be)
 
-    def f(t: float) -> float:
-        return float(K.denominator_grid(np.array([t]), tc, pc, al, be)[0])
-
     roots = [tf / 2.0]
     tol = ROOT_ABS_TOL * al
     for i in range(grid - 1):
@@ -201,7 +195,7 @@ def detect_singularities(design: TrajectoryDesign, grid: int = 1001) -> Singular
             fa = fv[i]
             for _ in range(100):
                 m = 0.5 * (a + b)
-                fm = f(m)
+                fm = K._denominator(m, tc, pc, al, be)
                 if abs(fm) < tol or m == a or m == b:
                     a = b = m
                     break
@@ -221,6 +215,16 @@ def detect_singularities(design: TrajectoryDesign, grid: int = 1001) -> Singular
         for r, res in zip(merged, residuals))
     return SingularityReport(times=tuple(merged), cancellable=cancellable,
                              numerator_residuals=residuals)
+
+
+def require_cancellable(design: TrajectoryDesign) -> None:
+    """Raise SingularityError at the first denominator root whose numerators
+    do not cancel: the fields diverge there, whether or not a sample or an
+    integrator stage lands on it."""
+    rep = detect_singularities(design)
+    for ts_bad, ok, res in zip(rep.times, rep.cancellable, rep.numerator_residuals):
+        if not ok:
+            raise SingularityError(ts_bad, res)
 
 
 def design_is_realizable(design: TrajectoryDesign, grid: int = 1001) -> bool:

@@ -1,9 +1,6 @@
-import numpy as np
 import pytest
 
 from spinflip import TrajectoryDesign, gaas
-from spinflip.constants import HBAR, MU_B
-from spinflip import _kernels as K
 
 
 @pytest.fixture(scope="session")
@@ -20,27 +17,3 @@ def design(mat):
 @pytest.fixture(scope="session")
 def design_short(mat):
     return TrajectoryDesign.design(0.1, 0.15, mat)
-
-
-@pytest.fixture(scope="session", autouse=True)
-def warm_kernels(design):
-    """Trigger JIT compilation once so timed tests measure physics, not numba."""
-    tc, pc = design.theta.coeff_array(), design.phi.coeff_array()
-    m = design.mat
-    args = (tc, pc, design.tf, design.b0, m.alpha, m.beta, m.eta)
-    pref = 0.5 * m.g * MU_B
-    psi0 = np.array([1.0, 0.0], dtype=complex)
-    rho0 = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
-    ts = np.linspace(0.1, 0.9, 5)
-    K.b1_b2_grid(ts, *args, 0.0, 0.0)
-    K.xyz_grid(ts, *args)
-    K.denominator_grid(ts, tc, pc, m.alpha, m.beta)
-    K.rk4_spin(*args, pref, HBAR, psi0, 8)
-    K.rk4_spin_const(0.0, 0.0, 0.15, pref, HBAR, psi0, 1.0, 8)
-    K.rk4_bloch(*args, 0.0, 0.0, 0, np.array([0.0, 0.0, 1.0]), 8)
-    K.rk4_bloch(*args, 0.01, 0.01, 1, np.array([0.0, 0.0, 1.0]), 8)
-    K.rk4_density(*args, pref, HBAR, 0.01, 0.01, 1, rho0, 8)
-    K.rk4_density(*args, pref, HBAR, 0.0, 0.01, 2, rho0, 8)
-    dw = np.zeros((2, 8))
-    K.em_ensemble(*args, pref, HBAR, 0.1, psi0, dw, 8)
-    K.em_states(*args, pref, HBAR, 0.1, psi0, dw[0], 8)

@@ -84,6 +84,12 @@ class TestSimulate:
         assert f == pytest.approx(np.sqrt((1 + np.exp(-0.04)) / 2), abs=1e-6)
         assert f >= float(meta["summary_bound_1_minus_2_gamma_tf"]) - 1e-3
 
+    def test_seed_flag_removed(self):
+        # simulate has no stochastic path, so it takes no seed
+        code, out, err = invoke(["simulate", "--seed", "7"])
+        assert code == 2
+        assert out == "" and "--seed" in err
+
     def test_initialization_error_flags(self):
         code, out, _ = invoke(["simulate", "--epsilon", "0.01", "--phi0",
                                "0.7854", "--samples", "51"])
@@ -174,6 +180,33 @@ class TestSweep:
         assert invoke(args + ["--out", str(p1)])[0] == 0
         assert invoke(args + ["--out", str(p2)])[0] == 0
         assert p1.read_bytes() == p2.read_bytes()
+
+
+class TestOverLimitB0:
+    """B0 = 2 T at tf = 1 ns carries non-cancellable roots: every propagating
+    command exits 3 from one singularity scan, before any propagation."""
+
+    @pytest.fixture(autouse=True)
+    def no_propagation(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("propagated an over-limit design")
+        for name in ("propagate_bloch", "propagate_density", "propagate_master",
+                     "ensemble_average"):
+            monkeypatch.setattr(f"spinflip.cli.{name}", refuse)
+
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--lambda0", "0.1"],
+        ["simulate", "--gamma", "0"],
+        ["sweep", "--axis", "lambda0_sq", "--grid", "0.01"],
+        ["sweep", "--axis", "lambda0_sq", "--grid", "0.01", "--mc",
+         "--n-traj", "8", "--steps", "1000"],
+        ["sweep", "--axis", "gamma", "--grid", "0:1:3", "--steps", "1000"],
+    ], ids=["simulate-lambda0", "simulate-gamma0", "sweep-lambda0_sq", "sweep-mc",
+            "sweep-gamma"])
+    def test_exits_3(self, argv):
+        code, out, err = invoke(argv + ["--b0", "2.0"])
+        assert code == 3
+        assert out == "" and "non-cancellable singularity" in err
 
 
 class TestConfigHandling:

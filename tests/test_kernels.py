@@ -1,20 +1,26 @@
 """The vectorized kernels against independent references.
 
-The field grids must equal the scalar per-point kernels bit for bit.  Each
-RK4 propagator must stay within 1e-12 of a step-by-step RK4 loop written
-here over the reference right-hand sides in :mod:`spinflip.opensys` and
-:func:`spinflip.build_heff`, at step counts below one scan block and across
-a block boundary that is not a block multiple.
+The field grids must equal the scalar per-point kernels bit for bit, and the
+denominator grid and its scalar form must equal a per-point loop over the
+same expression.  Each RK4 propagator must stay within 1e-12 of a step-by-step
+RK4 loop written here over the reference right-hand sides in
+:mod:`spinflip.opensys` and :func:`spinflip.build_heff`, at step counts
+below one scan block and across a block boundary that is not a block
+multiple.  Both Euler-Maruyama kernels must stay within 1e-12 of a
+step-by-step loop over :func:`spinflip.build_heff` and
+:func:`spinflip.xonly_hprime`.
 """
+
+import math
 
 import numpy as np
 import pytest
 
-from spinflip import (FieldTriple, IntegratorError, TrajectoryDesign,
-                      bloch_rhs, bloch_to_density, build_heff,
-                      density_to_bloch, detect_singularities, fields_xyz_at,
-                      lindblad_step_rhs, noise_bloch_rhs, noise_master_rhs,
-                      propagate_bloch, xonly_hprime)
+from spinflip import (FieldTriple, IntegratorError, NoiseParams,
+                      TrajectoryDesign, bloch_rhs, bloch_to_density, build_heff,
+                      density_to_bloch, detect_singularities, ensemble_average,
+                      fields_xyz_at, lindblad_step_rhs, noise_bloch_rhs,
+                      noise_master_rhs, propagate_bloch, xonly_hprime)
 from spinflip import _kernels as K
 from spinflip.constants import HBAR, MU_B
 
@@ -67,10 +73,6 @@ def rk4_reference(rhs, y0, tf, steps, normalize=False):
     return np.array(traj), drift
 
 
-def test_numba_flag_exported():
-    assert isinstance(K.NUMBA_ENABLED, bool)
-
-
 def test_field_kernels_match(args):
     # endpoints and clamp edges, the guarded root tf/2 and a point inside its
     # window, and a dense interior grid
@@ -81,6 +83,14 @@ def test_field_kernels_match(args):
         assert np.array_equal(K.b1_b2_grid(ts, *args, xi_x, xi_y), loop)
     loop = np.array([K.xyz_at(t, *args) for t in ts])
     assert np.array_equal(K.xyz_grid(ts, *args), loop)
+    # the denominator point by point with math functions, off t = 0 where
+    # theta = 0
+    tc, pc, _, _, al, be, _ = args
+    inner = ts[ts > 0.0]
+    loop = [al * math.cos(K.poly3(tc, t)) / math.sin(K.poly3(tc, t))
+            - be * math.sin(K.poly3(pc, t)) for t in inner]
+    assert np.array_equal(K.denominator_grid(inner, tc, pc, al, be), loop)
+    assert [K._denominator(float(t), tc, pc, al, be) for t in inner] == loop
 
 
 def test_field_grids_emit_no_warnings(args):
@@ -153,19 +163,52 @@ def test_rk4_spin_const_matches(mat, pref):
         assert np.abs(got - ref).max() < TOL, steps
 
 
-def plain(fn):
-    return getattr(fn, "py_func", fn)
+def em_reference(design, mat, fields, lam, psi0, dw):
+    """Step-by-step Euler-Maruyama of one trajectory per row of dw:
+    dpsi = (-i/hbar H - lam^2/(2 hbar^2) H'^2) psi dt - i lam/hbar H' psi dW,
+    renormalized after each step.  Returns the (n_traj, steps+1, 2) states."""
+    steps = dw.shape[1]
+    dt = design.tf / steps
+    ops = []
+    for k in range(steps):
+        f = fields(k * dt)
+        hp = xonly_hprime(f, design.b0, mat)
+        ops.append((-1j / HBAR * build_heff(f, mat) - lam**2 / (2.0 * HBAR**2) * hp @ hp,
+                    -1j * lam / HBAR * hp))
+    out = np.empty((dw.shape[0], steps + 1, 2), dtype=complex)
+    for i, row in enumerate(dw):
+        psi = out[i, 0] = psi0
+        for k, (drift, noise) in enumerate(ops):
+            psi = psi + drift @ psi * dt + noise @ psi * row[k]
+            psi = out[i, k + 1] = psi / np.linalg.norm(psi)
+    return out
 
 
-def test_em_ensemble_matches(args):
-    psi0 = np.array([1.0, 0.0], dtype=complex)
-    pref = 0.5 * (-0.44) * MU_B
-    rng = np.random.default_rng(0)
-    dw = rng.normal(0.0, np.sqrt(1.0 / 300), (8, 300))
-    bloch_f, fid_f = K.em_ensemble(*args, pref, HBAR, 0.2, psi0, dw, 300)
-    bloch_s, fid_s = plain(K.em_ensemble)(*args, pref, HBAR, 0.2, psi0, dw, 300)
-    assert np.allclose(bloch_f, bloch_s, atol=1e-12)
-    assert np.allclose(fid_f, fid_s, atol=1e-12)
+def test_em_ensemble_matches(args, design, mat, pref, fields):
+    psi0 = np.array([0.6, 0.8j])
+    lam, steps = 0.2, 300
+    dw = np.random.default_rng(0).normal(0.0, np.sqrt(design.tf / steps), (8, steps))
+    ref = em_reference(design, mat, fields, lam, psi0, dw)
+    cross = ref[..., 0] * ref[..., 1].conj()
+    ref_bloch = np.stack([2.0 * cross.real, 2.0 * cross.imag,
+                          np.abs(ref[..., 0])**2 - np.abs(ref[..., 1])**2], axis=-1).mean(axis=0)
+    bloch, fid = K.em_ensemble(*args, pref, HBAR, lam, psi0, dw, steps)
+    assert bloch.shape == (steps + 1, 3) and fid.shape == (8,)
+    assert np.abs(bloch - ref_bloch).max() < TOL
+    assert np.abs(fid - np.abs(ref[:, -1, 1])).max() < TOL
+    for i in (0, 5):
+        states = K.em_states(*args, pref, HBAR, lam, psi0, dw[i], steps)
+        assert np.abs(states - ref[i]).max() < TOL, i
+
+
+def test_seeded_ensemble_values_pinned(design):
+    # values recorded before the two Euler-Maruyama loops became one; the
+    # ensemble path must reproduce them bit for bit
+    res = ensemble_average(design, NoiseParams(lambda0=float(np.sqrt(0.02)),
+                                               channel="x-only", seed=1234, n_traj=32),
+                           steps=2000)
+    assert res.fidelity_mean == 0.9885340847036509
+    assert res.fidelity_se == 0.00228857996902007
 
 
 def test_nan_poisoning_on_noncancellable(design):
