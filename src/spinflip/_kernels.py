@@ -3,9 +3,11 @@
 Everything here is plain numpy.  The scalar per-point field functions serve
 single-instant callers and the guard-window points of the field grids; the
 grids themselves, the denominator scan and every propagator are vectorized
-over time.  The propagated RK4 equations are linear with coefficients that
-depend on t alone, so every RK4 step is a transfer matrix built from fields
-evaluated on all stage times at once (see :func:`_rk4_linear`).  The
+over time.  The two RK4 equations, Schrodinger (2x2 complex) and Bloch (3x3
+real, with dephasing and either source-noise channel), are linear with
+coefficients that depend on t alone, so every RK4 step is a transfer matrix
+built from fields evaluated on all stage times at once (see
+:func:`_rk4_linear`).  The
 Euler-Maruyama kernels share one lock-step loop over trajectories whose
 per-step coefficients come from one field evaluation on the step grid (see
 :func:`_em_lockstep`).
@@ -37,11 +39,11 @@ NONCANCEL_TOL = 1e-6
 
 # Size in bytes of one (steps, d, d) array of the RK4 transfer-matrix scan;
 # a block holds as many steps as fit.  A block keeps at most about eight such
-# arrays alive, so memory stays near 1 MB whatever the step count: 512 steps
-# of the 4x4 complex density superoperator, about 1800 of the real 3x3 Bloch
-# matrix.  Twice this budget raised the peak RSS of a simulate-and-validate
-# run by about 6%; much less, and the per-call numpy overhead, paid while
-# holding the interpreter lock, starts to dominate the Bloch sweeps.
+# arrays alive, so memory stays near 1 MB whatever the step count: 2048 steps
+# of the 2x2 complex spin matrix, about 1800 of the real 3x3 Bloch matrix.
+# A larger budget raises the peak RSS of the one-point validations; much
+# less, and the per-call numpy overhead, paid while holding the interpreter
+# lock, starts to dominate the Bloch sweeps.
 BLOCK_BYTES = 1 << 17
 
 
@@ -173,10 +175,11 @@ def _rk4_linear(gen, y0, tf, steps, normalize=False):
     With normalize, every state is divided by its norm, as a loop that
     renormalizes after each step does, and the largest one-step |norm - 1|
     (the ratio of successive norms) is returned as the drift; else 0.0.
-    Returns the (steps + 1, d) trajectory and the drift.
+    y0 is (d,), or (d, k) for k starts at once (without normalize).
+    Returns the (steps + 1,) + y0.shape trajectory and the drift.
     """
     y = np.asarray(y0)
-    traj = np.empty((steps + 1, y.shape[0]), dtype=y.dtype)
+    traj = np.empty((steps + 1,) + y.shape, dtype=y.dtype)
     traj[0] = y
     eye = np.eye(y.shape[0])
     dt = tf / steps
@@ -221,22 +224,6 @@ def _hamiltonian(x, y, z, pref):
     return h
 
 
-def _commutator(h):
-    """Superoperator of [h, .] on row-major vec(rho): kron(h, I) - kron(I, h^T)."""
-    c = np.zeros((len(h), 2, 2, 2, 2), dtype=h.dtype)
-    for j in range(2):
-        c[:, :, j, :, j] += h                  # (h rho)_ij = h_ik rho_kj
-        c[:, j, :, j, :] -= h.transpose(0, 2, 1)  # (rho h)_ij = rho_ik h_kj
-    return c.reshape(-1, 4, 4)
-
-
-def _printed_rates(x, y, z, b0, eta, lam2):
-    """As-printed source-noise decay rates of (u, v, w)."""
-    zp = z - b0
-    ke = 0.5 * lam2 * eta * eta
-    return ke * (y * y + zp * zp), ke * (x * x + zp * zp), ke * (x * x + y * y)
-
-
 def rk4_spin(tc, pc, tf, b0, alpha, beta, eta, pref, hbar, psi0, steps):
     """RK4 Schrodinger propagation under the synthesized fields.
 
@@ -261,54 +248,36 @@ def rk4_spin_const(x, y, z, pref, hbar, psi0, tf, steps):
 
 
 def rk4_bloch(tc, pc, tf, b0, alpha, beta, eta, gamma, lam2, channel, r0, steps):
-    """RK4 Bloch propagation: dephasing at rate gamma plus, for channel 1,
-    the as-printed source-noise decay diag(-lam2 eta^2/2 * field combos)."""
+    """RK4 Bloch propagation: dephasing at rate gamma plus source-noise decay
+    -(lam2 eta^2/2)(|a|^2 I - a a^T), Z' = Z - B0.  Channel 0 has none;
+    channel 1 (as printed) keeps the diagonal of it with a = (X, Y, Z');
+    channel 2 (x-only) is the full matrix with a = (0, Y, Z'), the Bloch
+    form of the double commutator with the x-only noise operator.
+
+    r0 is (3,) or (3, k); columns of a (3, k) start propagate independently
+    and the trajectory is (steps+1, 3, k).
+    """
     def gen(t):
         x, y, z = _xyz(t, tc, pc, tf, b0, alpha, beta, eta)
         a = np.zeros((len(t), 3, 3))
         a[:, 0, 1], a[:, 0, 2] = eta * z, -eta * y
         a[:, 1, 0], a[:, 1, 2] = -eta * z, eta * x
         a[:, 2, 0], a[:, 2, 1] = eta * y, -eta * x
-        rates = _printed_rates(x, y, z, b0, eta, lam2) if channel == 1 else (0.0,) * 3
+        rates = (0.0,) * 3
+        if channel:
+            zp = z - b0
+            ke = 0.5 * lam2 * eta * eta
+            if channel == 1:
+                rates = (ke * (y * y + zp * zp), ke * (x * x + zp * zp),
+                         ke * (x * x + y * y))
+            else:
+                rates = ke * (y * y + zp * zp), ke * zp * zp, ke * y * y
+                a[:, 1, 2] += ke * y * zp
+                a[:, 2, 1] += ke * y * zp
         for i, rate in enumerate(rates):
             a[:, i, i] = -4.0 * gamma - rate
         return a
     return _rk4_linear(gen, np.asarray(r0, dtype=float), tf, steps)[0]
-
-
-def rk4_density(tc, pc, tf, b0, alpha, beta, eta, pref, hbar, gamma, lam2,
-                channel, rho0, steps):
-    """RK4 density-matrix propagation (channel 0 none, 1 as-printed, 2 x-only)."""
-    # -(gamma/2) sum_i [sigma_i, [sigma_i, rho]] = -4 gamma (rho - tr(rho) I/2);
-    # vec(I) = (1, 0, 0, 1) in the row-major (00, 01, 10, 11) order
-    vec_i = np.array([1.0, 0.0, 0.0, 1.0])
-    dephasing = -4.0 * gamma * (np.eye(4) - 0.5 * np.outer(vec_i, vec_i))
-
-    def gen(t):
-        x, y, z = _xyz(t, tc, pc, tf, b0, alpha, beta, eta)
-        a = _commutator(_hamiltonian(x, y, z, pref))
-        a *= -1j / hbar
-        a += dephasing
-        if lam2 != 0.0 and channel == 2:
-            # x-only drive operator Hp = pref [[Z', iY], [-iY, -Z']]
-            c = _commutator(_hamiltonian(0.0, y, z - b0, pref))
-            a += -lam2 / (2.0 * hbar * hbar) * (c @ c)
-        if lam2 != 0.0 and channel == 1:
-            # as-printed Bloch decay lifted to the density matrix, linear over
-            # the complex numbers: u = r01 + r10, v = -i (r01 - r10), w = r00 - r11
-            ru, rv, rw = _printed_rates(x, y, z, b0, eta, lam2)
-            a[:, 0, 0] -= 0.5 * rw
-            a[:, 0, 3] += 0.5 * rw
-            a[:, 3, 0] += 0.5 * rw
-            a[:, 3, 3] -= 0.5 * rw
-            a[:, 1, 1] -= 0.5 * (ru + rv)
-            a[:, 1, 2] -= 0.5 * (ru - rv)
-            a[:, 2, 1] -= 0.5 * (ru - rv)
-            a[:, 2, 2] -= 0.5 * (ru + rv)
-        return a
-    traj, _ = _rk4_linear(gen, np.asarray(rho0, dtype=np.complex128).reshape(4),
-                          tf, steps)
-    return traj.reshape(steps + 1, 2, 2)
 
 
 def _em_lockstep(tc, pc, tf, b0, alpha, beta, eta, pref, hbar, lam, psi0, dw, steps):

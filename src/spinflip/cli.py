@@ -32,7 +32,7 @@ from .lowdin import (FourLevelModel, build_full_hamiltonian, lowdin_reduce,
                      orbital_adiabaticity, partition, validity_check,
                      xi_factors)
 from .opensys import (NoiseParams, ensemble_average, perturbative_bound,
-                      propagate_bloch, propagate_density, propagate_master)
+                      propagate_bloch, propagate_master)
 from .tables import OutputTable, config_hash
 from .trajectory import TrajectoryDesign
 
@@ -190,21 +190,10 @@ def cmd_simulate(config: dict, args) -> int:
         raise ConfigError(f"epsilon must lie in [0, 1), got {eps}")
     psi0 = np.array([np.sqrt(1.0 - eps) * np.exp(1j * phi0), np.sqrt(eps)],
                     dtype=complex)
-    r0 = spin_to_bloch(psi0)
-    if lambda0 > 0.0 and channel == "x-only":
-        rho0 = 0.5 * np.array([[1 + r0[2], r0[0] + 1j * r0[1]],
-                               [r0[0] - 1j * r0[1], 1 - r0[2]]], dtype=complex)
-        traj = propagate_density(design, gamma=gamma, lambda0=lambda0,
-                                 channel="x-only", steps=steps, rho0=rho0)
-        rs = traj.bloch()
-    else:
-        traj = propagate_bloch(design, gamma=gamma, lambda0=lambda0,
-                               steps=steps, r0=tuple(r0))
-        rs = traj.r
-    w_final = float(rs[-1, 2])
-    fid = float(np.sqrt(max(0.0, (1.0 - w_final) / 2.0)))
+    traj = propagate_bloch(design, gamma=gamma, lambda0=lambda0, channel=channel,
+                           steps=steps, r0=tuple(spin_to_bloch(psi0)))
     meta = _meta(config)
-    meta["summary_F"] = format(fid, ".17g")
+    meta["summary_F"] = format(traj.final_fidelity, ".17g")
     meta["summary_gamma"] = format(gamma, ".17g")
     meta["summary_lambda0"] = format(lambda0, ".17g")
     meta["summary_bound_1_minus_2_gamma_tf"] = format(
@@ -214,7 +203,7 @@ def cmd_simulate(config: dict, args) -> int:
                     .astype(int))
     times = traj.times
     for i in idx:
-        u, v, w = rs[i]
+        u, v, w = traj.r[i]
         table.add_row(float(times[i]), float(u), float(v), float(w),
                       (1.0 + w) / 2.0, (1.0 - w) / 2.0)
     _write(table, config, args.out)
@@ -273,7 +262,8 @@ def cmd_sweep(config: dict, args) -> int:
                                 n_traj=config["noise"]["n_traj"])
             res = ensemble_average(design, noise, steps=steps)
             return res.fidelity_mean, res.fidelity_se
-        traj = propagate_bloch(design, lambda0=lambda0, steps=steps)
+        traj = propagate_bloch(design, lambda0=lambda0,
+                               channel=config["noise"]["channel"], steps=steps)
         return (traj.final_fidelity,)
 
     jobs = _jobs(args)
@@ -399,7 +389,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid", required=True,
                    help="comma list 'a,b,c' or linspace 'lo:hi:n'")
     p.add_argument("--mc", action="store_true",
-                   help="Monte Carlo ensemble instead of the deterministic master equation")
+                   help="Monte Carlo ensemble instead of the deterministic master "
+                        "equation; always the x-only noise operator, whatever "
+                        "noise.channel says")
     p.add_argument("--n-traj", type=int, help="ensemble size for --mc")
     p.add_argument("--steps", type=int, help="integrator steps per point")
     p.add_argument("--seed", type=int, help="noise seed")

@@ -17,7 +17,7 @@ from . import _kernels as K
 from .constants import HBAR, MU_B
 from .core import FieldTriple, build_heff, commutator
 from .errors import IntegratorError
-from .fields import fields_xyz_at
+from .fields import fields_xyz_at, require_cancellable
 from .trajectory import TrajectoryDesign, eval_angles
 
 GATE_TOL = 1e-8
@@ -137,7 +137,8 @@ def propagate_schrodinger(design: TrajectoryDesign, psi0: np.ndarray,
     """RK4 integration of i hbar dpsi/dt = H_eff(t) psi under the design.
 
     Renormalizes each step (drift recorded); doubling the step count must
-    move the final state by less than 1e-8, else IntegratorError.
+    move the final state by less than 1e-8, else IntegratorError.  A design
+    above the B0 limit raises SingularityError before propagating.
     """
     if steps < 1000:
         raise ValueError(f"steps must be >= 1000, got {steps}")
@@ -145,6 +146,7 @@ def propagate_schrodinger(design: TrajectoryDesign, psi0: np.ndarray,
     nrm = np.linalg.norm(psi0)
     if abs(nrm - 1.0) > 1e-9:
         raise ValueError(f"psi0 norm {nrm} differs from 1 beyond 1e-9")
+    require_cancellable(design)
     args = (*design.kernel_args(), 0.5 * design.mat.g * MU_B, HBAR)
     traj, drift = K.rk4_spin(*args, psi0, steps)
     fine, _ = K.rk4_spin(*args, psi0, 2 * steps)

@@ -8,9 +8,15 @@ Two source-noise channels are provided and none is silently "corrected":
   Z' = Z - B0.
 * ``x-only`` builds the noise operator H' from the B1-driven part of the
   Hamiltonian (Y and Z' components; the noisy electric field is taken along
-  x) and applies the exact double commutator.  Its Bloch form is derived
-  numerically from the density-matrix form, and it is the channel whose
-  ensemble limit the stochastic trajectories reproduce.
+  x) and applies the exact double commutator.  On the Bloch vector that is
+  -(lam^2 eta^2 / 2) (|a|^2 I - a a^T) with a = (0, Y, Z'), the full matrix
+  whose diagonal with a = (X, Y, Z') is the printed decay.  It is the
+  channel whose ensemble limit the stochastic trajectories reproduce.
+
+Both channels and the dephasing map the identity to zero and every matrix
+to a traceless one, so a density matrix is propagated on its Bloch vector
+at constant trace.  ``noise_bloch_rhs`` derives the x-only Bloch form from
+the density-matrix form instead, as an independent reference for the tests.
 
 Noise strength: lam = lambda0 sqrt(t_f); lambda0^2 is the sweep axis.
 """
@@ -25,6 +31,7 @@ from . import _kernels as K
 from .constants import HBAR, MU_B, MaterialParams
 from .core import FieldTriple, build_heff
 from .errors import IntegratorError
+from .fields import require_cancellable
 from .trajectory import TrajectoryDesign
 
 CHANNELS = ("as-printed", "x-only")
@@ -158,16 +165,29 @@ def fidelity_from_w(w: float) -> float:
     return float(np.sqrt(max(0.0, (1.0 - w) / 2.0)))
 
 
-def propagate_bloch(design: TrajectoryDesign, gamma: float = 0.0,
-                    lambda0: float = 0.0, steps: int = 10000,
-                    r0: tuple[float, float, float] = (0.0, 0.0, 1.0)) -> BlochTrajectory:
-    """RK4 on the Bloch equation with dephasing plus as-printed noise decay."""
-    lam2 = lambda0**2 * design.tf
-    channel = 1 if lambda0 > 0.0 else 0
-    traj = K.rk4_bloch(*design.kernel_args(), gamma, lam2, channel,
-                       np.asarray(r0, dtype=float), steps)
+def _run_bloch(design: TrajectoryDesign, gamma: float, lambda0: float,
+               channel: str, r0: np.ndarray, steps: int) -> np.ndarray:
+    if channel not in CHANNELS:
+        raise ValueError(f"channel must be one of {CHANNELS}, got {channel!r}")
+    require_cancellable(design)
+    code = _CHANNEL_CODE[channel] if lambda0 > 0.0 else 0
+    traj = K.rk4_bloch(*design.kernel_args(), gamma, lambda0**2 * design.tf, code,
+                       r0, steps)
     if np.isnan(traj).any():
         raise IntegratorError("Bloch propagation produced non-finite components")
+    return traj
+
+
+def propagate_bloch(design: TrajectoryDesign, gamma: float = 0.0,
+                    lambda0: float = 0.0, channel: str = "as-printed",
+                    steps: int = 10000,
+                    r0: tuple[float, float, float] = (0.0, 0.0, 1.0)) -> BlochTrajectory:
+    """RK4 on the Bloch equation with dephasing and the selected noise channel.
+
+    Like every propagator here, it raises SingularityError before
+    propagating a design above the B0 limit.
+    """
+    traj = _run_bloch(design, gamma, lambda0, channel, np.asarray(r0, dtype=float), steps)
     return BlochTrajectory(times=np.linspace(0.0, design.tf, steps + 1), r=traj)
 
 
@@ -208,19 +228,24 @@ def propagate_density(design: TrajectoryDesign, gamma: float = 0.0,
                       lambda0: float = 0.0, channel: str = "as-printed",
                       steps: int = 10000,
                       rho0: np.ndarray | None = None) -> DensityTrajectory:
-    """RK4 on the density matrix with the selected dissipators."""
-    if channel not in CHANNELS:
-        raise ValueError(f"channel must be one of {CHANNELS}, got {channel!r}")
+    """RK4 on the density matrix with the selected dissipators.
+
+    rho0 maps linearly, over the complex numbers, to its constant trace and
+    its Bloch components, whose real and imaginary parts run side by side
+    on the Bloch equation; any complex rho0 is propagated.
+    """
     if rho0 is None:
         rho0 = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
-    lam2 = lambda0**2 * design.tf
-    code = _CHANNEL_CODE[channel] if lambda0 > 0.0 else 0
-    pref = 0.5 * design.mat.g * MU_B
-    traj = K.rk4_density(*design.kernel_args(), pref, HBAR, gamma, lam2, code,
-                         np.asarray(rho0, dtype=complex), steps)
-    if np.isnan(traj).any():
-        raise IntegratorError("density propagation produced non-finite entries")
-    return DensityTrajectory(times=np.linspace(0.0, design.tf, steps + 1), rho=traj)
+    rho0 = np.asarray(rho0, dtype=complex)
+    tr = rho0[0, 0] + rho0[1, 1]
+    r0 = np.array([rho0[0, 1] + rho0[1, 0], -1j * (rho0[0, 1] - rho0[1, 0]),
+                   rho0[0, 0] - rho0[1, 1]])
+    traj = _run_bloch(design, gamma, lambda0, channel,
+                      np.column_stack([r0.real, r0.imag]), steps)
+    u, v, w = (traj[..., 0] + 1j * traj[..., 1]).T
+    rho = 0.5 * np.array([[tr + w, u + 1j * v], [u - 1j * v, tr - w]])
+    return DensityTrajectory(times=np.linspace(0.0, design.tf, steps + 1),
+                             rho=rho.transpose(2, 0, 1))
 
 
 def noise_increments(seed: int, n_traj: int, steps: int, dt: float) -> np.ndarray:
@@ -252,6 +277,7 @@ def sse_trajectory(design: TrajectoryDesign, noise: NoiseParams,
     Uses the x-only noise operator (the stochastic term has no as-printed
     operator form); deterministic for a fixed seed.
     """
+    require_cancellable(design)
     dt = design.tf / steps
     dw = noise_increments(noise.seed, 1, steps, dt)
     lam = noise.lambda0 * np.sqrt(design.tf)
@@ -283,6 +309,7 @@ def ensemble_average(design: TrajectoryDesign, noise: NoiseParams,
     The mean Bloch trajectory converges (weakly, order dt) to the x-only
     master equation; the spread yields the standard error of the fidelity.
     """
+    require_cancellable(design)
     dt = design.tf / steps
     dw = noise_increments(noise.seed, noise.n_traj, steps, dt)
     lam = noise.lambda0 * np.sqrt(design.tf)

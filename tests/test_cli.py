@@ -143,6 +143,17 @@ class TestSweep:
         monkeypatch.setenv("SPINFLIP_JOBS", "zero")
         assert invoke(args)[0] == 2
 
+    def test_lambda0_sq_honours_channel(self, tmp_path):
+        # at lambda0^2 = 0.01 the x-only channel gives F = 0.992416 and the
+        # as-printed one 0.983697 (README, "Noise channels")
+        cfg = tmp_path / "xonly.yaml"
+        cfg.write_text(yaml.safe_dump({"noise": {"channel": "x-only"}}))
+        code, out, _ = invoke(["sweep", "--config", str(cfg), "--axis", "lambda0_sq",
+                               "--grid", "0.01"])
+        assert code == 0
+        _, _, rows = parse_csv(out)
+        assert rows[0, 1] == pytest.approx(0.992416, abs=1e-6)
+
     def test_empty_grid_empty_table(self):
         code, out, _ = invoke(["sweep", "--axis", "gamma", "--grid", ""])
         assert code == 0
@@ -190,8 +201,7 @@ class TestOverLimitB0:
     def no_propagation(self, monkeypatch):
         def refuse(*args, **kwargs):
             raise AssertionError("propagated an over-limit design")
-        for name in ("propagate_bloch", "propagate_density", "propagate_master",
-                     "ensemble_average"):
+        for name in ("propagate_bloch", "propagate_master", "ensemble_average"):
             monkeypatch.setattr(f"spinflip.cli.{name}", refuse)
 
     @pytest.mark.parametrize("argv", [

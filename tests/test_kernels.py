@@ -2,13 +2,13 @@
 
 The field grids must equal the scalar per-point kernels bit for bit, and the
 denominator grid and its scalar form must equal a per-point loop over the
-same expression.  Each RK4 propagator must stay within 1e-12 of a step-by-step
-RK4 loop written here over the reference right-hand sides in
-:mod:`spinflip.opensys` and :func:`spinflip.build_heff`, at step counts
-below one scan block and across a block boundary that is not a block
-multiple.  Both Euler-Maruyama kernels must stay within 1e-12 of a
-step-by-step loop over :func:`spinflip.build_heff` and
-:func:`spinflip.xonly_hprime`.
+same expression.  Each RK4 propagator, and the density matrix run on its
+Bloch vector, must stay within 1e-12 of a step-by-step RK4 loop written here
+over the reference right-hand sides in :mod:`spinflip.opensys` and
+:func:`spinflip.build_heff`, at step counts below one scan block and across
+a block boundary that is not a block multiple.  Both Euler-Maruyama kernels
+must stay within 1e-12 of a step-by-step loop over
+:func:`spinflip.build_heff` and :func:`spinflip.xonly_hprime`.
 """
 
 import math
@@ -16,11 +16,12 @@ import math
 import numpy as np
 import pytest
 
-from spinflip import (FieldTriple, IntegratorError, NoiseParams,
-                      TrajectoryDesign, bloch_rhs, bloch_to_density, build_heff,
-                      density_to_bloch, detect_singularities, ensemble_average,
-                      fields_xyz_at, lindblad_step_rhs, noise_bloch_rhs,
-                      noise_master_rhs, propagate_bloch, xonly_hprime)
+from spinflip import (FieldTriple, NoiseParams, SingularityError,
+                      TrajectoryDesign, bloch_rhs, build_heff,
+                      detect_singularities, ensemble_average, fields_xyz_at,
+                      lindblad_step_rhs, noise_bloch_rhs, noise_master_rhs,
+                      propagate_bloch, propagate_density, propagate_schrodinger,
+                      sse_trajectory, xonly_hprime)
 from spinflip import _kernels as K
 from spinflip.constants import HBAR, MU_B
 
@@ -102,43 +103,64 @@ def test_rk4_bloch_matches(args, design, mat, fields):
     r0 = np.array([0.36, -0.48, 0.8])
     lam = np.sqrt(LAM2)
 
-    def printed(t, r):
-        f = fields(t)
-        return (bloch_rhs(r, f, GAMMA, mat) + noise_bloch_rhs(r, f, design.b0, lam, mat)
-                - bloch_rhs(r, f, 0.0, mat))
+    def noisy(channel):
+        # the x-only noise_bloch_rhs goes through the density double commutator
+        def rhs(t, r):
+            f = fields(t)
+            return (bloch_rhs(r, f, GAMMA, mat)
+                    + noise_bloch_rhs(r, f, design.b0, lam, mat, channel)
+                    - bloch_rhs(r, f, 0.0, mat))
+        return rhs
     for steps in STEP_COUNTS:
         for channel, rhs in ((0, lambda t, r: bloch_rhs(r, fields(t), GAMMA, mat)),
-                             (1, printed)):
+                             (1, noisy("as-printed")), (2, noisy("x-only"))):
             ref, _ = rk4_reference(rhs, r0, design.tf, steps)
             got = K.rk4_bloch(*args, GAMMA, LAM2, channel, r0, steps)
             assert got.shape == (steps + 1, 3)
             assert np.abs(got - ref).max() < TOL, (steps, channel)
 
 
-def test_rk4_density_matches(args, design, mat, pref, fields):
-    rho0 = np.array([[0.7, 0.2 - 0.3j], [0.2 + 0.3j, 0.3]])
+def test_rk4_density_matches(design, mat, fields):
+    # propagate_density runs rho on its Bloch vector; the references here
+    # step rho itself, linear over the complex numbers
+    rho0s = (np.array([[0.7, 0.2 - 0.3j], [0.2 + 0.3j, 0.3]]),
+             # non-Hermitian, trace 1.3 - 0.2j
+             np.array([[0.9 + 0.1j, 0.3 - 0.2j], [-0.1 + 0.4j, 0.4 - 0.3j]]))
     lam = np.sqrt(LAM2)
+    lambda0 = np.sqrt(LAM2 / design.tf)
     zero = np.zeros((2, 2))
 
     def lindblad(t, rho):
         return lindblad_step_rhs(rho, build_heff(fields(t), mat), GAMMA)
 
     def printed(t, rho):
-        f, r = fields(t), density_to_bloch(rho)
-        decay = noise_bloch_rhs(r, f, design.b0, lam, mat) - bloch_rhs(r, f, 0.0, mat)
-        return lindblad(t, rho) + bloch_to_density(decay) - 0.5 * np.eye(2)
+        # the printed Bloch decay of the real and imaginary parts of (u, v, w),
+        # lifted to a traceless matrix
+        f = fields(t)
+        r = np.array([rho[0, 1] + rho[1, 0], -1j * (rho[0, 1] - rho[1, 0]),
+                      rho[0, 0] - rho[1, 1]])
+
+        def decay(x):
+            return noise_bloch_rhs(x, f, design.b0, lam, mat) - bloch_rhs(x, f, 0.0, mat)
+        du, dv, dw = decay(r.real) + 1j * decay(r.imag)
+        return lindblad(t, rho) + 0.5 * np.array([[dw, du + 1j * dv],
+                                                  [du - 1j * dv, -dw]])
 
     def xonly(t, rho):
         hp = xonly_hprime(fields(t), design.b0, mat)
         return lindblad(t, rho) + noise_master_rhs(rho, zero, hp, lam)
 
     for steps in STEP_COUNTS:
-        for channel, rhs in ((0, lindblad), (1, printed), (2, xonly)):
-            ref, _ = rk4_reference(lambda t, y: rhs(t, y.reshape(2, 2)).reshape(4),
-                                   rho0.reshape(4), design.tf, steps)
-            got = K.rk4_density(*args, pref, HBAR, GAMMA, LAM2, channel, rho0, steps)
-            assert got.shape == (steps + 1, 2, 2)
-            assert np.abs(got.reshape(-1, 4) - ref).max() < TOL, (steps, channel)
+        for channel, lam0, rhs in (("as-printed", 0.0, lindblad),
+                                   ("as-printed", lambda0, printed),
+                                   ("x-only", lambda0, xonly)):
+            for i, rho0 in enumerate(rho0s):
+                ref, _ = rk4_reference(lambda t, y: rhs(t, y.reshape(2, 2)).reshape(4),
+                                       rho0.reshape(4), design.tf, steps)
+                got = propagate_density(design, gamma=GAMMA, lambda0=lam0,
+                                        channel=channel, steps=steps, rho0=rho0).rho
+                assert got.shape == (steps + 1, 2, 2)
+                assert np.abs(got.reshape(-1, 4) - ref).max() < TOL, (steps, channel, i)
 
 
 def test_rk4_spin_matches(args, design, mat, pref, fields):
@@ -225,17 +247,39 @@ def test_nan_poisoning_on_noncancellable(design):
 
 
 def test_propagate_bloch_rejects_noncancellable_design(design):
-    # At the default 10000 steps no stage time of this B0 = 2 design lands in
-    # a guard window: the divergent fields stay finite there.  The step count
-    # whose half-step grid j dt/2 passes closest to a non-cancellable root
-    # puts a stage time inside its window; the NaN fields there must poison
-    # the scan and surface as IntegratorError.
+    # The design check raises before any propagation, also at the default
+    # 10000 steps, where no stage time of this B0 = 2 design lands in a guard
+    # window and the divergent fields stay finite.
     bad = TrajectoryDesign.design(1.0, 2.0, design.mat)
+    with pytest.raises(SingularityError):
+        propagate_bloch(bad)
+    # Below that check the kernel still poisons: the step count whose
+    # half-step grid j dt/2 passes closest to a non-cancellable root puts a
+    # stage time inside its window, and the NaN fields there reach the scan.
     rep = detect_singularities(bad)
     t_bad = [t for t, ok in zip(rep.times, rep.cancellable) if not ok][0]
     steps = min(range(1000, 20001),
                 key=lambda n: abs(np.round(2 * t_bad * n) / (2 * n) - t_bad))
     t_stage = np.round(2 * t_bad * steps) / (2 * steps)
     assert np.isnan(K.b1_b2(t_stage, *bad.kernel_args(), 0.0, 0.0)[0])
-    with pytest.raises(IntegratorError, match="non-finite"):
-        propagate_bloch(bad, steps=steps)
+    r = K.rk4_bloch(*bad.kernel_args(), 0.0, 0.0, 0, np.array([0.0, 0.0, 1.0]), steps)
+    assert np.isnan(r[-1]).all()
+
+
+@pytest.mark.parametrize("call", [
+    lambda d: propagate_density(d, lambda0=0.1, channel="x-only"),
+    lambda d: ensemble_average(d, NoiseParams(lambda0=0.1, channel="x-only", n_traj=8),
+                               steps=2000),
+    lambda d: sse_trajectory(d, NoiseParams(lambda0=0.1), steps=2000),
+    lambda d: propagate_schrodinger(d, np.array([1.0, 0.0])),
+], ids=["propagate_density", "ensemble_average", "sse_trajectory",
+        "propagate_schrodinger"])
+def test_propagators_check_design_first(design, call, monkeypatch):
+    # at B0 = 2 T the other library propagators, too, raise before any
+    # kernel runs
+    def refuse(*args, **kwargs):
+        raise AssertionError("propagated an over-limit design")
+    for name in ("rk4_bloch", "rk4_spin", "em_ensemble", "em_states"):
+        monkeypatch.setattr(K, name, refuse)
+    with pytest.raises(SingularityError, match="non-cancellable"):
+        call(TrajectoryDesign.design(1.0, 2.0, design.mat))
