@@ -8,8 +8,10 @@ real, with dephasing and either source-noise channel), are linear with
 coefficients that depend on t alone, so every RK4 step is a transfer matrix
 built from fields evaluated on all stage times at once (see
 :func:`_rk4_linear`).  The
-Euler-Maruyama kernels share one lock-step loop over trajectories whose
-per-step coefficients come from one field evaluation on the step grid (see
+Euler-Maruyama kernels share one lock-step loop over a (grid point,
+trajectory) array: a noise-strength grid runs as one ensemble on shared
+increments, which arrive in blocks of steps, and each block's coefficients
+come from one field evaluation on its part of the step grid (see
 :func:`_em_lockstep`).
 
 Angle cubics enter as raw coefficient arrays (rad/ns^j); material parameters
@@ -281,62 +283,94 @@ def rk4_bloch(tc, pc, tf, b0, alpha, beta, eta, gamma, lam2, channel, r0, steps)
 
 
 def _em_lockstep(tc, pc, tf, b0, alpha, beta, eta, pref, hbar, lam, psi0, dw, steps):
-    """Euler-Maruyama under the x-only noise operator, all trajectories in
-    lock step; yields the amplitude arrays (p0, p1) at steps 0 .. steps.
+    """Euler-Maruyama under the x-only noise operator, every trajectory of
+    every grid point in lock step; yields the amplitude arrays (p0, p1), each
+    of shape (G, n_traj), at steps 0 .. steps.
 
-    dw has shape (n_traj, steps).  The drift and noise coefficients of every
-    step come from one field evaluation on the step grid k tf / steps.  Each
-    step renormalizes the states.
+    lam is a (G, 1) column, one noise strength per grid point; all points
+    share the increments.  dw yields (n_traj, c) blocks of increments whose
+    widths add up to steps, so the whole (n_traj, steps) array need never
+    exist.  The drift and noise coefficients of a block come from one field
+    evaluation on its part of the step grid k tf / steps, as (c, G, 1)
+    arrays (lam-free ones (c, 1, 1)).  Each step renormalizes the states.
     """
     dt = tf / steps
-    x, y, z = _xyz(np.arange(steps) * dt, tc, pc, tf, b0, alpha, beta, eta)
-    zp = z - b0
-    h00 = pref * z
-    h01 = pref * (x + 1j * y)
-    q00 = pref * zp
-    q01 = pref * (1j * y)
-    # Hp^2 = pref^2 (Y^2 + Z'^2) * identity
-    drift = -0.5 * lam * lam * pref * pref * (y * y + zp * zp) / (hbar * hbar)
-    a00 = -1j / hbar * h00 + drift
-    a01 = -1j / hbar * h01
-    a10 = -1j / hbar * h01.conjugate()
-    a11 = 1j / hbar * h00 + drift
-    s00 = -1j * lam / hbar * q00
-    s01 = -1j * lam / hbar * q01
-    s10 = -1j * lam / hbar * q01.conjugate()
-    s11 = 1j * lam / hbar * q00
-    n = dw.shape[0]
-    p0 = np.full(n, psi0[0], dtype=np.complex128)
-    p1 = np.full(n, psi0[1], dtype=np.complex128)
-    yield p0, p1
-    for k in range(steps):
-        dwk = dw[:, k]
-        n0 = (a00[k] * p0 + a01[k] * p1) * dt + (s00[k] * p0 + s01[k] * p1) * dwk
-        n1 = (a10[k] * p0 + a11[k] * p1) * dt + (s10[k] * p0 + s11[k] * p1) * dwk
-        p0 = p0 + n0
-        p1 = p1 + n1
-        nrm = np.sqrt(np.abs(p0) ** 2 + np.abs(p1) ** 2)
-        p0 = p0 / nrm
-        p1 = p1 / nrm
-        yield p0, p1
+    # -+i lam / hbar in Python complex arithmetic, as for a scalar lam: numpy's
+    # complex division multiplies by the reciprocal, which can move the last bit
+    minus = np.array([-1j * v / hbar for v in lam[:, 0].tolist()], dtype=complex)[:, None]
+    plus = np.array([1j * v / hbar for v in lam[:, 0].tolist()], dtype=complex)[:, None]
+    start = 0
+    for block in dw:
+        width = block.shape[1]
+        x, y, z = (v[:, None, None] for v in _xyz(np.arange(start, start + width) * dt,
+                                                  tc, pc, tf, b0, alpha, beta, eta))
+        zp = z - b0
+        h00 = pref * z
+        h01 = pref * (x + 1j * y)
+        q00 = pref * zp
+        q01 = pref * (1j * y)
+        # Hp^2 = pref^2 (Y^2 + Z'^2) * identity
+        drift = -0.5 * lam * lam * pref * pref * (y * y + zp * zp) / (hbar * hbar)
+        a00 = -1j / hbar * h00 + drift
+        a01 = -1j / hbar * h01
+        a10 = -1j / hbar * h01.conjugate()
+        a11 = 1j / hbar * h00 + drift
+        s00 = minus * q00
+        s01 = minus * q01
+        s10 = minus * q01.conjugate()
+        s11 = plus * q00
+        if start == 0:
+            p0 = np.full((lam.shape[0], block.shape[0]), psi0[0], dtype=np.complex128)
+            p1 = np.full((lam.shape[0], block.shape[0]), psi0[1], dtype=np.complex128)
+            yield p0, p1
+        for k, dwk in enumerate(np.ascontiguousarray(block.T)):
+            n0 = (a00[k] * p0 + a01[k] * p1) * dt + (s00[k] * p0 + s01[k] * p1) * dwk
+            n1 = (a10[k] * p0 + a11[k] * p1) * dt + (s10[k] * p0 + s11[k] * p1) * dwk
+            p0 = p0 + n0
+            p1 = p1 + n1
+            # numpy divides a complex by a real as (re, im) * (1 / real), so
+            # scaling by the reciprocal renormalizes bit for bit, and faster
+            inv = 1.0 / np.sqrt(np.abs(p0) ** 2 + np.abs(p1) ** 2)
+            p0 = p0 * inv
+            p1 = p1 * inv
+            yield p0, p1
+        start += width
 
 
 def em_ensemble(tc, pc, tf, b0, alpha, beta, eta, pref, hbar, lam, psi0, dw, steps):
     """Euler-Maruyama ensemble under the x-only noise operator.
 
-    dw has shape (n_traj, steps); trajectories advance in lockstep
-    (vectorized across the ensemble axis).  Returns the ensemble-mean Bloch
-    trajectory (steps+1, 3) and the per-trajectory final fidelities |psi_1|.
+    dw yields (n_traj, c) blocks of increments covering the steps;
+    trajectories advance in lockstep (vectorized across the ensemble axis).
+    Returns the ensemble-mean Bloch trajectory (steps+1, 3) and the
+    per-trajectory final fidelities |psi_1|.
     """
     bloch = np.empty((steps + 1, 3))
-    inv_n = 1.0 / dw.shape[0]
     for k, (p0, p1) in enumerate(_em_lockstep(tc, pc, tf, b0, alpha, beta, eta, pref,
-                                              hbar, lam, psi0, dw, steps)):
+                                              hbar, np.full((1, 1), lam), psi0, dw,
+                                              steps)):
+        p0, p1 = p0[0], p1[0]
+        inv_n = 1.0 / p0.shape[0]
         cross = p0 * np.conj(p1)
         bloch[k, 0] = 2.0 * inv_n * cross.real.sum()
         bloch[k, 1] = 2.0 * inv_n * cross.imag.sum()
         bloch[k, 2] = inv_n * (np.abs(p0) ** 2 - np.abs(p1) ** 2).sum()
     return bloch, np.abs(p1)
+
+
+def em_final(tc, pc, tf, b0, alpha, beta, eta, pref, hbar, lams, psi0, dw, steps):
+    """Final fidelities |psi_1(tf)| of one Euler-Maruyama ensemble per noise
+    strength in lams, all run in lock step on the same increments.
+
+    dw yields (n_traj, c) blocks covering the steps, as for em_ensemble.
+    Returns a (len(lams), n_traj) array; row g equals em_ensemble's
+    fidelities at lams[g] bit for bit.
+    """
+    for p0, p1 in _em_lockstep(tc, pc, tf, b0, alpha, beta, eta, pref, hbar,
+                               np.reshape(np.asarray(lams, dtype=float), (-1, 1)),
+                               psi0, dw, steps):
+        pass
+    return np.abs(p1)
 
 
 def em_states(tc, pc, tf, b0, alpha, beta, eta, pref, hbar, lam, psi0, dw, steps):
@@ -347,6 +381,7 @@ def em_states(tc, pc, tf, b0, alpha, beta, eta, pref, hbar, lam, psi0, dw, steps
     """
     traj = np.empty((steps + 1, 2), dtype=np.complex128)
     for k, (p0, p1) in enumerate(_em_lockstep(tc, pc, tf, b0, alpha, beta, eta, pref,
-                                              hbar, lam, psi0, dw[None, :], steps)):
-        traj[k] = p0[0], p1[0]
+                                              hbar, np.full((1, 1), lam), psi0,
+                                              [dw[None, :]], steps)):
+        traj[k] = p0[0, 0], p1[0, 0]
     return traj

@@ -16,7 +16,6 @@ import copy
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import yaml
@@ -31,8 +30,8 @@ from .fields import (compute_b0_max, design_is_realizable, require_cancellable,
 from .lowdin import (FourLevelModel, build_full_hamiltonian, lowdin_reduce,
                      orbital_adiabaticity, partition, validity_check,
                      xi_factors)
-from .opensys import (NoiseParams, ensemble_average, perturbative_bound,
-                      propagate_bloch, propagate_master)
+from .opensys import (dephasing_sweep, ensemble_sweep, perturbative_bound,
+                      propagate_bloch)
 from .tables import OutputTable, config_hash
 from .trajectory import TrajectoryDesign
 
@@ -145,16 +144,21 @@ def _write(table: OutputTable, config: dict, out_override: str | None) -> None:
             fh.write(text)
 
 
-def _jobs(args) -> int:
-    if getattr(args, "jobs", None):
-        return args.jobs
-    env = os.environ.get("SPINFLIP_JOBS")
-    if env:
+def _check_jobs(args) -> None:
+    """Validate --jobs, else SPINFLIP_JOBS.  Both sweep axes run batched, so
+    the worker count no longer changes anything; it must still be >= 1."""
+    jobs, name = args.jobs, "--jobs"
+    if jobs is None:
+        env = os.environ.get("SPINFLIP_JOBS")
+        if not env:
+            return
+        name = "SPINFLIP_JOBS"
         try:
-            return max(1, int(env))
+            jobs = int(env)
         except ValueError as exc:
             raise ConfigError(f"SPINFLIP_JOBS must be an integer, got {env!r}") from exc
-    return os.cpu_count() or 1
+    if jobs < 1:
+        raise ConfigError(f"{name} must be >= 1, got {jobs}")
 
 
 def cmd_design(config: dict, args) -> int:
@@ -244,6 +248,7 @@ def _parse_grid(spec: str) -> list[float]:
 
 
 def cmd_sweep(config: dict, args) -> int:
+    _check_jobs(args)
     design = design_from(config)
     steps = config["integrator"]["steps"]
     grid = _parse_grid(args.grid)
@@ -251,27 +256,21 @@ def cmd_sweep(config: dict, args) -> int:
     mc = bool(args.mc)
     columns = ["axis_value", "F"] + (["standard_error"] if mc else [])
     table = OutputTable(columns=columns, meta=_meta(config))
-
-    def evaluate(value: float):
-        if args.axis == "gamma":
-            return (propagate_master(design, gamma=value, steps=steps),)
-        lambda0 = float(np.sqrt(value))
+    results = []
+    if grid and args.axis == "gamma":
+        results = zip(dephasing_sweep(design, grid, steps))
+    elif grid:
+        lambda0s = [float(np.sqrt(value)) for value in grid]
         if mc:
-            noise = NoiseParams(lambda0=lambda0, channel="x-only",
-                                seed=config["noise"]["seed"],
-                                n_traj=config["noise"]["n_traj"])
-            res = ensemble_average(design, noise, steps=steps)
-            return res.fidelity_mean, res.fidelity_se
-        traj = propagate_bloch(design, lambda0=lambda0,
-                               channel=config["noise"]["channel"], steps=steps)
-        return (traj.final_fidelity,)
-
-    jobs = _jobs(args)
-    if grid:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(evaluate, grid))
-        for value, res in zip(grid, results):
-            table.add_row(float(value), *[float(x) for x in res])
+            results = ensemble_sweep(design, lambda0s, config["noise"]["seed"],
+                                     config["noise"]["n_traj"], steps)
+        else:
+            channel = config["noise"]["channel"]
+            results = [(propagate_bloch(design, lambda0=lambda0, channel=channel,
+                                        steps=steps).final_fidelity,)
+                       for lambda0 in lambda0s]
+    for value, res in zip(grid, results):
+        table.add_row(float(value), *[float(x) for x in res])
     _write(table, config, args.out)
     return 0
 
@@ -396,7 +395,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--steps", type=int, help="integrator steps per point")
     p.add_argument("--seed", type=int, help="noise seed")
     p.add_argument("--jobs", type=int,
-                   help="worker threads (default: SPINFLIP_JOBS or CPU count)")
+                   help="accepted for compatibility and checked to be >= 1; both "
+                        "axes run as one batched evaluation, so it changes nothing")
 
     p = sub.add_parser("reduce", help="fold a four-level model to an effective 2x2")
     common(p)

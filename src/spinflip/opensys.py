@@ -19,6 +19,13 @@ at constant trace.  ``noise_bloch_rhs`` derives the x-only Bloch form from
 the density-matrix form instead, as an independent reference for the tests.
 
 Noise strength: lam = lambda0 sqrt(t_f); lambda0^2 is the sweep axis.
+
+Each sweep axis is one batched evaluation.  ``dephasing_sweep`` gives the
+whole gamma curve from one gated unitary Bloch run, because the isotropic
+dephasing factors out of the rotation.  ``ensemble_sweep`` runs every
+lambda0 of a Monte Carlo grid as one lock-step ensemble on one stream of
+Wiener increments, drawn in blocks of steps, so memory does not grow with
+the step count.
 """
 
 from __future__ import annotations
@@ -37,6 +44,10 @@ from .trajectory import TrajectoryDesign
 CHANNELS = ("as-printed", "x-only")
 _CHANNEL_CODE = {"as-printed": 1, "x-only": 2}
 GATE_TOL = 1e-8
+# Steps of Wiener increments per block of a Monte Carlo run: 2 KiB per
+# trajectory, few enough generator calls that drawing stays a small share.
+INCREMENT_BLOCK = 256
+_PSI_UP = np.array([1.0, 0.0], dtype=complex)
 
 
 @dataclass(frozen=True)
@@ -167,8 +178,8 @@ def fidelity_from_w(w: float) -> float:
 
 def _run_bloch(design: TrajectoryDesign, gamma: float, lambda0: float,
                channel: str, r0: np.ndarray, steps: int) -> np.ndarray:
-    if channel not in CHANNELS:
-        raise ValueError(f"channel must be one of {CHANNELS}, got {channel!r}")
+    LindbladParams(gamma)
+    NoiseParams(lambda0, channel)
     require_cancellable(design)
     code = _CHANNEL_CODE[channel] if lambda0 > 0.0 else 0
     traj = K.rk4_bloch(*design.kernel_args(), gamma, lambda0**2 * design.tf, code,
@@ -191,20 +202,38 @@ def propagate_bloch(design: TrajectoryDesign, gamma: float = 0.0,
     return BlochTrajectory(times=np.linspace(0.0, design.tf, steps + 1), r=traj)
 
 
-def propagate_master(design: TrajectoryDesign, gamma: float, steps: int = 10000) -> float:
-    """Fidelity of the dephasing master equation from (0, 0, 1).
+def dephasing_sweep(design: TrajectoryDesign, gammas, steps: int = 10000) -> np.ndarray:
+    """Fidelity of the dephasing master equation from (0, 0, 1) at every
+    rate in gammas, from one singularity scan and one gated unitary run.
 
-    Same step-halving convergence gate as the closed-system propagator.
+    The -4 gamma decay is isotropic and commutes with the rotation, so
+    w(tf; gamma) = e^{-4 gamma tf} w(tf; 0).  The step-halving gate (steps
+    against 2 steps, GATE_TOL on the final Bloch vector) runs at gamma = 0;
+    its delta at gamma is e^{-4 gamma tf} times that one, so the single
+    gate is at least as strict at every rate.
     """
     if steps < 1000:
         raise ValueError(f"steps must be >= 1000, got {steps}")
-    coarse = propagate_bloch(design, gamma=gamma, steps=steps)
-    fine = propagate_bloch(design, gamma=gamma, steps=2 * steps)
-    gate = float(np.max(np.abs(coarse.r[-1] - fine.r[-1])))
-    if gate > GATE_TOL:
+    gammas = np.array([LindbladParams(float(g)).gamma for g in gammas])
+    require_cancellable(design)
+    r0 = np.array([0.0, 0.0, 1.0])
+    coarse, fine = (K.rk4_bloch(*design.kernel_args(), 0.0, 0.0, 0, r0, n)[-1]
+                    for n in (steps, 2 * steps))
+    gate = float(np.max(np.abs(coarse - fine)))
+    if not gate <= GATE_TOL:  # non-finite components fail it too
         raise IntegratorError(
             f"step-halving gate failed: final Bloch vector moved by {gate:.3e}")
-    return coarse.final_fidelity
+    w = np.exp(-4.0 * gammas * design.tf) * coarse[2]
+    return np.sqrt(np.maximum(0.0, (1.0 - w) / 2.0))
+
+
+def propagate_master(design: TrajectoryDesign, gamma: float, steps: int = 10000) -> float:
+    """Fidelity of the dephasing master equation from (0, 0, 1).
+
+    Same step-halving convergence gate as the closed-system propagator; see
+    dephasing_sweep.
+    """
+    return float(dephasing_sweep(design, [gamma], steps)[0])
 
 
 @dataclass(frozen=True)
@@ -248,15 +277,26 @@ def propagate_density(design: TrajectoryDesign, gamma: float = 0.0,
                              rho=rho.transpose(2, 0, 1))
 
 
+def _increment_blocks(seed: int, n_traj: int, steps: int, dt: float,
+                      width: int = INCREMENT_BLOCK):
+    """Wiener increments dW ~ Normal(0, dt) as (n_traj, width) blocks over
+    the steps, the last one narrower; one private generator per trajectory,
+    spawned from np.random.SeedSequence(seed), so that the streams of
+    different trajectories and different seeds are independent.  A
+    generator's draws in blocks equal one draw of all its steps bit for bit.
+    """
+    rngs = [np.random.default_rng(c) for c in np.random.SeedSequence(seed).spawn(n_traj)]
+    scale = np.sqrt(dt)
+    for start in range(0, steps, width):
+        block = np.empty((n_traj, min(width, steps - start)))
+        for row, rng in zip(block, rngs):
+            row[:] = rng.normal(0.0, scale, block.shape[1])
+        yield block
+
+
 def noise_increments(seed: int, n_traj: int, steps: int, dt: float) -> np.ndarray:
-    """Wiener increments dW ~ Normal(0, dt), one private generator per
-    trajectory, spawned from np.random.SeedSequence(seed) so that the streams
-    of different trajectories and different seeds are independent."""
-    out = np.empty((n_traj, steps))
-    for i, child in enumerate(np.random.SeedSequence(seed).spawn(n_traj)):
-        rng = np.random.default_rng(child)
-        out[i] = rng.normal(0.0, np.sqrt(dt), steps)
-    return out
+    """All (n_traj, steps) Wiener increments at once; see _increment_blocks."""
+    return next(_increment_blocks(seed, n_traj, steps, dt, steps))
 
 
 @dataclass(frozen=True)
@@ -278,12 +318,10 @@ def sse_trajectory(design: TrajectoryDesign, noise: NoiseParams,
     operator form); deterministic for a fixed seed.
     """
     require_cancellable(design)
-    dt = design.tf / steps
-    dw = noise_increments(noise.seed, 1, steps, dt)
+    dw = noise_increments(noise.seed, 1, steps, design.tf / steps)
     lam = noise.lambda0 * np.sqrt(design.tf)
-    psi0 = np.array([1.0, 0.0], dtype=complex)
-    pref = 0.5 * design.mat.g * MU_B
-    states = K.em_states(*design.kernel_args(), pref, HBAR, lam, psi0, dw[0], steps)
+    states = K.em_states(*design.kernel_args(), 0.5 * design.mat.g * MU_B, HBAR, lam,
+                         _PSI_UP, dw[0], steps)
     if np.isnan(states).any():
         raise IntegratorError("SSE trajectory produced non-finite amplitudes")
     cross = states[:, 0] * states[:, 1].conjugate()
@@ -310,19 +348,43 @@ def ensemble_average(design: TrajectoryDesign, noise: NoiseParams,
     master equation; the spread yields the standard error of the fidelity.
     """
     require_cancellable(design)
-    dt = design.tf / steps
-    dw = noise_increments(noise.seed, noise.n_traj, steps, dt)
+    dw = _increment_blocks(noise.seed, noise.n_traj, steps, design.tf / steps)
     lam = noise.lambda0 * np.sqrt(design.tf)
-    psi0 = np.array([1.0, 0.0], dtype=complex)
-    pref = 0.5 * design.mat.g * MU_B
-    bloch, fid = K.em_ensemble(*design.kernel_args(), pref, HBAR, lam, psi0,
-                               dw, steps)
+    bloch, fid = K.em_ensemble(*design.kernel_args(), 0.5 * design.mat.g * MU_B, HBAR,
+                               lam, _PSI_UP, dw, steps)
     if np.isnan(bloch).any():
         raise IntegratorError("ensemble propagation produced non-finite components")
-    se = float(fid.std(ddof=1) / np.sqrt(noise.n_traj)) if noise.n_traj > 1 else 0.0
+    mean, se = _fidelity_stats(fid)
     return EnsembleResult(times=np.linspace(0.0, design.tf, steps + 1),
                           mean_bloch=bloch, fidelities=fid,
-                          fidelity_mean=float(fid.mean()), fidelity_se=se)
+                          fidelity_mean=mean, fidelity_se=se)
+
+
+def ensemble_sweep(design: TrajectoryDesign, lambda0s, seed: int, n_traj: int,
+                   steps: int = 10000) -> list[tuple[float, float]]:
+    """Monte Carlo fidelity mean and standard error at every lambda0 in
+    lambda0s: one lock-step ensemble of len(lambda0s) x n_traj trajectories
+    on one stream of increments, read at t_f only.
+
+    Point g equals ensemble_average(design, NoiseParams(lambda0s[g],
+    "x-only", seed, n_traj), steps) bit for bit.  Memory does not grow with
+    steps: the increments arrive in blocks of INCREMENT_BLOCK steps.
+    """
+    lams = [NoiseParams(float(l0), "x-only", seed, n_traj).lambda0 * np.sqrt(design.tf)
+            for l0 in lambda0s]
+    require_cancellable(design)
+    dw = _increment_blocks(seed, n_traj, steps, design.tf / steps)
+    fid = K.em_final(*design.kernel_args(), 0.5 * design.mat.g * MU_B, HBAR, lams,
+                     _PSI_UP, dw, steps)
+    if np.isnan(fid).any():
+        raise IntegratorError("ensemble propagation produced non-finite components")
+    return [_fidelity_stats(row) for row in fid]
+
+
+def _fidelity_stats(fid: np.ndarray) -> tuple[float, float]:
+    """Mean of the per-trajectory fidelities and its standard error."""
+    n = fid.shape[0]
+    return float(fid.mean()), float(fid.std(ddof=1) / np.sqrt(n)) if n > 1 else 0.0
 
 
 def perturbative_bound(gamma: float, tf: float) -> float:

@@ -2,12 +2,14 @@ import io
 import json
 import subprocess
 import sys
+import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
 
 import numpy as np
 import pytest
 import yaml
 
+from spinflip import NoiseParams, ensemble_average, propagate_bloch
 from spinflip.cli import main
 
 
@@ -143,6 +145,71 @@ class TestSweep:
         monkeypatch.setenv("SPINFLIP_JOBS", "zero")
         assert invoke(args)[0] == 2
 
+    @pytest.mark.parametrize("flag, env", [
+        (["--jobs", "-3"], None), (["--jobs", "0"], None), ([], "0"), ([], "-1"),
+    ], ids=["flag-negative", "flag-zero", "env-zero", "env-negative"])
+    def test_jobs_below_one_rejected(self, monkeypatch, flag, env):
+        # a config error, not a pool traceback (-3) or a silent default (0)
+        if env is None:
+            monkeypatch.delenv("SPINFLIP_JOBS", raising=False)
+        else:
+            monkeypatch.setenv("SPINFLIP_JOBS", env)
+        code, out, err = invoke(["sweep", "--axis", "gamma", "--grid", "0.1",
+                                 "--steps", "1000"] + flag)
+        assert code == 2
+        assert out == "" and "must be >= 1" in err
+
+    def test_gamma_table_matches_full_rk4(self, design):
+        # the batched curve scales one unitary run by e^{-4 gamma tf}; here
+        # every point against a Bloch run with the dephasing inside the RK4
+        code, out, _ = invoke(["sweep", "--axis", "gamma", "--grid", "0:1:20"])
+        assert code == 0
+        _, _, rows = parse_csv(out)
+        assert rows.shape == (20, 2)
+        for gamma, f in rows:
+            full = propagate_bloch(design, gamma=gamma, steps=10000).final_fidelity
+            assert abs(f - full) < 1e-12, gamma
+
+    def test_mc_table_equals_per_point_ensembles(self, design):
+        grid = (0.01, 0.02, 0.05)
+        code, out, _ = invoke(["sweep", "--axis", "lambda0_sq", "--grid",
+                               ",".join(map(str, grid)), "--mc", "--n-traj", "32",
+                               "--steps", "2000", "--seed", "17"])
+        assert code == 0
+        _, _, rows = parse_csv(out)
+        for (value, mean, se), l2 in zip(rows, grid):
+            res = ensemble_average(design, NoiseParams(float(np.sqrt(l2)), "x-only",
+                                                       seed=17, n_traj=32), steps=2000)
+            assert value == l2
+            assert mean == res.fidelity_mean and se == res.fidelity_se
+
+    def test_mc_table_rows_pinned(self):
+        # rows printed when each grid point ran its own ensemble; at these
+        # lambda0^2 numpy's complex division by hbar and Python's differ in
+        # the last bit, which moves the standard error
+        code, out, _ = invoke(["sweep", "--axis", "lambda0_sq", "--grid", "0.013,0.035",
+                               "--mc", "--n-traj", "32", "--steps", "2000",
+                               "--seed", "1234"])
+        assert code == 0
+        assert out.splitlines()[-2:] == [
+            "0.012999999999999999,0.99253854783079642,0.0014933119196140355",
+            "0.035000000000000003,0.98000549668402237,0.0039690431432902523"]
+
+    def test_mc_memory_does_not_grow_with_steps(self):
+        def peak(steps):
+            tracemalloc.start()
+            try:
+                assert invoke(["sweep", "--axis", "lambda0_sq", "--grid", "0.02",
+                               "--mc", "--n-traj", "256", "--steps", str(steps)])[0] == 0
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        invoke(["sweep", "--axis", "lambda0_sq", "--grid", "0.02", "--mc",
+                "--n-traj", "8", "--steps", "1000"])
+        grown = peak(16000) - peak(4000)
+        # a (n_traj, steps) increment array would add 24 MiB
+        assert grown < 1 << 20, grown
+
     def test_lambda0_sq_honours_channel(self, tmp_path):
         # at lambda0^2 = 0.01 the x-only channel gives F = 0.992416 and the
         # as-printed one 0.983697 (README, "Noise channels")
@@ -201,7 +268,7 @@ class TestOverLimitB0:
     def no_propagation(self, monkeypatch):
         def refuse(*args, **kwargs):
             raise AssertionError("propagated an over-limit design")
-        for name in ("propagate_bloch", "propagate_master", "ensemble_average"):
+        for name in ("propagate_bloch", "dephasing_sweep", "ensemble_sweep"):
             monkeypatch.setattr(f"spinflip.cli.{name}", refuse)
 
     @pytest.mark.parametrize("argv", [

@@ -6,9 +6,10 @@ same expression.  Each RK4 propagator, and the density matrix run on its
 Bloch vector, must stay within 1e-12 of a step-by-step RK4 loop written here
 over the reference right-hand sides in :mod:`spinflip.opensys` and
 :func:`spinflip.build_heff`, at step counts below one scan block and across
-a block boundary that is not a block multiple.  Both Euler-Maruyama kernels
-must stay within 1e-12 of a step-by-step loop over
-:func:`spinflip.build_heff` and :func:`spinflip.xonly_hprime`.
+a block boundary that is not a block multiple.  The Euler-Maruyama kernels,
+their increments handed over in blocks, must stay within 1e-12 of a
+step-by-step loop over :func:`spinflip.build_heff` and
+:func:`spinflip.xonly_hprime`.
 """
 
 import math
@@ -24,6 +25,7 @@ from spinflip import (FieldTriple, NoiseParams, SingularityError,
                       sse_trajectory, xonly_hprime)
 from spinflip import _kernels as K
 from spinflip.constants import HBAR, MU_B
+from spinflip.opensys import dephasing_sweep, ensemble_sweep
 
 STEP_COUNTS = (300, 2500)
 GAMMA, LAM2 = 0.02, 0.03
@@ -214,13 +216,28 @@ def test_em_ensemble_matches(args, design, mat, pref, fields):
     cross = ref[..., 0] * ref[..., 1].conj()
     ref_bloch = np.stack([2.0 * cross.real, 2.0 * cross.imag,
                           np.abs(ref[..., 0])**2 - np.abs(ref[..., 1])**2], axis=-1).mean(axis=0)
-    bloch, fid = K.em_ensemble(*args, pref, HBAR, lam, psi0, dw, steps)
+    # the increments arrive in blocks of uneven width, as a stream would
+    bloch, fid = K.em_ensemble(*args, pref, HBAR, lam, psi0,
+                               np.split(dw, (100, 250), axis=1), steps)
     assert bloch.shape == (steps + 1, 3) and fid.shape == (8,)
     assert np.abs(bloch - ref_bloch).max() < TOL
     assert np.abs(fid - np.abs(ref[:, -1, 1])).max() < TOL
     for i in (0, 5):
         states = K.em_states(*args, pref, HBAR, lam, psi0, dw[i], steps)
         assert np.abs(states - ref[i]).max() < TOL, i
+
+
+def test_em_final_matches(args, design, mat, pref, fields):
+    # a noise-strength grid as one lock-step ensemble on shared increments
+    psi0 = np.array([0.6, 0.8j])
+    lams, steps = (0.0, 0.2, 0.45), 300
+    dw = np.random.default_rng(1).normal(0.0, np.sqrt(design.tf / steps), (8, steps))
+    fid = K.em_final(*args, pref, HBAR, lams, psi0, np.split(dw, (128, 256), axis=1),
+                     steps)
+    assert fid.shape == (3, 8)
+    for row, lam in zip(fid, lams):
+        ref = em_reference(design, mat, fields, lam, psi0, dw)
+        assert np.abs(row - np.abs(ref[:, -1, 1])).max() < TOL, lam
 
 
 def test_seeded_ensemble_values_pinned(design):
@@ -272,14 +289,16 @@ def test_propagate_bloch_rejects_noncancellable_design(design):
                                steps=2000),
     lambda d: sse_trajectory(d, NoiseParams(lambda0=0.1), steps=2000),
     lambda d: propagate_schrodinger(d, np.array([1.0, 0.0])),
+    lambda d: dephasing_sweep(d, [0.0, 0.5]),
+    lambda d: ensemble_sweep(d, [0.1, 0.2], seed=0, n_traj=8, steps=2000),
 ], ids=["propagate_density", "ensemble_average", "sse_trajectory",
-        "propagate_schrodinger"])
+        "propagate_schrodinger", "dephasing_sweep", "ensemble_sweep"])
 def test_propagators_check_design_first(design, call, monkeypatch):
     # at B0 = 2 T the other library propagators, too, raise before any
     # kernel runs
     def refuse(*args, **kwargs):
         raise AssertionError("propagated an over-limit design")
-    for name in ("rk4_bloch", "rk4_spin", "em_ensemble", "em_states"):
+    for name in ("rk4_bloch", "rk4_spin", "em_ensemble", "em_final", "em_states"):
         monkeypatch.setattr(K, name, refuse)
     with pytest.raises(SingularityError, match="non-cancellable"):
         call(TrajectoryDesign.design(1.0, 2.0, design.mat))

@@ -9,7 +9,7 @@ from spinflip import (FieldTriple, LindbladParams, NoiseParams, bloch_rhs,
                       xonly_hprime)
 from spinflip.core import IDENTITY2
 from spinflip.fields import fields_xyz_at
-from spinflip.opensys import noise_increments
+from spinflip.opensys import dephasing_sweep, ensemble_sweep, noise_increments
 
 UP = np.array([1.0, 0.0], dtype=complex)
 
@@ -330,6 +330,22 @@ class TestParams:
             NoiseParams(lambda0=0.1, channel="plaid")
         with pytest.raises(ValueError):
             NoiseParams(lambda0=0.1, n_traj=0)
+
+    @pytest.mark.parametrize("call", [
+        lambda d: propagate_bloch(d, gamma=-0.5),
+        lambda d: propagate_master(d, -0.5),
+        lambda d: propagate_density(d, gamma=-0.5),
+        lambda d: propagate_bloch(d, lambda0=-0.1),
+        lambda d: propagate_density(d, lambda0=-0.1, channel="x-only"),
+        lambda d: dephasing_sweep(d, [0.1, -0.5]),
+        lambda d: ensemble_sweep(d, [0.1, -0.1], seed=0, n_traj=8, steps=1000),
+    ], ids=["bloch-gamma", "master-gamma", "density-gamma", "bloch-lambda0",
+            "density-lambda0", "dephasing_sweep", "ensemble_sweep"])
+    def test_propagators_reject_negative_rates(self, design, call):
+        # unchecked, a negative gamma gives F = 2.048 and a negative lambda0
+        # a silently noiseless run
+        with pytest.raises(ValueError, match="must be >= 0"):
+            call(design)
 
     def test_fidelity_from_w(self):
         assert fidelity_from_w(-1.0) == 1.0
