@@ -3,16 +3,15 @@
 Everything here is plain numpy.  The scalar per-point field functions serve
 single-instant callers and the guard-window points of the field grids; the
 grids themselves, the denominator scan and every propagator are vectorized
-over time.  The two RK4 equations, Schrodinger (2x2 complex) and Bloch (3x3
-real, with dephasing and either source-noise channel), are linear with
-coefficients that depend on t alone, so every RK4 step is a transfer matrix
-built from fields evaluated on all stage times at once (see
-:func:`_rk4_linear`).  The
-Euler-Maruyama kernels share one lock-step loop over a (grid point,
-trajectory) array: a noise-strength grid runs as one ensemble on shared
-increments, which arrive in blocks of steps, and each block's coefficients
-come from one field evaluation on its part of the step grid (see
-:func:`_em_lockstep`).
+over time.  The two RK4 equations, Bloch (3x3, with dephasing and either
+source-noise channel) and Schrodinger (run on (Re psi, Im psi) as a 4x4),
+are real and linear with coefficients that depend on t alone, so every RK4
+step is a real transfer matrix built from fields evaluated on all stage
+times at once (see :func:`_rk4_linear`).  The Euler-Maruyama kernels share
+one lock-step loop over a (grid point, trajectory) array: a noise-strength
+grid runs as one ensemble on shared increments, which arrive in blocks of
+steps, and each block's coefficients come from one field evaluation on its
+part of the step grid (see :func:`_em_lockstep`).
 
 Angle cubics enter as raw coefficient arrays (rad/ns^j); material parameters
 as scalars.  Error signalling is NaN poisoning: a non-cancellable
@@ -41,8 +40,8 @@ NONCANCEL_TOL = 1e-6
 
 # Size in bytes of one (steps, d, d) array of the RK4 transfer-matrix scan;
 # a block holds as many steps as fit.  A block keeps at most about eight such
-# arrays alive, so memory stays near 1 MB whatever the step count: 2048 steps
-# of the 2x2 complex spin matrix, about 1800 of the real 3x3 Bloch matrix.
+# arrays alive, so memory stays near 1 MB whatever the step count: 1024 steps
+# of the real 4x4 spin matrix, about 1800 of the real 3x3 Bloch matrix.
 # A larger budget raises the peak RSS of the one-point validations; much
 # less, and the per-call numpy overhead, paid while holding the interpreter
 # lock, starts to dominate the Bloch sweeps.
@@ -177,10 +176,10 @@ def _rk4_linear(gen, y0, tf, steps, normalize=False):
     With normalize, every state is divided by its norm, as a loop that
     renormalizes after each step does, and the largest one-step |norm - 1|
     (the ratio of successive norms) is returned as the drift; else 0.0.
-    y0 is (d,), or (d, k) for k starts at once (without normalize).
-    Returns the (steps + 1,) + y0.shape trajectory and the drift.
+    A and y are real; y0 is (d,), or (d, k) for k starts at once (without
+    normalize).  Returns the (steps + 1,) + y0.shape trajectory and the drift.
     """
-    y = np.asarray(y0)
+    y = np.asarray(y0, dtype=float)
     traj = np.empty((steps + 1,) + y.shape, dtype=y.dtype)
     traj[0] = y
     eye = np.eye(y.shape[0])
@@ -216,14 +215,27 @@ def _rk4_linear(gen, y0, tf, steps, normalize=False):
     return traj, drift
 
 
-def _hamiltonian(x, y, z, pref):
-    """pref [[Z, X+iY], [X-iY, -Z]], one 2x2 per entry of the field arrays."""
-    h = np.empty(np.shape(z) + (2, 2), dtype=np.complex128)
-    h[..., 0, 0] = pref * z
-    h[..., 0, 1] = pref * (x + 1j * y)
-    h[..., 1, 0] = pref * (x - 1j * y)
-    h[..., 1, 1] = -pref * z
-    return h
+def _spin_generator(x, y, z, pref, hbar):
+    """A = -(i/hbar) pref [[Z, X+iY], [X-iY, -Z]] as a real 4x4 per entry of
+    the field arrays: [[Re A, -Im A], [Im A, Re A]] on the interleaved
+    (Re psi0, Im psi0, Re psi1, Im psi1), the real view of a complex state.
+
+    With (u, v, w) = -(pref/hbar) (X, Y, Z), A = [[i w, -v + i u], [v + i u, -i w]].
+    """
+    c = -1.0 / hbar
+    u, v, w = (c * (pref * np.asarray(f, dtype=float)) for f in (x, y, z))
+    o = np.zeros_like(w)
+    return np.stack([o, -w, -v, -u,
+                     w, o, u, -v,
+                     v, -u, o, w,
+                     u, v, -w, o], axis=-1).reshape(w.shape + (4, 4))
+
+
+def _spin_rk4(gen, psi0, tf, steps):
+    """Renormalized RK4 of the real spin generator gen; complex trajectory."""
+    y0 = np.ascontiguousarray(psi0, dtype=np.complex128).view(float)
+    traj, drift = _rk4_linear(gen, y0, tf, steps, normalize=True)
+    return traj.view(np.complex128), drift
 
 
 def rk4_spin(tc, pc, tf, b0, alpha, beta, eta, pref, hbar, psi0, steps):
@@ -231,22 +243,20 @@ def rk4_spin(tc, pc, tf, b0, alpha, beta, eta, pref, hbar, psi0, steps):
 
     pref = g mu_B / 2 (meV/T).  States are renormalized each step; the
     maximum pre-renormalization drift |norm - 1| is returned alongside the
-    (steps+1, 2) trajectory.
+    (steps+1, 2) complex trajectory.
     """
     def gen(t):
-        return (-1j / hbar) * _hamiltonian(*_xyz(t, tc, pc, tf, b0, alpha, beta, eta), pref)
-    return _rk4_linear(gen, np.asarray(psi0, dtype=np.complex128), tf, steps,
-                       normalize=True)
+        return _spin_generator(*_xyz(t, tc, pc, tf, b0, alpha, beta, eta), pref, hbar)
+    return _spin_rk4(gen, psi0, tf, steps)
 
 
 def rk4_spin_const(x, y, z, pref, hbar, psi0, tf, steps):
     """RK4 under a constant field triple (free precession / no drive)."""
-    a = (-1j / hbar) * _hamiltonian(x, y, z, pref)
+    a = _spin_generator(x, y, z, pref, hbar)
 
     def gen(t):
-        return np.broadcast_to(a, (len(t), 2, 2))
-    return _rk4_linear(gen, np.asarray(psi0, dtype=np.complex128), tf, steps,
-                       normalize=True)[0]
+        return np.broadcast_to(a, (len(t), 4, 4))
+    return _spin_rk4(gen, psi0, tf, steps)[0]
 
 
 def rk4_bloch(tc, pc, tf, b0, alpha, beta, eta, gamma, lam2, channel, r0, steps):
@@ -279,7 +289,7 @@ def rk4_bloch(tc, pc, tf, b0, alpha, beta, eta, gamma, lam2, channel, r0, steps)
         for i, rate in enumerate(rates):
             a[:, i, i] = -4.0 * gamma - rate
         return a
-    return _rk4_linear(gen, np.asarray(r0, dtype=float), tf, steps)[0]
+    return _rk4_linear(gen, r0, tf, steps)[0]
 
 
 def _em_lockstep(tc, pc, tf, b0, alpha, beta, eta, pref, hbar, lam, psi0, dw, steps):

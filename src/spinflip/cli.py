@@ -249,6 +249,8 @@ def _parse_grid(spec: str) -> list[float]:
 
 def cmd_sweep(config: dict, args) -> int:
     _check_jobs(args)
+    if args.mc and args.axis != "lambda0_sq":
+        raise ConfigError(f"--mc applies to --axis lambda0_sq only, got --axis {args.axis}")
     design = design_from(config)
     steps = config["integrator"]["steps"]
     grid = _parse_grid(args.grid)

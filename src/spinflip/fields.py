@@ -96,37 +96,52 @@ def fields_xyz_at(design: TrajectoryDesign, t: float) -> FieldTriple:
     return fields_xyz(b1, b2, design.b0, design.mat)
 
 
-def electric_fields(design: TrajectoryDesign, t: float) -> tuple[float, float]:
-    """(Ex, Ey) in V/cm at time t.
+def _electric_stencil(design: TrajectoryDesign, ts: np.ndarray):
+    """(Ex, Ey) arrays in V/cm at the times ts, as electric_fields describes.
 
-    E_x = (g mu_B / 2 e beta) dB1/dt and the alpha analogue for E_y,
-    differentiated by central differences with step E_STEP_FRAC * tf.  The
-    step-halved estimate must agree to 1e-4 relative, else IntegratorError.
+    Both central differences, at t +- h and t +- h/2, come from one field
+    evaluation on all stencil points; the first failing sample raises.
     """
     tc, pc, tf, b0, al, be, eta = design.kernel_args()
-    xi_x, xi_y = design.mat.xi_x, design.mat.xi_y
     edge = E_EDGE_FRAC * tf
-    t = min(max(t, edge), tf - edge)
+    ts = np.clip(ts, edge, tf - edge)
     pref_x = design.mat.g * MU_B / (2.0 * be) * MEV_PER_E_CM_TO_V_PER_CM
     pref_y = design.mat.g * MU_B / (2.0 * al) * MEV_PER_E_CM_TO_V_PER_CM
-
-    def diff(h: float) -> tuple[float, float]:
-        p = K.b1_b2(t + h, tc, pc, tf, b0, al, be, eta, xi_x, xi_y)
-        m = K.b1_b2(t - h, tc, pc, tf, b0, al, be, eta, xi_x, xi_y)
-        return (p[0] - m[0]) / (2.0 * h), (p[1] - m[1]) / (2.0 * h)
-
     h = E_STEP_FRAC * tf
-    db1_h, db2_h = diff(h)
-    db1_h2, db2_h2 = diff(0.5 * h)
-    if any(np.isnan(v) for v in (db1_h, db2_h, db1_h2, db2_h2)):
-        raise SingularityError(t, verify_cancellation(design, t))
-    for coarse, fine in ((db1_h, db1_h2), (db2_h, db2_h2)):
-        scale = max(abs(fine), 1e-8)
-        if abs(coarse - fine) > 1e-4 * scale:
-            raise IntegratorError(
-                f"electric-field derivative did not converge at t={t:.9g} ns "
-                f"({coarse:.6e} vs {fine:.6e} T/ns)")
-    return pref_x * db1_h2, pref_y * db2_h2
+    offsets = (h, -h, 0.5 * h, -0.5 * h)
+    b = np.stack(K._b1_b2(np.concatenate([ts + s for s in offsets]), tc, pc, tf, b0,
+                          al, be, eta, design.mat.xi_x, design.mat.xi_y)).reshape(2, 4, -1)
+    # coarse (step h) and fine (step h/2) estimates of dB1/dt and dB2/dt
+    coarse = (b[:, 0] - b[:, 1]) / (2.0 * h)
+    fine = (b[:, 2] - b[:, 3]) / (2.0 * (0.5 * h))
+    nan = np.isnan(coarse).any(axis=0) | np.isnan(fine).any(axis=0)
+    bad = np.abs(coarse - fine) > 1e-4 * np.maximum(np.abs(fine), 1e-8)
+    failing = np.flatnonzero(nan | bad.any(axis=0))
+    if failing.size:
+        i = failing[0]
+        t = float(ts[i])
+        if nan[i]:
+            raise SingularityError(t, verify_cancellation(design, t))
+        k = 0 if bad[0, i] else 1
+        raise IntegratorError(
+            f"electric-field derivative did not converge at t={t:.9g} ns "
+            f"({coarse[k, i]:.6e} vs {fine[k, i]:.6e} T/ns)")
+    return pref_x * fine[0], pref_y * fine[1]
+
+
+def electric_fields(design: TrajectoryDesign, t: float) -> tuple[float, float]:
+    """(Ex, Ey) in V/cm at time t in [0, tf].
+
+    E_x = (g mu_B / 2 e beta) dB1/dt and the alpha analogue for E_y,
+    differentiated by central differences with step E_STEP_FRAC * tf; t is
+    clamped to E_EDGE_FRAC * tf from the endpoints so the stencil fits.  NaN
+    differences raise SingularityError; the step-halved estimate must agree
+    to 1e-4 relative, else IntegratorError.
+    """
+    if not 0.0 <= t <= design.tf:
+        raise ValueError(f"t={t} outside [0, {design.tf}]")
+    ex, ey = _electric_stencil(design, np.array([t], dtype=float))
+    return float(ex[0]), float(ey[0])
 
 
 def sample_fields(design: TrajectoryDesign, samples: int) -> list[FieldSample]:
@@ -140,12 +155,9 @@ def sample_fields(design: TrajectoryDesign, samples: int) -> list[FieldSample]:
     ts = np.linspace(0.0, tf, samples)
     bs = K.b1_b2_grid(ts, tc, pc, tf, b0, al, be, eta,
                       design.mat.xi_x, design.mat.xi_y)
-    out = []
-    for i, t in enumerate(ts):
-        ex, ey = electric_fields(design, float(t))
-        out.append(FieldSample(t=float(t), b1=float(bs[i, 0]), b2=float(bs[i, 1]),
-                               ex=ex, ey=ey))
-    return out
+    ex, ey = _electric_stencil(design, ts)
+    return [FieldSample(t=t, b1=b1, b2=b2, ex=x, ey=y) for t, (b1, b2), x, y in
+            zip(ts.tolist(), bs.tolist(), ex.tolist(), ey.tolist())]
 
 
 def verify_cancellation(design: TrajectoryDesign, ts: float) -> float:
@@ -184,26 +196,22 @@ def detect_singularities(design: TrajectoryDesign, grid: int = 1001) -> Singular
     ts = np.linspace(eps, tf - eps, grid)
     fv = K.denominator_grid(ts, tc, pc, al, be)
 
-    roots = [tf / 2.0]
+    roots = [tf / 2.0] + [float(ts[i]) for i in np.flatnonzero(fv[:-1] == 0.0)]
     tol = ROOT_ABS_TOL * al
-    for i in range(grid - 1):
-        if fv[i] == 0.0:
-            roots.append(float(ts[i]))
-            continue
-        if fv[i] * fv[i + 1] < 0.0:
-            a, b = float(ts[i]), float(ts[i + 1])
-            fa = fv[i]
-            for _ in range(100):
-                m = 0.5 * (a + b)
-                fm = K._denominator(m, tc, pc, al, be)
-                if abs(fm) < tol or m == a or m == b:
-                    a = b = m
-                    break
-                if fa * fm < 0.0:
-                    b = m
-                else:
-                    a, fa = m, fm
-            roots.append(0.5 * (a + b))
+    for i in np.flatnonzero(fv[:-1] * fv[1:] < 0.0):
+        a, b = float(ts[i]), float(ts[i + 1])
+        fa = fv[i]
+        for _ in range(100):
+            m = 0.5 * (a + b)
+            fm = K._denominator(m, tc, pc, al, be)
+            if abs(fm) < tol or m == a or m == b:
+                a = b = m
+                break
+            if fa * fm < 0.0:
+                b = m
+            else:
+                a, fa = m, fm
+        roots.append(0.5 * (a + b))
     roots.sort()
     merged: list[float] = []
     for r in roots:

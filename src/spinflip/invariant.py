@@ -16,8 +16,8 @@ import numpy as np
 from . import _kernels as K
 from .constants import HBAR, MU_B
 from .core import FieldTriple, build_heff, commutator
-from .errors import IntegratorError
-from .fields import fields_xyz_at, require_cancellable
+from .errors import IntegratorError, SingularityError
+from .fields import fields_xyz_at, require_cancellable, verify_cancellation
 from .trajectory import TrajectoryDesign, eval_angles
 
 GATE_TOL = 1e-8
@@ -83,17 +83,6 @@ def invariance_residual(spec: InvariantSpec, t: float,
     return float(np.linalg.norm(resid))
 
 
-def _lr_integrand(spec: InvariantSpec, t: float) -> float:
-    """d(alpha_plus)/dt; the minus branch is its negative."""
-    th, ph, _, phd = eval_angles(spec.design, t)
-    x, y, z = fields_xyz_at(spec.design, t)
-    eta = spec.design.mat.eta
-    geometric = -phd * np.cos(th / 2.0) ** 2
-    dynamical = -0.5 * eta * (z * np.cos(th)
-                              + np.sin(th) * (x * np.cos(ph) + y * np.sin(ph)))
-    return geometric + dynamical
-
-
 def _simpson(values: np.ndarray, h: float) -> float:
     n = len(values)
     assert n % 2 == 1
@@ -109,17 +98,30 @@ def lr_phase(spec: InvariantSpec, branch: int, t: float, nodes: int = 1001) -> f
     """
     if branch not in (+1, -1):
         raise ValueError(f"branch must be +1 or -1, got {branch}")
+    design = spec.design
+    if not 0.0 <= t <= design.tf:
+        raise ValueError(f"t={t} outside [0, {design.tf}]")
     if t == 0.0:
         return 0.0
     if nodes < 3:
         raise ValueError("nodes must be >= 3")
     if nodes % 2 == 0:
         nodes += 1
+    tc, pc, tf, b0, al, be, eta = design.kernel_args()
 
     def quad(n: int) -> float:
+        # d(alpha_plus)/dt on the nodes; the minus branch is its negative
         ts = np.linspace(0.0, t, n)
-        vals = np.array([_lr_integrand(spec, float(x)) for x in ts])
-        return _simpson(vals, ts[1] - ts[0])
+        x, y, z = K._xyz(ts, tc, pc, tf, b0, al, be, eta)
+        bad = np.flatnonzero(~(np.isfinite(x) & np.isfinite(y) & np.isfinite(z)))
+        if bad.size:
+            t_bad = float(ts[bad[0]])
+            raise SingularityError(t_bad, verify_cancellation(design, t_bad))
+        th, ph, phd = K.poly3(tc, ts), K.poly3(pc, ts), K.dpoly3(pc, ts)
+        geometric = -phd * np.cos(th / 2.0) ** 2
+        dynamical = -0.5 * eta * (z * np.cos(th)
+                                  + np.sin(th) * (x * np.cos(ph) + y * np.sin(ph)))
+        return _simpson(geometric + dynamical, ts[1] - ts[0])
 
     half_nodes = nodes // 2 + 1
     if half_nodes % 2 == 0:
@@ -132,6 +134,14 @@ def lr_phase(spec: InvariantSpec, branch: int, t: float, nodes: int = 1001) -> f
     return branch * full
 
 
+def _unit_state(psi0: np.ndarray) -> np.ndarray:
+    psi0 = np.asarray(psi0, dtype=complex)
+    nrm = np.linalg.norm(psi0)
+    if abs(nrm - 1.0) > 1e-9:
+        raise ValueError(f"psi0 norm {nrm} differs from 1 beyond 1e-9")
+    return psi0
+
+
 def propagate_schrodinger(design: TrajectoryDesign, psi0: np.ndarray,
                           steps: int = 10000) -> Propagation:
     """RK4 integration of i hbar dpsi/dt = H_eff(t) psi under the design.
@@ -142,10 +152,7 @@ def propagate_schrodinger(design: TrajectoryDesign, psi0: np.ndarray,
     """
     if steps < 1000:
         raise ValueError(f"steps must be >= 1000, got {steps}")
-    psi0 = np.asarray(psi0, dtype=complex)
-    nrm = np.linalg.norm(psi0)
-    if abs(nrm - 1.0) > 1e-9:
-        raise ValueError(f"psi0 norm {nrm} differs from 1 beyond 1e-9")
+    psi0 = _unit_state(psi0)
     require_cancellable(design)
     args = (*design.kernel_args(), 0.5 * design.mat.g * MU_B, HBAR)
     traj, drift = K.rk4_spin(*args, psi0, steps)
@@ -163,9 +170,14 @@ def propagate_schrodinger(design: TrajectoryDesign, psi0: np.ndarray,
 
 def propagate_constant(fields: FieldTriple, design_or_mat, psi0: np.ndarray,
                        tf: float, steps: int = 10000) -> Propagation:
-    """RK4 under a time-independent field triple (e.g. no drive: (0, 0, B0))."""
+    """RK4 under a time-independent field triple (e.g. no drive: (0, 0, B0)).
+
+    steps must be >= 1 and psi0 of unit norm within 1e-9, else ValueError.
+    """
+    if steps < 1:
+        raise ValueError(f"steps must be >= 1, got {steps}")
+    psi0 = _unit_state(psi0)
     mat = getattr(design_or_mat, "mat", design_or_mat)
-    psi0 = np.asarray(psi0, dtype=complex)
     pref = 0.5 * mat.g * MU_B
     traj = K.rk4_spin_const(fields[0], fields[1], fields[2], pref, HBAR, psi0,
                             tf, steps)
@@ -175,8 +187,12 @@ def propagate_constant(fields: FieldTriple, design_or_mat, psi0: np.ndarray,
 
 
 def fidelity(prop: Propagation) -> float:
-    """|<down | psi(t_f)>| — modulus of the final spin-down amplitude."""
-    return float(np.abs(prop.states[-1, 1]))
+    """|<down | psi(t_f)>| — modulus of the final spin-down amplitude.
+
+    The states are unit vectors only to rounding, so a full flip can read
+    1 + 2e-16; the modulus is capped at 1.
+    """
+    return min(1.0, float(np.abs(prop.states[-1, 1])))
 
 
 @dataclass(frozen=True)

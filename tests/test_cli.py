@@ -221,6 +221,17 @@ class TestSweep:
         _, _, rows = parse_csv(out)
         assert rows[0, 1] == pytest.approx(0.992416, abs=1e-6)
 
+    def test_mc_needs_lambda0_sq_axis(self, monkeypatch):
+        # the gamma axis has no ensemble: a config error before propagating,
+        # not a table-width traceback
+        def refuse(*args, **kwargs):
+            raise AssertionError("propagated")
+        monkeypatch.setattr("spinflip.cli.dephasing_sweep", refuse)
+        code, out, err = invoke(["sweep", "--axis", "gamma", "--grid", "0.1", "--mc",
+                                 "--steps", "1000"])
+        assert code == 2
+        assert out == "" and "--mc applies to --axis lambda0_sq only" in err
+
     def test_empty_grid_empty_table(self):
         code, out, _ = invoke(["sweep", "--axis", "gamma", "--grid", ""])
         assert code == 0

@@ -1,14 +1,34 @@
 import numpy as np
 import pytest
 
-from spinflip import (SingularityError, TrajectoryDesign, compute_b0_max,
-                      detect_singularities, effective_fields, electric_fields,
-                      fields_xyz, fields_xyz_at, sample_fields,
+from spinflip import (IntegratorError, SingularityError, TrajectoryDesign,
+                      compute_b0_max, detect_singularities, effective_fields,
+                      electric_fields, fields_xyz, fields_xyz_at, sample_fields,
                       verify_cancellation)
-from spinflip.constants import MaterialParams
-from spinflip.fields import (CANCEL_REL_TOL, cancellation_scale,
-                             design_is_realizable, is_cancellable)
+from spinflip import _kernels as K
+from spinflip.constants import MEV_PER_E_CM_TO_V_PER_CM, MU_B, MaterialParams
+from spinflip.fields import (CANCEL_REL_TOL, E_EDGE_FRAC, E_STEP_FRAC,
+                             cancellation_scale, design_is_realizable,
+                             is_cancellable)
 from spinflip.trajectory import CubicPolynomial, eval_angles
+
+
+def electric_reference(design, samples):
+    """(Ex, Ey) on the sample grid by per-point central differences (step
+    h/2) over the scalar K.b1_b2: the oracle for the vectorized stencil."""
+    tc, pc, tf, b0, al, be, eta = design.kernel_args()
+    xi = (design.mat.xi_x, design.mat.xi_y)
+    edge, h = E_EDGE_FRAC * tf, 0.5 * E_STEP_FRAC * tf
+    pref_x = design.mat.g * MU_B / (2.0 * be) * MEV_PER_E_CM_TO_V_PER_CM
+    pref_y = design.mat.g * MU_B / (2.0 * al) * MEV_PER_E_CM_TO_V_PER_CM
+    out = []
+    for t in np.linspace(0.0, tf, samples):
+        t = min(max(float(t), edge), tf - edge)
+        p = K.b1_b2(t + h, tc, pc, tf, b0, al, be, eta, *xi)
+        m = K.b1_b2(t - h, tc, pc, tf, b0, al, be, eta, *xi)
+        out.append((pref_x * ((p[0] - m[0]) / (2.0 * h)),
+                    pref_y * ((p[1] - m[1]) / (2.0 * h))))
+    return np.array(out)
 
 
 def auxiliary_rhs(design, t):
@@ -147,6 +167,15 @@ class TestElectricFields:
                     - effective_fields(design, t0)[0])
         assert integral == pytest.approx(expected, rel=1e-6)
 
+    @pytest.mark.parametrize("t", [-0.1, 1.5])
+    def test_rejects_time_outside_pulse(self, design, t):
+        # the same error as effective_fields, not the field at the clamp edge
+        with pytest.raises(ValueError) as got:
+            electric_fields(design, t)
+        with pytest.raises(ValueError) as want:
+            effective_fields(design, t)
+        assert str(got.value) == str(want.value)
+
     def test_xi_rescales_required_drive(self, mat):
         # E fields renormalize by 1/(1+xi); XYZ stays fixed
         mat_xi = MaterialParams(hbar_alpha=2e-6, hbar_beta=1e-6, g=-0.44,
@@ -267,3 +296,22 @@ class TestSampling:
         bad = TrajectoryDesign.design(1.0, 2.0, mat)
         with pytest.raises(SingularityError):
             sample_fields(bad, 101)
+
+    @pytest.mark.parametrize("tf, b0", [(1.0, 0.15), (1.0, 1.05), (0.1, 0.15)])
+    def test_sample_fields_match_per_point_stencil(self, mat, tf, b0):
+        design = TrajectoryDesign.design(tf, b0, mat)
+        rows = sample_fields(design, 1001)
+        got = np.array([(r.ex, r.ey) for r in rows])
+        assert np.array_equal(got, electric_reference(design, 1001))
+        assert [r.ex for r in rows[:3]] == [electric_fields(design, r.t)[0] for r in rows[:3]]
+
+    def test_unconverged_stencil_reports_first_sample(self, mat, monkeypatch):
+        # a step of 1e-5 tf misses the halving tolerance near the edges of
+        # a design close to the B0 limit
+        monkeypatch.setattr("spinflip.fields.E_STEP_FRAC", 1e-5)
+        near = TrajectoryDesign.design(1.0, 1.05, mat)
+        with pytest.raises(IntegratorError) as exc:
+            sample_fields(near, 1001)
+        assert str(exc.value) == (
+            "electric-field derivative did not converge at t=5e-06 ns "
+            "(4.348229e-04 vs 3.865175e-04 T/ns)")

@@ -2,15 +2,31 @@ import numpy as np
 import pytest
 
 from spinflip import (FieldTriple, InvariantSpec, IntegratorError, Propagation,
-                      build_heff,
+                      SingularityError, build_heff,
                       chi_eigenstates, commutator, fidelity,
                       invariance_residual, invariant_matrix, lr_phase,
                       perturbed_initial_evolution, propagate_constant,
                       propagate_schrodinger, fields_xyz_at)
+from spinflip import _kernels as K
 from spinflip.constants import HBAR, MU_B
 from spinflip.trajectory import TrajectoryDesign, eval_angles
 
 UP = np.array([1.0, 0.0], dtype=complex)
+
+
+def lr_reference(design, t, nodes=1001):
+    """alpha_plus(t) by a per-point composite Simpson sum over eval_angles and
+    fields_xyz_at: the oracle for the vectorized quadrature."""
+    ts = np.linspace(0.0, t, nodes)
+    vals = []
+    for x in ts:
+        th, ph, _, phd = eval_angles(design, float(x))
+        fx, fy, fz = fields_xyz_at(design, float(x))
+        vals.append(-phd * np.cos(th / 2.0) ** 2
+                    - 0.5 * design.mat.eta * (fz * np.cos(th) + np.sin(th)
+                                              * (fx * np.cos(ph) + fy * np.sin(ph))))
+    return (ts[1] - ts[0]) / 3.0 * (vals[0] + vals[-1] + 4.0 * sum(vals[1:-1:2])
+                                    + 2.0 * sum(vals[2:-1:2]))
 
 
 @pytest.fixture(scope="module")
@@ -119,6 +135,24 @@ class TestLRPhase:
         a2 = lr_phase(spec, +1, 1.0, nodes=2001)
         assert abs(a1 - a2) < 1e-6
 
+    @pytest.mark.parametrize("t", [0.6, 0.8, 1.0])
+    def test_matches_per_point_simpson(self, spec, design, t):
+        assert abs(lr_phase(spec, +1, t) - lr_reference(design, t)) < 1e-12
+
+    @pytest.mark.parametrize("t", [-0.2, 1.5])
+    def test_rejects_time_outside_pulse(self, spec, t):
+        with pytest.raises(ValueError, match="outside"):
+            lr_phase(spec, +1, t)
+
+    def test_non_finite_fields_raise(self, mat, monkeypatch):
+        # a wide guard window NaN-poisons the nodes next to the first
+        # non-cancellable root of an over-limit design
+        monkeypatch.setattr(K, "DEN_GUARD", 1e-2)
+        bad = InvariantSpec(bc=1.0, design=TrajectoryDesign.design(1.0, 2.0, mat))
+        with pytest.raises(SingularityError) as exc:
+            lr_phase(bad, +1, 1.0)
+        assert exc.value.t == pytest.approx(0.429, abs=1e-3)
+
     def test_matches_propagated_global_phase(self, spec, design):
         # psi(0) = chi_plus(0); the overlap <chi_plus(t)|psi(t)> must equal
         # e^{i alpha_plus(t)} with unit modulus
@@ -180,6 +214,16 @@ class TestPropagation:
     def test_unnormalized_state_rejected(self, design):
         with pytest.raises(ValueError):
             propagate_schrodinger(design, np.array([1.0, 1.0]), 10000)
+
+    @pytest.mark.parametrize("steps", [0, -5])
+    def test_constant_step_minimum_enforced(self, mat, steps):
+        with pytest.raises(ValueError, match="steps must be >= 1"):
+            propagate_constant(FieldTriple(0.0, 0.0, 0.15), mat, UP, 1.0, steps)
+
+    def test_constant_unnormalized_state_rejected(self, mat):
+        with pytest.raises(ValueError, match="psi0 norm"):
+            propagate_constant(FieldTriple(0.0, 0.0, 0.15), mat,
+                               np.array([1.0, 1.0]), 1.0, 100)
 
     def test_results_independent_of_bc(self, design):
         # B_c never enters synthesis or propagation

@@ -1,17 +1,23 @@
-"""Property tests of the mixed-state propagator over random admissible inputs.
+"""Property tests of the propagators over random admissible inputs.
 
 Designs with t_f in [0.2, 2] ns and B0 in [0, 0.5] T lie below the B0 limit
 (B0_max >= 0.579 T on that range).  For any dephasing rate, source-noise
 strength, channel and pure initial state, the propagated density matrix must
 keep unit trace and stay positive, its Bloch vector must stay in the unit
-ball, and the fidelity must lie in [0, 1].
+ball, and the fidelity must lie in [0, 1].  For any unit initial spinor, the
+Schrodinger states (run as a real 4-vector) must keep unit norm, the
+fidelity must lie in [0, 1], and the final state must agree with the Bloch
+propagator started from the same point, unless the step-halving gate
+refuses the run.
 """
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from spinflip import TrajectoryDesign, bloch_to_density, gaas, propagate_density
+from spinflip import (IntegratorError, TrajectoryDesign, bloch_to_density, fidelity,
+                      gaas, propagate_bloch, propagate_density, propagate_schrodinger,
+                      spin_to_bloch)
 
 TOL = 1e-12
 
@@ -22,6 +28,14 @@ def unit_vectors(draw):
     phi = draw(st.floats(0.0, 2.0 * np.pi))
     s = np.sqrt(1.0 - w * w)
     return np.array([s * np.cos(phi), s * np.sin(phi), w])
+
+
+@st.composite
+def unit_spinors(draw):
+    a = np.array([complex(draw(st.floats(-1.0, 1.0)), draw(st.floats(-1.0, 1.0)))
+                  for _ in range(2)])
+    nrm = np.linalg.norm(a)
+    return a / nrm if nrm > 1e-3 else np.array([1.0, 0.0], dtype=complex)
 
 
 @settings(max_examples=25, deadline=None)
@@ -38,3 +52,23 @@ def test_density_stays_physical(tf, b0, gamma, lambda0, channel, r0, steps):
     assert np.linalg.eigvalsh(rho).min() >= -TOL
     assert np.linalg.norm(traj.bloch(), axis=1).max() <= 1.0 + TOL
     assert 0.0 <= traj.final_fidelity <= 1.0
+
+
+@settings(max_examples=25, deadline=None)
+@given(tf=st.floats(0.2, 2.0), b0=st.floats(0.0, 0.5), psi0=unit_spinors(),
+       steps=st.integers(1000, 2000))
+def test_spinor_stays_physical(tf, b0, psi0, steps):
+    design = TrajectoryDesign.design(tf, b0, gaas())
+    try:
+        prop = propagate_schrodinger(design, psi0, steps)
+    except IntegratorError:
+        # too few steps for a long, high-field pulse (t_f = 2 ns, B0 = 0.5 T,
+        # 1000 steps): the step-halving gate refuses it, as it must
+        assume(False)
+    assert np.abs(np.linalg.norm(prop.states, axis=1) - 1.0).max() < TOL
+    assert 0.0 <= fidelity(prop) <= 1.0
+    # the Schrodinger run passed its step-halving gate and the Bloch run has
+    # none, so the Bloch reference takes twice the steps: at 1000 steps its
+    # own RK4 error reaches 1.2e-7 near t_f = 2 ns, B0 = 0.5 T
+    bloch = propagate_bloch(design, steps=2 * steps, r0=tuple(spin_to_bloch(psi0)))
+    assert np.abs(spin_to_bloch(prop.states[-1]) - bloch.r[-1]).max() < 1e-7
