@@ -11,7 +11,9 @@ times at once (see :func:`_rk4_linear`).  The Euler-Maruyama kernels share
 one lock-step loop over a (grid point, trajectory) array: a noise-strength
 grid runs as one ensemble on shared increments, which arrive in blocks of
 steps, and each block's coefficients come from one field evaluation on its
-part of the step grid (see :func:`_em_lockstep`).
+part of the step grid.  Its step runs in place on state and scratch buffers
+allocated once per call, so it allocates no array per step (see
+:func:`_em_lockstep`).
 
 Angle cubics enter as raw coefficient arrays (rad/ns^j); material parameters
 as scalars.  Error signalling is NaN poisoning: a non-cancellable
@@ -302,7 +304,15 @@ def _em_lockstep(tc, pc, tf, b0, alpha, beta, eta, pref, hbar, lam, psi0, dw, st
     widths add up to steps, so the whole (n_traj, steps) array need never
     exist.  The drift and noise coefficients of a block come from one field
     evaluation on its part of the step grid k tf / steps, as (c, G, 1)
-    arrays (lam-free ones (c, 1, 1)).  Each step renormalizes the states.
+    arrays; the lam-free a01 and a10 as Python complex scalars.  Each step
+    renormalizes the states.
+
+    The step runs in place on buffers allocated once per call, so it yields
+    the same two arrays at every step: a consumer reads (or copies) them
+    before it asks for the next step.  Every elementwise operation and its
+    operand order are those of the expression
+    n0 = (a00 p0 + a01 p1) dt + (s00 p0 + s01 p1) dW, p0 += n0 (and n1, p1
+    alike), p /= |p|, so the states equal it bit for bit.
     """
     dt = tf / steps
     # -+i lam / hbar in Python complex arithmetic, as for a scalar lam: numpy's
@@ -322,27 +332,57 @@ def _em_lockstep(tc, pc, tf, b0, alpha, beta, eta, pref, hbar, lam, psi0, dw, st
         # Hp^2 = pref^2 (Y^2 + Z'^2) * identity
         drift = -0.5 * lam * lam * pref * pref * (y * y + zp * zp) / (hbar * hbar)
         a00 = -1j / hbar * h00 + drift
-        a01 = -1j / hbar * h01
-        a10 = -1j / hbar * h01.conjugate()
+        a01 = (-1j / hbar * h01).ravel().tolist()
+        a10 = (-1j / hbar * h01.conjugate()).ravel().tolist()
         a11 = 1j / hbar * h00 + drift
         s00 = minus * q00
         s01 = minus * q01
         s10 = minus * q01.conjugate()
         s11 = plus * q00
         if start == 0:
-            p0 = np.full((lam.shape[0], block.shape[0]), psi0[0], dtype=np.complex128)
-            p1 = np.full((lam.shape[0], block.shape[0]), psi0[1], dtype=np.complex128)
+            state = np.empty((2, lam.shape[0], block.shape[0]), dtype=np.complex128)
+            state[0], state[1] = psi0[0], psi0[1]
+            p0, p1 = state
+            n0, n1, t0, t1 = np.empty((4,) + p0.shape, dtype=np.complex128)
+            n0_re, n1_re = n0.view(float), n1.view(float)
+            mag = np.empty(state.shape)
+            norm = np.empty(p0.shape)
+            # each reciprocal norm twice, once for Re and once for Im
+            inv = np.empty(p0.shape + (2,))
+            state_re = state.view(float).reshape(state.shape + (2,))
             yield p0, p1
         for k, dwk in enumerate(np.ascontiguousarray(block.T)):
-            n0 = (a00[k] * p0 + a01[k] * p1) * dt + (s00[k] * p0 + s01[k] * p1) * dwk
-            n1 = (a10[k] * p0 + a11[k] * p1) * dt + (s10[k] * p0 + s11[k] * p1) * dwk
-            p0 = p0 + n0
-            p1 = p1 + n1
+            # n0 = (a00 p0 + a01 p1) dt + (s00 p0 + s01 p1) dW, and n1 alike.
+            # A complex times the real dt is (re dt, im dt), as on the float view.
+            np.multiply(a00[k], p0, out=n0)
+            np.multiply(a01[k], p1, out=t0)
+            np.add(n0, t0, out=n0)
+            np.multiply(n0_re, dt, out=n0_re)
+            np.multiply(s00[k], p0, out=t0)
+            np.multiply(s01[k], p1, out=t1)
+            np.add(t0, t1, out=t0)
+            np.multiply(t0, dwk, out=t0)
+            np.add(n0, t0, out=n0)
+            np.multiply(a10[k], p0, out=n1)
+            np.multiply(a11[k], p1, out=t0)
+            np.add(n1, t0, out=n1)
+            np.multiply(n1_re, dt, out=n1_re)
+            np.multiply(s10[k], p0, out=t0)
+            np.multiply(s11[k], p1, out=t1)
+            np.add(t0, t1, out=t0)
+            np.multiply(t0, dwk, out=t0)
+            np.add(n1, t0, out=n1)
+            np.add(p0, n0, out=p0)
+            np.add(p1, n1, out=p1)
             # numpy divides a complex by a real as (re, im) * (1 / real), so
-            # scaling by the reciprocal renormalizes bit for bit, and faster
-            inv = 1.0 / np.sqrt(np.abs(p0) ** 2 + np.abs(p1) ** 2)
-            p0 = p0 * inv
-            p1 = p1 * inv
+            # scaling Re and Im by the reciprocal renormalizes bit for bit
+            np.abs(state, out=mag)
+            np.square(mag, out=mag)
+            np.add(mag[0], mag[1], out=norm)
+            np.sqrt(norm, out=norm)
+            np.divide(1.0, norm, out=inv[..., 0])
+            inv[..., 1] = inv[..., 0]
+            np.multiply(state_re, inv, out=state_re)
             yield p0, p1
         start += width
 

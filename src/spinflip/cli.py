@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import copy
 import json
+import numbers
 import os
 import sys
 
@@ -91,6 +92,14 @@ def load_config(path: str | None, overrides: dict | None = None) -> dict:
 def _validate(config: dict) -> None:
     mat = config["material"]
     ctl = config["control"]
+    # checked before any comparison: YAML may hold 1.5 or "abc" (bool is no count)
+    for section, key in (("control", "samples"), ("noise", "seed"), ("noise", "n_traj"),
+                         ("integrator", "steps")):
+        value = config[section][key]
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            raise ConfigError(f"{section}.{key} must be an integer, got {value!r}")
+    if config["noise"]["seed"] < 0:
+        raise ConfigError(f"noise.seed must be >= 0, got {config['noise']['seed']}")
     if mat["hbar_alpha_meV_cm"] == 0.0 or mat["beta_over_alpha"] == 0.0:
         raise ConfigError("hbar_alpha_meV_cm and beta_over_alpha must be nonzero")
     if ctl["tf_ns"] <= 0.0:

@@ -198,12 +198,14 @@ def detect_singularities(design: TrajectoryDesign, grid: int = 1001) -> Singular
 
     roots = [tf / 2.0] + [float(ts[i]) for i in np.flatnonzero(fv[:-1] == 0.0)]
     tol = ROOT_ABS_TOL * al
+    # the probes run on Python floats: same values, a third of the cost
+    tcl, pcl = tc.tolist(), pc.tolist()
     for i in np.flatnonzero(fv[:-1] * fv[1:] < 0.0):
         a, b = float(ts[i]), float(ts[i + 1])
         fa = fv[i]
         for _ in range(100):
             m = 0.5 * (a + b)
-            fm = K._denominator(m, tc, pc, al, be)
+            fm = K._denominator(m, tcl, pcl, al, be)
             if abs(fm) < tol or m == a or m == b:
                 a = b = m
                 break

@@ -30,6 +30,7 @@ the step count.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -77,6 +78,9 @@ class NoiseParams:
             raise ValueError(f"channel must be one of {CHANNELS}, got {self.channel!r}")
         if self.n_traj < 1:
             raise ValueError(f"n_traj must be >= 1, got {self.n_traj}")
+        if (isinstance(self.seed, bool) or not isinstance(self.seed, numbers.Integral)
+                or self.seed < 0):
+            raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
 
 
 def _bloch_of(mat: np.ndarray) -> np.ndarray:
@@ -284,13 +288,16 @@ def _increment_blocks(seed: int, n_traj: int, steps: int, dt: float,
     spawned from np.random.SeedSequence(seed), so that the streams of
     different trajectories and different seeds are independent.  A
     generator's draws in blocks equal one draw of all its steps bit for bit.
+    Each row is filled with standard normals in place and the block scaled
+    once: rng.normal(0.0, scale, n) is 0.0 + scale z, the same numbers.
     """
     rngs = [np.random.default_rng(c) for c in np.random.SeedSequence(seed).spawn(n_traj)]
     scale = np.sqrt(dt)
     for start in range(0, steps, width):
         block = np.empty((n_traj, min(width, steps - start)))
         for row, rng in zip(block, rngs):
-            row[:] = rng.normal(0.0, scale, block.shape[1])
+            rng.standard_normal(out=row)
+        block *= scale
         yield block
 
 

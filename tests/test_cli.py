@@ -232,6 +232,27 @@ class TestSweep:
         assert code == 2
         assert out == "" and "--mc applies to --axis lambda0_sq only" in err
 
+    @pytest.mark.parametrize("section, key, value", [
+        ("noise", "seed", 1.5), ("noise", "seed", "abc"), ("noise", "seed", True),
+        ("noise", "n_traj", 4.5), ("integrator", "steps", 1000.5),
+        ("control", "samples", 20.5),
+    ])
+    def test_non_integer_counts_rejected(self, tmp_path, section, key, value):
+        # a config error, not a TypeError traceback from numpy or range()
+        cfg = tmp_path / "bad.yaml"
+        cfg.write_text(yaml.safe_dump({section: {key: value}}))
+        code, out, err = invoke(["sweep", "--config", str(cfg), "--axis", "lambda0_sq",
+                                 "--grid", "0.01", "--mc"])
+        assert code == 2
+        assert out == "" and f"{section}.{key} must be an integer" in err
+
+    def test_negative_seed_rejected(self):
+        code, out, err = invoke(["sweep", "--axis", "lambda0_sq", "--grid", "0.01",
+                                 "--mc", "--seed", "-1", "--n-traj", "4",
+                                 "--steps", "1000"])
+        assert code == 2
+        assert out == "" and "noise.seed must be >= 0" in err
+
     def test_empty_grid_empty_table(self):
         code, out, _ = invoke(["sweep", "--axis", "gamma", "--grid", ""])
         assert code == 0

@@ -9,7 +9,9 @@ over the reference right-hand sides in :mod:`spinflip.opensys` and
 a block boundary that is not a block multiple.  The Euler-Maruyama kernels,
 their increments handed over in blocks, must stay within 1e-12 of a
 step-by-step loop over :func:`spinflip.build_heff` and
-:func:`spinflip.xonly_hprime`.
+:func:`spinflip.xonly_hprime`; the lock-step grid's rows must equal one
+ensemble per noise strength bit for bit, and the loop, which steps in place,
+must yield the same two buffers at every step.
 """
 
 import math
@@ -238,6 +240,36 @@ def test_em_final_matches(args, design, mat, pref, fields):
     for row, lam in zip(fid, lams):
         ref = em_reference(design, mat, fields, lam, psi0, dw)
         assert np.abs(row - np.abs(ref[:, -1, 1])).max() < TOL, lam
+
+
+def test_em_final_rows_equal_em_ensemble(args, design, pref):
+    # the lock-step grid and one ensemble per lam, on the same uneven blocks
+    psi0 = np.array([0.6, 0.8j])
+    lams, steps = (0.0, 0.2, 0.45), 300
+    dw = np.random.default_rng(2).normal(0.0, np.sqrt(design.tf / steps), (8, steps))
+    fid = K.em_final(*args, pref, HBAR, lams, psi0, np.split(dw, (100, 250), axis=1),
+                     steps)
+    for row, lam in zip(fid, lams):
+        _, ref = K.em_ensemble(*args, pref, HBAR, lam, psi0,
+                               np.split(dw, (100, 250), axis=1), steps)
+        assert np.array_equal(row, ref), lam
+
+
+def test_em_lockstep_reuses_its_buffers(args, design, pref):
+    # the step runs in place: every step yields the same two arrays, and
+    # the states read before advancing are those em_states records
+    psi0 = np.array([0.6, 0.8j])
+    steps = 300
+    dw = np.random.default_rng(3).normal(0.0, np.sqrt(design.tf / steps), (1, steps))
+    seen, values = set(), []
+    for p0, p1 in K._em_lockstep(*args, pref, HBAR, np.full((1, 1), 0.2), psi0,
+                                 np.split(dw, (100, 250), axis=1), steps):
+        seen.add((id(p0), id(p1)))
+        values.append((p0[0, 0], p1[0, 0]))
+    assert len(seen) == 1 and len(values) == steps + 1
+    assert values[0] == (psi0[0], psi0[1])
+    states = K.em_states(*args, pref, HBAR, 0.2, psi0, dw[0], steps)
+    assert np.array_equal(np.array(values), states)
 
 
 def test_seeded_ensemble_values_pinned(design):

@@ -9,7 +9,8 @@ from spinflip import (FieldTriple, LindbladParams, NoiseParams, bloch_rhs,
                       xonly_hprime)
 from spinflip.core import IDENTITY2
 from spinflip.fields import fields_xyz_at
-from spinflip.opensys import dephasing_sweep, ensemble_sweep, noise_increments
+from spinflip.opensys import (INCREMENT_BLOCK, _increment_blocks, dephasing_sweep,
+                              ensemble_sweep, noise_increments)
 
 UP = np.array([1.0, 0.0], dtype=complex)
 
@@ -262,6 +263,19 @@ class TestSSE:
         se_var = dt * np.sqrt(2.0 / n)
         assert abs(flat.var() - dt) < 3 * se_var
 
+    def test_increment_blocks_equal_one_normal_draw(self):
+        # oracle: each spawned generator's rng.normal(0, sqrt(dt), steps),
+        # split at the block edges; 600 steps leave a narrower last block
+        seed, n_traj, steps, dt = 42, 5, 600, 1e-4
+        rngs = [np.random.default_rng(c)
+                for c in np.random.SeedSequence(seed).spawn(n_traj)]
+        ref = np.array([rng.normal(0.0, np.sqrt(dt), steps) for rng in rngs])
+        blocks = list(_increment_blocks(seed, n_traj, steps, dt))
+        edges = range(INCREMENT_BLOCK, steps, INCREMENT_BLOCK)
+        assert [b.shape for b in blocks] == [(n_traj, 256), (n_traj, 256), (n_traj, 88)]
+        for got, want in zip(blocks, np.split(ref, edges, axis=1)):
+            assert np.array_equal(got, want)
+
     def test_per_trajectory_generators(self):
         # seed ^ i seeding made 1232, 1234 and 1235 share one set of 256
         # trajectories in a different order; spawned streams share none
@@ -330,6 +344,15 @@ class TestParams:
             NoiseParams(lambda0=0.1, channel="plaid")
         with pytest.raises(ValueError):
             NoiseParams(lambda0=0.1, n_traj=0)
+
+    @pytest.mark.parametrize("seed", [-3, 1.5, "x", True])
+    def test_seed_must_be_non_negative_integer(self, seed):
+        # a bad seed used to pass here and fail deep inside numpy's SeedSequence
+        with pytest.raises(ValueError, match="seed must be a non-negative integer"):
+            NoiseParams(0.1, "x-only", seed=seed)
+
+    def test_numpy_integer_seed_accepted(self):
+        assert NoiseParams(0.1, "x-only", seed=np.int64(7)).seed == 7
 
     @pytest.mark.parametrize("call", [
         lambda d: propagate_bloch(d, gamma=-0.5),
