@@ -18,14 +18,11 @@ from .invariant import (InvariantSpec, PerturbedEvolution, Propagation,
                         propagate_schrodinger)
 from .lowdin import (BlockPartition, FourLevelModel, build_full_hamiltonian,
                      closed_form_elements, lowdin_reduce, orbital_adiabaticity,
-                     partition, reduce_self_consistent, validity_check,
-                     xi_factors)
+                     partition, validity_check, xi_factors)
 from .opensys import (BlochTrajectory, DensityTrajectory, EnsembleResult,
-                      LindbladParams, NoiseParams, SSETrajectory, bloch_rhs,
-                      ensemble_average, fidelity_from_w, lindblad_step_rhs,
-                      noise_bloch_rhs, noise_master_rhs, perturbative_bound,
-                      propagate_bloch, propagate_density, propagate_master,
-                      sse_trajectory, xonly_hprime)
+                      LindbladParams, NoiseParams, SSETrajectory, ensemble_average,
+                      fidelity_from_w, perturbative_bound, propagate_bloch,
+                      propagate_density, propagate_master, sse_trajectory)
 from .trajectory import (CubicPolynomial, TrajectoryDesign, eval_angles,
                          solve_phi, solve_theta)
 

@@ -107,12 +107,6 @@ def b1_b2(t, tc, pc, tf, b0, alpha, beta, eta, xi_x, xi_y):
     return n1 / (eta * fx * d0), n2 / (eta * fy * d0)
 
 
-def xyz_at(t, tc, pc, tf, b0, alpha, beta, eta):
-    """Hamiltonian field triple (X, Y, Z); independent of the xi factors."""
-    b1, b2 = b1_b2(t, tc, pc, tf, b0, alpha, beta, eta, 0.0, 0.0)
-    return b2, (alpha / beta) * b1, b0 + b1
-
-
 def _b1_b2(ts, tc, pc, tf, b0, alpha, beta, eta, xi_x, xi_y):
     """b1_b2 over an array of times, bit-identical to it point by point.
 
@@ -144,10 +138,6 @@ def _xyz(ts, tc, pc, tf, b0, alpha, beta, eta):
 
 def b1_b2_grid(ts, tc, pc, tf, b0, alpha, beta, eta, xi_x, xi_y):
     return np.column_stack(_b1_b2(ts, tc, pc, tf, b0, alpha, beta, eta, xi_x, xi_y))
-
-
-def xyz_grid(ts, tc, pc, tf, b0, alpha, beta, eta):
-    return np.column_stack(_xyz(ts, tc, pc, tf, b0, alpha, beta, eta))
 
 
 def _denominator(t, tc, pc, alpha, beta):

@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import copy
 import json
+import math
 import numbers
 import os
 import sys
@@ -57,16 +58,29 @@ EXIT_INTEGRATOR = 4
 EXIT_DEGENERATE = 5
 
 
-def _merge_checked(base: dict, override: dict, path: str = "") -> None:
+def _merge_checked(base: dict, override: dict, defaults: dict = DEFAULT_CONFIG,
+                   path: str = "") -> None:
+    """Merge override into base, uncoerced.  A leaf takes the type of its
+    default: a str, an integer, or a finite real number (never a bool)."""
     for key, value in override.items():
         if key not in base:
             raise ConfigError(f"unknown config key {path + key!r}")
-        if isinstance(base[key], dict):
+        default = defaults[key]
+        if isinstance(default, dict):
             if not isinstance(value, dict):
                 raise ConfigError(f"config key {path + key!r} must be a mapping")
-            _merge_checked(base[key], value, path + key + ".")
+            _merge_checked(base[key], value, default, path + key + ".")
+            continue
+        if isinstance(default, str):
+            kind, ok = "a string", isinstance(value, str)
+        elif isinstance(default, int):
+            kind, ok = "an integer", isinstance(value, numbers.Integral)
         else:
-            base[key] = value
+            kind, ok = "a finite number", (isinstance(value, numbers.Real)
+                                           and math.isfinite(value))
+        if not ok or isinstance(value, bool):
+            raise ConfigError(f"{path + key} must be {kind}, got {value!r}")
+        base[key] = value
 
 
 def load_config(path: str | None, overrides: dict | None = None) -> dict:
@@ -92,12 +106,6 @@ def load_config(path: str | None, overrides: dict | None = None) -> dict:
 def _validate(config: dict) -> None:
     mat = config["material"]
     ctl = config["control"]
-    # checked before any comparison: YAML may hold 1.5 or "abc" (bool is no count)
-    for section, key in (("control", "samples"), ("noise", "seed"), ("noise", "n_traj"),
-                         ("integrator", "steps")):
-        value = config[section][key]
-        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-            raise ConfigError(f"{section}.{key} must be an integer, got {value!r}")
     if config["noise"]["seed"] < 0:
         raise ConfigError(f"noise.seed must be >= 0, got {config['noise']['seed']}")
     if mat["hbar_alpha_meV_cm"] == 0.0 or mat["beta_over_alpha"] == 0.0:

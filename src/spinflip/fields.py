@@ -178,10 +178,6 @@ def cancellation_scale(design: TrajectoryDesign, ts: float) -> float:
     return abs(be * thd) + abs(be * (phd + design.mat.eta * design.b0))
 
 
-def is_cancellable(design: TrajectoryDesign, ts: float) -> bool:
-    return verify_cancellation(design, ts) < CANCEL_REL_TOL * cancellation_scale(design, ts)
-
-
 def detect_singularities(design: TrajectoryDesign, grid: int = 1001) -> SingularityReport:
     """Locate all roots of alpha cot(theta) = beta sin(phi) on (0, tf).
 

@@ -123,23 +123,6 @@ def lowdin_reduce(p: BlockPartition, e_ref: float) -> np.ndarray:
     return p.q + p.c @ np.linalg.inv(shifted) @ p.c.conj().T
 
 
-def reduce_self_consistent(p: BlockPartition, e_ref: float, branch: int,
-                           iters: int = 5) -> tuple[float, np.ndarray]:
-    """Iterate e_ref onto the chosen output eigenvalue (0 lower, 1 upper).
-
-    The fixed point solves the exact partitioned secular equation, so for
-    well-separated blocks this converges to an exact 4x4 eigenvalue.
-    """
-    if branch not in (0, 1):
-        raise ValueError(f"branch must be 0 or 1, got {branch}")
-    e = e_ref
-    eff = lowdin_reduce(p, e)
-    for _ in range(iters):
-        e = float(np.linalg.eigvalsh(eff)[branch])
-        eff = lowdin_reduce(p, e)
-    return e, eff
-
-
 def xi_factors(model: FourLevelModel) -> tuple[float, float]:
     """Orbital-correction factors xi_i = 2 |pbar_i|^2 / [m (E2 - E1)]."""
     denom = model.m * model.gap

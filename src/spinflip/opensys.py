@@ -15,8 +15,7 @@ Two source-noise channels are provided and none is silently "corrected":
 
 Both channels and the dephasing map the identity to zero and every matrix
 to a traceless one, so a density matrix is propagated on its Bloch vector
-at constant trace.  ``noise_bloch_rhs`` derives the x-only Bloch form from
-the density-matrix form instead, as an independent reference for the tests.
+at constant trace.
 
 Noise strength: lam = lambda0 sqrt(t_f); lambda0^2 is the sweep axis.
 
@@ -36,19 +35,27 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels as K
-from .constants import HBAR, MU_B, MaterialParams
-from .core import FieldTriple, build_heff
+from .constants import HBAR, MU_B
 from .errors import IntegratorError
 from .fields import require_cancellable
+from .invariant import GATE_TOL
 from .trajectory import TrajectoryDesign
 
 CHANNELS = ("as-printed", "x-only")
 _CHANNEL_CODE = {"as-printed": 1, "x-only": 2}
-GATE_TOL = 1e-8
 # Steps of Wiener increments per block of a Monte Carlo run: 2 KiB per
 # trajectory, few enough generator calls that drawing stays a small share.
 INCREMENT_BLOCK = 256
 _PSI_UP = np.array([1.0, 0.0], dtype=complex)
+
+
+def _is_integer(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _check_steps(steps: int) -> None:
+    if steps < 1:
+        raise ValueError(f"steps must be >= 1, got {steps}")
 
 
 @dataclass(frozen=True)
@@ -76,93 +83,10 @@ class NoiseParams:
             raise ValueError(f"lambda0 must be >= 0, got {self.lambda0}")
         if self.channel not in CHANNELS:
             raise ValueError(f"channel must be one of {CHANNELS}, got {self.channel!r}")
-        if self.n_traj < 1:
-            raise ValueError(f"n_traj must be >= 1, got {self.n_traj}")
-        if (isinstance(self.seed, bool) or not isinstance(self.seed, numbers.Integral)
-                or self.seed < 0):
+        if not _is_integer(self.n_traj) or self.n_traj < 1:
+            raise ValueError(f"n_traj must be an integer >= 1, got {self.n_traj!r}")
+        if not _is_integer(self.seed) or self.seed < 0:
             raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
-
-
-def _bloch_of(mat: np.ndarray) -> np.ndarray:
-    # paper components of an arbitrary (not necessarily unit-trace) 2x2
-    return np.array([(mat[0, 1] + mat[1, 0]).real,
-                     (-1j * (mat[0, 1] - mat[1, 0])).real,
-                     (mat[0, 0] - mat[1, 1]).real])
-
-
-def lindblad_step_rhs(rho: np.ndarray, h: np.ndarray, gamma: float) -> np.ndarray:
-    """rhodot = -(i/hbar)[H, rho] - (gamma/2) sum_i [sigma_i, [sigma_i, rho]].
-
-    The double-commutator sum collapses to 8 rho - 4 tr(rho) I, so the
-    dissipator is -4 gamma (rho - tr(rho) I / 2); trace-preserving.
-    """
-    rho = np.asarray(rho, dtype=complex)
-    comm = h @ rho - rho @ h
-    tr = rho[0, 0] + rho[1, 1]
-    dissip = -4.0 * gamma * (rho - 0.5 * tr * np.eye(2))
-    return -1j / HBAR * comm + dissip
-
-
-def bloch_rhs(r: np.ndarray, fields: FieldTriple, gamma: float,
-              mat: MaterialParams) -> np.ndarray:
-    """The 3x3 dephasing Bloch equation: -4 gamma diagonal plus precession."""
-    eta = mat.eta
-    x, y, z = fields
-    u, v, w = r
-    return np.array([
-        -4.0 * gamma * u + eta * z * v - eta * y * w,
-        -eta * z * u - 4.0 * gamma * v + eta * x * w,
-        eta * y * u - eta * x * v - 4.0 * gamma * w,
-    ])
-
-
-def xonly_hprime(fields: FieldTriple, b0: float, mat: MaterialParams) -> np.ndarray:
-    """Noise operator: the B1-driven part of H_eff (Y and Z' = Z - B0 terms)."""
-    zp = fields[2] - b0
-    y = fields[1]
-    pref = 0.5 * mat.g * MU_B
-    return np.array([[pref * zp, 1j * pref * y],
-                     [-1j * pref * y, -pref * zp]], dtype=complex)
-
-
-def noise_master_rhs(rho: np.ndarray, h: np.ndarray, hprime: np.ndarray,
-                     lam: float) -> np.ndarray:
-    """rhodot = -(i/hbar)[H, rho] - (lam^2 / 2 hbar^2) [H', [H', rho]]."""
-    rho = np.asarray(rho, dtype=complex)
-    comm = h @ rho - rho @ h
-    inner = hprime @ rho - rho @ hprime
-    outer = hprime @ inner - inner @ hprime
-    return -1j / HBAR * comm - lam**2 / (2.0 * HBAR**2) * outer
-
-
-def noise_bloch_rhs(r: np.ndarray, fields: FieldTriple, b0: float, lam: float,
-                    mat: MaterialParams, channel: str = "as-printed") -> np.ndarray:
-    """Bloch-vector source-noise equation.
-
-    as-printed: the diagonal-decay matrix, no dissipative cross couplings.
-    x-only: derived numerically from the double commutator of xonly_hprime,
-    which keeps the off-diagonal dissipative couplings the printed matrix
-    drops.
-    """
-    if channel == "as-printed":
-        eta = mat.eta
-        x, y, z = fields
-        zp = z - b0
-        u, v, w = r
-        ke = 0.5 * lam**2 * eta**2
-        return np.array([
-            -ke * (y * y + zp * zp) * u + eta * z * v - eta * y * w,
-            -eta * z * u - ke * (x * x + zp * zp) * v + eta * x * w,
-            eta * y * u - eta * x * v - ke * (x * x + y * y) * w,
-        ])
-    if channel == "x-only":
-        u, v, w = r
-        rho = 0.5 * np.array([[1.0 + w, u + 1j * v], [u - 1j * v, 1.0 - w]],
-                             dtype=complex)
-        h = build_heff(fields, mat)
-        hp = xonly_hprime(fields, b0, mat)
-        return _bloch_of(noise_master_rhs(rho, h, hp, lam))
-    raise ValueError(f"channel must be one of {CHANNELS}, got {channel!r}")
 
 
 @dataclass(frozen=True)
@@ -182,6 +106,7 @@ def fidelity_from_w(w: float) -> float:
 
 def _run_bloch(design: TrajectoryDesign, gamma: float, lambda0: float,
                channel: str, r0: np.ndarray, steps: int) -> np.ndarray:
+    _check_steps(steps)
     LindbladParams(gamma)
     NoiseParams(lambda0, channel)
     require_cancellable(design)
@@ -301,11 +226,6 @@ def _increment_blocks(seed: int, n_traj: int, steps: int, dt: float,
         yield block
 
 
-def noise_increments(seed: int, n_traj: int, steps: int, dt: float) -> np.ndarray:
-    """All (n_traj, steps) Wiener increments at once; see _increment_blocks."""
-    return next(_increment_blocks(seed, n_traj, steps, dt, steps))
-
-
 @dataclass(frozen=True)
 class SSETrajectory:
     times: np.ndarray
@@ -324,8 +244,9 @@ def sse_trajectory(design: TrajectoryDesign, noise: NoiseParams,
     Uses the x-only noise operator (the stochastic term has no as-printed
     operator form); deterministic for a fixed seed.
     """
+    _check_steps(steps)
     require_cancellable(design)
-    dw = noise_increments(noise.seed, 1, steps, design.tf / steps)
+    dw = next(_increment_blocks(noise.seed, 1, steps, design.tf / steps, steps))
     lam = noise.lambda0 * np.sqrt(design.tf)
     states = K.em_states(*design.kernel_args(), 0.5 * design.mat.g * MU_B, HBAR, lam,
                          _PSI_UP, dw[0], steps)
@@ -354,6 +275,7 @@ def ensemble_average(design: TrajectoryDesign, noise: NoiseParams,
     The mean Bloch trajectory converges (weakly, order dt) to the x-only
     master equation; the spread yields the standard error of the fidelity.
     """
+    _check_steps(steps)
     require_cancellable(design)
     dw = _increment_blocks(noise.seed, noise.n_traj, steps, design.tf / steps)
     lam = noise.lambda0 * np.sqrt(design.tf)
@@ -377,6 +299,7 @@ def ensemble_sweep(design: TrajectoryDesign, lambda0s, seed: int, n_traj: int,
     "x-only", seed, n_traj), steps) bit for bit.  Memory does not grow with
     steps: the increments arrive in blocks of INCREMENT_BLOCK steps.
     """
+    _check_steps(steps)
     lams = [NoiseParams(float(l0), "x-only", seed, n_traj).lambda0 * np.sqrt(design.tf)
             for l0 in lambda0s]
     require_cancellable(design)

@@ -44,11 +44,6 @@ class CubicPolynomial:
         c = self.coeffs
         return (3.0 * c[3] * t + 2.0 * c[2]) * t + c[1]
 
-    def second_deriv(self, t: float) -> float:
-        t = self._check(t)
-        c = self.coeffs
-        return 6.0 * c[3] * t + 2.0 * c[2]
-
     def coeff_array(self) -> np.ndarray:
         return np.asarray(self.coeffs, dtype=float)
 

@@ -1,0 +1,93 @@
+"""Reference right-hand sides of the open-system equations, for the tests.
+
+The propagators in :mod:`spinflip.opensys` run on transfer matrices built
+in :mod:`spinflip._kernels`; these references state the same equations
+directly, one instant at a time, on the density matrix or the Bloch vector.
+They stay independent of the kernels: this module imports only numpy,
+:mod:`spinflip.constants` and :mod:`spinflip.core`, which
+``test_oracles_stay_independent`` checks.
+"""
+
+import numpy as np
+
+from spinflip.constants import HBAR, MU_B, MaterialParams
+from spinflip.core import FieldTriple, bloch_to_density, build_heff
+
+
+def bloch_of(mat: np.ndarray) -> np.ndarray:
+    """Paper components of an arbitrary (not necessarily unit-trace) 2x2."""
+    return np.array([(mat[0, 1] + mat[1, 0]).real,
+                     (-1j * (mat[0, 1] - mat[1, 0])).real,
+                     (mat[0, 0] - mat[1, 1]).real])
+
+
+def lindblad_step_rhs(rho: np.ndarray, h: np.ndarray, gamma: float) -> np.ndarray:
+    """rhodot = -(i/hbar)[H, rho] - (gamma/2) sum_i [sigma_i, [sigma_i, rho]].
+
+    The double-commutator sum collapses to 8 rho - 4 tr(rho) I, so the
+    dissipator is -4 gamma (rho - tr(rho) I / 2); trace-preserving.
+    """
+    rho = np.asarray(rho, dtype=complex)
+    comm = h @ rho - rho @ h
+    tr = rho[0, 0] + rho[1, 1]
+    dissip = -4.0 * gamma * (rho - 0.5 * tr * np.eye(2))
+    return -1j / HBAR * comm + dissip
+
+
+def bloch_rhs(r: np.ndarray, fields: FieldTriple, gamma: float,
+              mat: MaterialParams) -> np.ndarray:
+    """The 3x3 dephasing Bloch equation: -4 gamma diagonal plus precession."""
+    eta = mat.eta
+    x, y, z = fields
+    u, v, w = r
+    return np.array([
+        -4.0 * gamma * u + eta * z * v - eta * y * w,
+        -eta * z * u - 4.0 * gamma * v + eta * x * w,
+        eta * y * u - eta * x * v - 4.0 * gamma * w,
+    ])
+
+
+def xonly_hprime(fields: FieldTriple, b0: float, mat: MaterialParams) -> np.ndarray:
+    """Noise operator: the B1-driven part of H_eff (Y and Z' = Z - B0 terms)."""
+    zp = fields[2] - b0
+    y = fields[1]
+    pref = 0.5 * mat.g * MU_B
+    return np.array([[pref * zp, 1j * pref * y],
+                     [-1j * pref * y, -pref * zp]], dtype=complex)
+
+
+def noise_master_rhs(rho: np.ndarray, h: np.ndarray, hprime: np.ndarray,
+                     lam: float) -> np.ndarray:
+    """rhodot = -(i/hbar)[H, rho] - (lam^2 / 2 hbar^2) [H', [H', rho]]."""
+    rho = np.asarray(rho, dtype=complex)
+    comm = h @ rho - rho @ h
+    inner = hprime @ rho - rho @ hprime
+    outer = hprime @ inner - inner @ hprime
+    return -1j / HBAR * comm - lam**2 / (2.0 * HBAR**2) * outer
+
+
+def noise_bloch_rhs(r: np.ndarray, fields: FieldTriple, b0: float, lam: float,
+                    mat: MaterialParams, channel: str = "as-printed") -> np.ndarray:
+    """Bloch-vector source-noise equation.
+
+    as-printed: the diagonal-decay matrix, no dissipative cross couplings.
+    x-only: derived numerically from the double commutator of xonly_hprime,
+    which keeps the off-diagonal dissipative couplings the printed matrix
+    drops.
+    """
+    if channel == "as-printed":
+        eta = mat.eta
+        x, y, z = fields
+        zp = z - b0
+        u, v, w = r
+        ke = 0.5 * lam**2 * eta**2
+        return np.array([
+            -ke * (y * y + zp * zp) * u + eta * z * v - eta * y * w,
+            -eta * z * u - ke * (x * x + zp * zp) * v + eta * x * w,
+            eta * y * u - eta * x * v - ke * (x * x + y * y) * w,
+        ])
+    if channel == "x-only":
+        h = build_heff(fields, mat)
+        hp = xonly_hprime(fields, b0, mat)
+        return bloch_of(noise_master_rhs(bloch_to_density(r), h, hp, lam))
+    raise ValueError(f"channel must be 'as-printed' or 'x-only', got {channel!r}")

@@ -338,6 +338,29 @@ class TestConfigHandling:
         assert code == 2
         assert "contrl" in err
 
+    @pytest.mark.parametrize("doc", [
+        {"control": {"tf_ns": "abc"}}, {"control": {"b0_T": True}},
+        {"output": {"path": 9999}}, {"material": {"g_factor": float("nan")}},
+        {"material": {"xi_x": float("inf")}},
+    ], ids=["tf_ns-str", "b0_T-bool", "path-int", "g_factor-nan", "xi_x-inf"])
+    def test_leaf_types_checked_against_defaults(self, tmp_path, doc):
+        # a config error, not a TypeError, an OSError from open(9999) or a
+        # ValueError from MaterialParams
+        cfg = tmp_path / "bad.yaml"
+        cfg.write_text(yaml.safe_dump(doc))
+        code, out, err = invoke(["design", "--config", str(cfg)])
+        [(section, leaf)] = doc.items()
+        assert code == 2
+        assert out == "" and f"{section}.{next(iter(leaf))} must be" in err
+
+    @pytest.mark.parametrize("argv", [["design", "--tf", "nan"],
+                                      ["simulate", "--gamma", "nan", "--steps", "1000"]],
+                             ids=["design-tf", "simulate-gamma"])
+    def test_non_finite_flags_rejected(self, argv):
+        code, out, err = invoke(argv)
+        assert code == 2
+        assert out == "" and "must be a finite number" in err
+
     def test_missing_config_file(self):
         code, _, _ = invoke(["design", "--config", "/nonexistent.yaml"])
         assert code == 2

@@ -4,30 +4,33 @@ The field grids must equal the scalar per-point kernels bit for bit, and the
 denominator grid and its scalar form must equal a per-point loop over the
 same expression.  Each RK4 propagator, and the density matrix run on its
 Bloch vector, must stay within 1e-12 of a step-by-step RK4 loop written here
-over the reference right-hand sides in :mod:`spinflip.opensys` and
+over the reference right-hand sides in ``tests/oracles.py`` and
 :func:`spinflip.build_heff`, at step counts below one scan block and across
 a block boundary that is not a block multiple.  The Euler-Maruyama kernels,
 their increments handed over in blocks, must stay within 1e-12 of a
 step-by-step loop over :func:`spinflip.build_heff` and
-:func:`spinflip.xonly_hprime`; the lock-step grid's rows must equal one
+``oracles.xonly_hprime``; the lock-step grid's rows must equal one
 ensemble per noise strength bit for bit, and the loop, which steps in place,
 must yield the same two buffers at every step.
 """
 
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from spinflip import (FieldTriple, NoiseParams, SingularityError,
-                      TrajectoryDesign, bloch_rhs, build_heff,
-                      detect_singularities, ensemble_average, fields_xyz_at,
-                      lindblad_step_rhs, noise_bloch_rhs, noise_master_rhs,
-                      propagate_bloch, propagate_density, propagate_schrodinger,
-                      sse_trajectory, xonly_hprime)
+                      TrajectoryDesign, build_heff, detect_singularities,
+                      ensemble_average, fields_xyz_at, propagate_bloch,
+                      propagate_density, propagate_schrodinger, sse_trajectory)
 from spinflip import _kernels as K
 from spinflip.constants import HBAR, MU_B
 from spinflip.opensys import dephasing_sweep, ensemble_sweep
+
+from oracles import (bloch_rhs, lindblad_step_rhs, noise_bloch_rhs, noise_master_rhs,
+                     xonly_hprime)
 
 STEP_COUNTS = (300, 2500)
 GAMMA, LAM2 = 0.02, 0.03
@@ -78,7 +81,19 @@ def rk4_reference(rhs, y0, tf, steps, normalize=False):
     return np.array(traj), drift
 
 
-def test_field_kernels_match(args):
+def test_oracles_stay_independent():
+    # the references must not be rewritten in terms of the kernels they check
+    tree = ast.parse((Path(__file__).parent / "oracles.py").read_text())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            imported.add("." * node.level + (node.module or ""))
+    assert imported <= {"numpy", "spinflip.constants", "spinflip.core"}, imported
+
+
+def test_field_kernels_match(args, design):
     # endpoints and clamp edges, the guarded root tf/2 and a point inside its
     # window, and a dense interior grid
     ts = np.concatenate([np.linspace(0.0, 1.0, 4001),
@@ -86,8 +101,9 @@ def test_field_kernels_match(args):
     for xi_x, xi_y in ((0.0, 0.0), (0.03, -0.02)):
         loop = np.array([K.b1_b2(t, *args, xi_x, xi_y) for t in ts])
         assert np.array_equal(K.b1_b2_grid(ts, *args, xi_x, xi_y), loop)
-    loop = np.array([K.xyz_at(t, *args) for t in ts])
-    assert np.array_equal(K.xyz_grid(ts, *args), loop)
+    # the Hamiltonian triple on the grid, against the public one-point map
+    loop = np.array([fields_xyz_at(design, t) for t in ts])
+    assert np.array_equal(np.column_stack(K._xyz(ts, *args)), loop)
     # the denominator point by point with math functions, off t = 0 where
     # theta = 0
     tc, pc, _, _, al, be, _ = args
@@ -100,7 +116,7 @@ def test_field_kernels_match(args):
 
 def test_field_grids_emit_no_warnings(args):
     with np.errstate(all="raise"):
-        K.xyz_grid(np.linspace(0.0, 1.0, 1001), *args)
+        K._xyz(np.linspace(0.0, 1.0, 1001), *args)
 
 
 def test_rk4_bloch_matches(args, design, mat, fields):

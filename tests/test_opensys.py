@@ -1,16 +1,17 @@
 import numpy as np
 import pytest
 
-from spinflip import (FieldTriple, LindbladParams, NoiseParams, bloch_rhs,
+from spinflip import (FieldTriple, LindbladParams, NoiseParams, bloch_to_density,
                       build_heff, ensemble_average, fidelity, fidelity_from_w,
-                      lindblad_step_rhs, noise_bloch_rhs, noise_master_rhs,
                       perturbative_bound, propagate_bloch, propagate_density,
-                      propagate_master, propagate_schrodinger, sse_trajectory,
-                      xonly_hprime)
+                      propagate_master, propagate_schrodinger, sse_trajectory)
 from spinflip.core import IDENTITY2
 from spinflip.fields import fields_xyz_at
 from spinflip.opensys import (INCREMENT_BLOCK, _increment_blocks, dephasing_sweep,
-                              ensemble_sweep, noise_increments)
+                              ensemble_sweep)
+
+from oracles import (bloch_of, bloch_rhs, lindblad_step_rhs, noise_bloch_rhs,
+                     noise_master_rhs, xonly_hprime)
 
 UP = np.array([1.0, 0.0], dtype=complex)
 
@@ -59,13 +60,9 @@ class TestLindbladRHS:
         gamma = 0.23
         for _ in range(20):
             r = rng.uniform(-0.5, 0.5, 3)
-            rho = 0.5 * np.array([[1 + r[2], r[0] + 1j * r[1]],
-                                  [r[0] - 1j * r[1], 1 - r[2]]])
-            rhs = lindblad_step_rhs(rho, np.zeros((2, 2), dtype=complex), gamma)
-            rdot = np.array([(rhs[0, 1] + rhs[1, 0]).real,
-                             (-1j * (rhs[0, 1] - rhs[1, 0])).real,
-                             (rhs[0, 0] - rhs[1, 1]).real])
-            assert np.allclose(rdot, -4.0 * gamma * r, atol=1e-14)
+            rhs = lindblad_step_rhs(bloch_to_density(r), np.zeros((2, 2), dtype=complex),
+                                    gamma)
+            assert np.allclose(bloch_of(rhs), -4.0 * gamma * r, atol=1e-14)
 
 
 class TestBlochRHS:
@@ -95,13 +92,8 @@ class TestBlochRHS:
             fields = fields_xyz_at(design, t)
             h = build_heff(fields, mat)
             r = rng.uniform(-0.4, 0.4, 3)
-            rho = 0.5 * np.array([[1 + r[2], r[0] + 1j * r[1]],
-                                  [r[0] - 1j * r[1], 1 - r[2]]])
-            rhs = lindblad_step_rhs(rho, h, gamma)
-            rdot_density = np.array([(rhs[0, 1] + rhs[1, 0]).real,
-                                     (-1j * (rhs[0, 1] - rhs[1, 0])).real,
-                                     (rhs[0, 0] - rhs[1, 1]).real])
-            assert np.allclose(rdot_density, bloch_rhs(r, fields, gamma, mat),
+            rhs = lindblad_step_rhs(bloch_to_density(r), h, gamma)
+            assert np.allclose(bloch_of(rhs), bloch_rhs(r, fields, gamma, mat),
                                atol=1e-12)
 
 
@@ -255,7 +247,8 @@ class TestSSE:
 
     def test_wiener_increment_statistics(self):
         dt = 1e-4
-        dw = noise_increments(seed=123, n_traj=100, steps=10000, dt=dt)
+        dw = next(_increment_blocks(seed=123, n_traj=100, steps=10000, dt=dt,
+                                    width=10000))
         flat = dw.ravel()
         n = flat.size
         se_mean = np.sqrt(dt / n)
@@ -281,9 +274,9 @@ class TestSSE:
         # trajectories in a different order; spawned streams share none
         sets = []
         for seed in (1232, 1234, 1235):
-            dw = noise_increments(seed=seed, n_traj=256, steps=16, dt=0.1)
-            assert np.array_equal(dw, noise_increments(seed=seed, n_traj=256,
-                                                       steps=16, dt=0.1))
+            dw, = _increment_blocks(seed=seed, n_traj=256, steps=16, dt=0.1)
+            again, = _increment_blocks(seed=seed, n_traj=256, steps=16, dt=0.1)
+            assert np.array_equal(dw, again)
             sets.append({row.tobytes() for row in dw})
         assert all(len(s) == 256 for s in sets)
         assert not (sets[0] & sets[1] or sets[1] & sets[2] or sets[0] & sets[2])
@@ -351,6 +344,12 @@ class TestParams:
         with pytest.raises(ValueError, match="seed must be a non-negative integer"):
             NoiseParams(0.1, "x-only", seed=seed)
 
+    @pytest.mark.parametrize("n_traj", [4.5, "x", True])
+    def test_n_traj_must_be_integer(self, n_traj):
+        # a float n_traj used to pass here and fail inside SeedSequence.spawn
+        with pytest.raises(ValueError, match="n_traj must be an integer"):
+            NoiseParams(0.1, "x-only", 0, n_traj)
+
     def test_numpy_integer_seed_accepted(self):
         assert NoiseParams(0.1, "x-only", seed=np.int64(7)).seed == 7
 
@@ -368,6 +367,19 @@ class TestParams:
         # unchecked, a negative gamma gives F = 2.048 and a negative lambda0
         # a silently noiseless run
         with pytest.raises(ValueError, match="must be >= 0"):
+            call(design)
+
+    @pytest.mark.parametrize("call", [
+        lambda d: propagate_bloch(d, steps=0),
+        lambda d: propagate_density(d, steps=0),
+        lambda d: sse_trajectory(d, NoiseParams(lambda0=0.1), steps=0),
+        lambda d: ensemble_average(d, NoiseParams(lambda0=0.1, n_traj=4), steps=0),
+        lambda d: ensemble_sweep(d, [0.1], seed=0, n_traj=4, steps=0),
+    ], ids=["propagate_bloch", "propagate_density", "sse_trajectory",
+            "ensemble_average", "ensemble_sweep"])
+    def test_propagators_reject_zero_steps(self, design, call):
+        # unchecked, a step count of 0 divided t_f by zero
+        with pytest.raises(ValueError, match="steps must be >= 1"):
             call(design)
 
     def test_fidelity_from_w(self):
