@@ -7,13 +7,13 @@ over time.  The two RK4 equations, Bloch (3x3, with dephasing and either
 source-noise channel) and Schrodinger (run on (Re psi, Im psi) as a 4x4),
 are real and linear with coefficients that depend on t alone, so every RK4
 step is a real transfer matrix built from fields evaluated on all stage
-times at once (see :func:`_rk4_linear`).  The Euler-Maruyama kernels share
-one lock-step loop over a (grid point, trajectory) array: a noise-strength
-grid runs as one ensemble on shared increments, which arrive in blocks of
-steps, and each block's coefficients come from one field evaluation on its
-part of the step grid.  Its step runs in place on state and scratch buffers
-allocated once per call, so it allocates no array per step (see
-:func:`_em_lockstep`).
+times at once (see :func:`_rk4_linear`).  The one Euler-Maruyama kernel,
+:func:`em_final`, runs a lock-step loop over a (noise strength, trajectory)
+array: a noise-strength grid runs as one ensemble on shared increments,
+which arrive in blocks of steps, and each block's coefficients come from one
+field evaluation on its part of the step grid.  Its step runs in place on
+state and scratch buffers allocated once per call, so it allocates no array
+per step, and it returns the final fidelities only.
 
 Angle cubics enter as raw coefficient arrays (rad/ns^j); material parameters
 as scalars.  Error signalling is NaN poisoning: a non-cancellable
@@ -284,26 +284,22 @@ def rk4_bloch(tc, pc, tf, b0, alpha, beta, eta, gamma, lam2, channel, r0, steps)
     return _rk4_linear(gen, r0, tf, steps)[0]
 
 
-def _em_lockstep(tc, pc, tf, b0, alpha, beta, eta, pref, hbar, lam, psi0, dw, steps):
-    """Euler-Maruyama under the x-only noise operator, every trajectory of
-    every grid point in lock step; yields the amplitude arrays (p0, p1), each
-    of shape (G, n_traj), at steps 0 .. steps.
+def em_final(tc, pc, tf, b0, alpha, beta, eta, pref, hbar, lams, psi0, dw, steps):
+    """Final fidelities |psi_1(tf)| of Euler-Maruyama ensembles under the
+    x-only noise operator, a (len(lams), n_traj) array: one row per noise
+    strength, every trajectory in lock step on the same increments.
 
-    lam is a (G, 1) column, one noise strength per grid point; all points
-    share the increments.  dw yields (n_traj, c) blocks of increments whose
-    widths add up to steps, so the whole (n_traj, steps) array need never
-    exist.  The drift and noise coefficients of a block come from one field
-    evaluation on its part of the step grid k tf / steps, as (c, G, 1)
-    arrays; the lam-free a01 and a10 as Python complex scalars.  Each step
-    renormalizes the states.
-
-    The step runs in place on buffers allocated once per call, so it yields
-    the same two arrays at every step: a consumer reads (or copies) them
-    before it asks for the next step.  Every elementwise operation and its
-    operand order are those of the expression
-    n0 = (a00 p0 + a01 p1) dt + (s00 p0 + s01 p1) dW, p0 += n0 (and n1, p1
-    alike), p /= |p|, so the states equal it bit for bit.
+    dw yields (n_traj, c) blocks of increments whose widths add up to steps,
+    so the whole (n_traj, steps) array need never exist.  A block's drift
+    and noise coefficients come from one field evaluation on its part of the
+    step grid k tf / steps, as (c, G, 1) arrays; the lam-free a01 and a10 as
+    Python complex scalars.  Each step renormalizes the states, in place on
+    buffers allocated once per call.  Every elementwise operation and its
+    operand order are those of n0 = (a00 p0 + a01 p1) dt + (s00 p0 + s01 p1)
+    dW, p0 += n0 (and n1, p1 alike), p /= |p|, so the states equal that
+    expression bit for bit.
     """
+    lam = np.reshape(np.asarray(lams, dtype=float), (-1, 1))
     dt = tf / steps
     # -+i lam / hbar in Python complex arithmetic, as for a scalar lam: numpy's
     # complex division multiplies by the reciprocal, which can move the last bit
@@ -340,7 +336,6 @@ def _em_lockstep(tc, pc, tf, b0, alpha, beta, eta, pref, hbar, lam, psi0, dw, st
             # each reciprocal norm twice, once for Re and once for Im
             inv = np.empty(p0.shape + (2,))
             state_re = state.view(float).reshape(state.shape + (2,))
-            yield p0, p1
         for k, dwk in enumerate(np.ascontiguousarray(block.T)):
             # n0 = (a00 p0 + a01 p1) dt + (s00 p0 + s01 p1) dW, and n1 alike.
             # A complex times the real dt is (re dt, im dt), as on the float view.
@@ -373,55 +368,6 @@ def _em_lockstep(tc, pc, tf, b0, alpha, beta, eta, pref, hbar, lam, psi0, dw, st
             np.divide(1.0, norm, out=inv[..., 0])
             inv[..., 1] = inv[..., 0]
             np.multiply(state_re, inv, out=state_re)
-            yield p0, p1
         start += width
-
-
-def em_ensemble(tc, pc, tf, b0, alpha, beta, eta, pref, hbar, lam, psi0, dw, steps):
-    """Euler-Maruyama ensemble under the x-only noise operator.
-
-    dw yields (n_traj, c) blocks of increments covering the steps;
-    trajectories advance in lockstep (vectorized across the ensemble axis).
-    Returns the ensemble-mean Bloch trajectory (steps+1, 3) and the
-    per-trajectory final fidelities |psi_1|.
-    """
-    bloch = np.empty((steps + 1, 3))
-    for k, (p0, p1) in enumerate(_em_lockstep(tc, pc, tf, b0, alpha, beta, eta, pref,
-                                              hbar, np.full((1, 1), lam), psi0, dw,
-                                              steps)):
-        p0, p1 = p0[0], p1[0]
-        inv_n = 1.0 / p0.shape[0]
-        cross = p0 * np.conj(p1)
-        bloch[k, 0] = 2.0 * inv_n * cross.real.sum()
-        bloch[k, 1] = 2.0 * inv_n * cross.imag.sum()
-        bloch[k, 2] = inv_n * (np.abs(p0) ** 2 - np.abs(p1) ** 2).sum()
-    return bloch, np.abs(p1)
-
-
-def em_final(tc, pc, tf, b0, alpha, beta, eta, pref, hbar, lams, psi0, dw, steps):
-    """Final fidelities |psi_1(tf)| of one Euler-Maruyama ensemble per noise
-    strength in lams, all run in lock step on the same increments.
-
-    dw yields (n_traj, c) blocks covering the steps, as for em_ensemble.
-    Returns a (len(lams), n_traj) array; row g equals em_ensemble's
-    fidelities at lams[g] bit for bit.
-    """
-    for p0, p1 in _em_lockstep(tc, pc, tf, b0, alpha, beta, eta, pref, hbar,
-                               np.reshape(np.asarray(lams, dtype=float), (-1, 1)),
-                               psi0, dw, steps):
-        pass
     return np.abs(p1)
 
-
-def em_states(tc, pc, tf, b0, alpha, beta, eta, pref, hbar, lam, psi0, dw, steps):
-    """Single Euler-Maruyama trajectory storing the full state history.
-
-    dw has shape (steps,); returns (steps+1, 2) complex amplitudes,
-    renormalized each step.
-    """
-    traj = np.empty((steps + 1, 2), dtype=np.complex128)
-    for k, (p0, p1) in enumerate(_em_lockstep(tc, pc, tf, b0, alpha, beta, eta, pref,
-                                              hbar, np.full((1, 1), lam), psi0,
-                                              [dw[None, :]], steps)):
-        traj[k] = p0[0, 0], p1[0, 0]
-    return traj

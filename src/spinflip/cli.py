@@ -131,10 +131,13 @@ def _validate(config: dict) -> None:
 def material_from(config: dict) -> MaterialParams:
     mat = config["material"]
     ha = mat["hbar_alpha_meV_cm"]
-    return MaterialParams(hbar_alpha=ha,
-                          hbar_beta=ha * mat["beta_over_alpha"],
-                          g=mat["g_factor"],
-                          xi_x=mat["xi_x"], xi_y=mat["xi_y"])
+    try:
+        return MaterialParams(hbar_alpha=ha,
+                              hbar_beta=ha * mat["beta_over_alpha"],
+                              g=mat["g_factor"],
+                              xi_x=mat["xi_x"], xi_y=mat["xi_y"])
+    except ValueError as exc:
+        raise ConfigError(f"material: {exc}") from exc
 
 
 def design_from(config: dict) -> TrajectoryDesign:
@@ -209,6 +212,8 @@ def cmd_simulate(config: dict, args) -> int:
     phi0 = args.phi0 if args.phi0 is not None else np.pi / 2
     if not 0.0 <= eps < 1.0:
         raise ConfigError(f"epsilon must lie in [0, 1), got {eps}")
+    if not math.isfinite(phi0):
+        raise ConfigError(f"phi0 must be finite, got {phi0}")
     psi0 = np.array([np.sqrt(1.0 - eps) * np.exp(1j * phi0), np.sqrt(eps)],
                     dtype=complex)
     traj = propagate_bloch(design, gamma=gamma, lambda0=lambda0, channel=channel,
@@ -232,15 +237,19 @@ def cmd_simulate(config: dict, args) -> int:
 
 
 def cmd_b0max(config: dict, args) -> int:
-    if not (0.0 < args.tf_min < args.tf_max):
+    if not (0.0 < args.tf_min < args.tf_max < math.inf):
         raise ConfigError(
-            f"need 0 < tf_min < tf_max, got {args.tf_min}, {args.tf_max}")
+            f"need finite 0 < tf_min < tf_max, got {args.tf_min}, {args.tf_max}")
     if args.points < 2:
         raise ConfigError(f"points must be >= 2, got {args.points}")
     mat = material_from(config)
     table = OutputTable(columns=["tf_ns", "b0max_T"], meta=_meta(config))
-    for tf in np.linspace(args.tf_min, args.tf_max, args.points):
-        table.add_row(float(tf), compute_b0_max(float(tf), mat))
+    for tf in np.linspace(args.tf_min, args.tf_max, args.points).tolist():
+        try:
+            b0max = compute_b0_max(tf, mat)
+        except ValueError as exc:
+            raise ConfigError(f"B0_max at tf={tf} ns: {exc}") from exc
+        table.add_row(tf, b0max)
     _write(table, config, args.out)
     return 0
 

@@ -27,7 +27,8 @@ class MaterialParams:
         Rashba and Dresselhaus couplings in meV cm.  Both must be nonzero:
         the electric-field map divides by the corresponding velocities.
     g : float
-        Signed Lande factor (-0.44 for GaAs).
+        Signed Lande factor (-0.44 for GaAs), nonzero: the fields divide by
+        eta = g mu_B / hbar.
     xi_x, xi_y : float
         Dimensionless orbital-correction factors renormalizing the drive
         fields (0 when higher orbitals are neglected).
@@ -48,6 +49,8 @@ class MaterialParams:
             raise ValueError("hbar_alpha must be nonzero")
         if self.hbar_beta == 0.0:
             raise ValueError("hbar_beta must be nonzero")
+        if self.g == 0.0:
+            raise ValueError("g must be nonzero")
 
     @property
     def alpha(self) -> float:

@@ -227,66 +227,40 @@ def _increment_blocks(seed: int, n_traj: int, steps: int, dt: float,
 
 
 @dataclass(frozen=True)
-class SSETrajectory:
-    times: np.ndarray
-    states: np.ndarray  # (n+1, 2)
-    bloch: np.ndarray   # (n+1, 3)
-
-    @property
-    def final_fidelity(self) -> float:
-        return float(np.abs(self.states[-1, 1]))
-
-
-def sse_trajectory(design: TrajectoryDesign, noise: NoiseParams,
-                   steps: int = 10000) -> SSETrajectory:
-    """One Euler-Maruyama trajectory of the stochastic Schrodinger equation.
-
-    Uses the x-only noise operator (the stochastic term has no as-printed
-    operator form); deterministic for a fixed seed.
-    """
-    _check_steps(steps)
-    require_cancellable(design)
-    dw = next(_increment_blocks(noise.seed, 1, steps, design.tf / steps, steps))
-    lam = noise.lambda0 * np.sqrt(design.tf)
-    states = K.em_states(*design.kernel_args(), 0.5 * design.mat.g * MU_B, HBAR, lam,
-                         _PSI_UP, dw[0], steps)
-    if np.isnan(states).any():
-        raise IntegratorError("SSE trajectory produced non-finite amplitudes")
-    cross = states[:, 0] * states[:, 1].conjugate()
-    bloch = np.column_stack([2.0 * cross.real, 2.0 * cross.imag,
-                             np.abs(states[:, 0])**2 - np.abs(states[:, 1])**2])
-    return SSETrajectory(times=np.linspace(0.0, design.tf, steps + 1),
-                         states=states, bloch=bloch)
-
-
-@dataclass(frozen=True)
 class EnsembleResult:
-    times: np.ndarray
-    mean_bloch: np.ndarray      # (n+1, 3)
     fidelities: np.ndarray      # per-trajectory |psi_down(tf)|
     fidelity_mean: float
     fidelity_se: float
 
 
+def _em_fidelities(design: TrajectoryDesign, lambda0s, seed: int, n_traj: int,
+                   steps: int) -> np.ndarray:
+    """Per-trajectory final fidelities, one row per lambda0, from one
+    lock-step ensemble on one stream of increments."""
+    _check_steps(steps)
+    lams = [NoiseParams(float(l0), "x-only", seed, n_traj).lambda0 * np.sqrt(design.tf)
+            for l0 in lambda0s]
+    require_cancellable(design)
+    dw = _increment_blocks(seed, n_traj, steps, design.tf / steps)
+    fid = K.em_final(*design.kernel_args(), 0.5 * design.mat.g * MU_B, HBAR, lams,
+                     _PSI_UP, dw, steps)
+    if np.isnan(fid).any():
+        raise IntegratorError("ensemble propagation produced non-finite components")
+    return fid
+
+
 def ensemble_average(design: TrajectoryDesign, noise: NoiseParams,
                      steps: int = 10000) -> EnsembleResult:
-    """Monte Carlo ensemble of SSE trajectories, averaged in lockstep.
+    """Monte Carlo ensemble of stochastic Schrodinger trajectories under the
+    x-only noise operator, read at t_f.
 
-    The mean Bloch trajectory converges (weakly, order dt) to the x-only
-    master equation; the spread yields the standard error of the fidelity.
+    The ensemble-mean fidelity converges (weakly, order dt) to that of the
+    x-only master equation, and the spread yields its standard error.  One
+    seeded trajectory is the ensemble of n_traj = 1.
     """
-    _check_steps(steps)
-    require_cancellable(design)
-    dw = _increment_blocks(noise.seed, noise.n_traj, steps, design.tf / steps)
-    lam = noise.lambda0 * np.sqrt(design.tf)
-    bloch, fid = K.em_ensemble(*design.kernel_args(), 0.5 * design.mat.g * MU_B, HBAR,
-                               lam, _PSI_UP, dw, steps)
-    if np.isnan(bloch).any():
-        raise IntegratorError("ensemble propagation produced non-finite components")
+    fid = _em_fidelities(design, [noise.lambda0], noise.seed, noise.n_traj, steps)[0]
     mean, se = _fidelity_stats(fid)
-    return EnsembleResult(times=np.linspace(0.0, design.tf, steps + 1),
-                          mean_bloch=bloch, fidelities=fid,
-                          fidelity_mean=mean, fidelity_se=se)
+    return EnsembleResult(fidelities=fid, fidelity_mean=mean, fidelity_se=se)
 
 
 def ensemble_sweep(design: TrajectoryDesign, lambda0s, seed: int, n_traj: int,
@@ -299,16 +273,8 @@ def ensemble_sweep(design: TrajectoryDesign, lambda0s, seed: int, n_traj: int,
     "x-only", seed, n_traj), steps) bit for bit.  Memory does not grow with
     steps: the increments arrive in blocks of INCREMENT_BLOCK steps.
     """
-    _check_steps(steps)
-    lams = [NoiseParams(float(l0), "x-only", seed, n_traj).lambda0 * np.sqrt(design.tf)
-            for l0 in lambda0s]
-    require_cancellable(design)
-    dw = _increment_blocks(seed, n_traj, steps, design.tf / steps)
-    fid = K.em_final(*design.kernel_args(), 0.5 * design.mat.g * MU_B, HBAR, lams,
-                     _PSI_UP, dw, steps)
-    if np.isnan(fid).any():
-        raise IntegratorError("ensemble propagation produced non-finite components")
-    return [_fidelity_stats(row) for row in fid]
+    return [_fidelity_stats(row)
+            for row in _em_fidelities(design, lambda0s, seed, n_traj, steps)]
 
 
 def _fidelity_stats(fid: np.ndarray) -> tuple[float, float]:

@@ -99,6 +99,11 @@ class TestSimulate:
         _, _, rows = parse_csv(out)
         assert rows[0, 3] == pytest.approx(1 - 2 * 0.01, abs=1e-12)
         assert rows[-1, 3] == pytest.approx(-1 + 2 * 0.01, abs=5e-3)
+        # a non-finite phase is a bad input, not a propagation failure (exit 4)
+        for phi0 in ("nan", "inf"):
+            code, out, err = invoke(["simulate", "--phi0", phi0, "--steps", "1000"])
+            assert code == 2
+            assert out == "" and "phi0 must be finite" in err
 
 
 class TestB0Max:
@@ -114,6 +119,19 @@ class TestB0Max:
     def test_bad_range_exits_2(self):
         code, _, _ = invoke(["b0max", "--tf-min", "2.0", "--tf-max", "1.0"])
         assert code == 2
+
+    def test_infinite_bound_exits_2(self):
+        # np.linspace to inf gave a NaN t_f deep inside compute_b0_max
+        code, out, err = invoke(["b0max", "--tf-min", "0.2", "--tf-max", "inf"])
+        assert code == 2
+        assert out == "" and "finite" in err
+
+    def test_limit_above_bracket_exits_2(self):
+        # B0_max grows as t_f shrinks and passes the 10 T bracket near 0.1 ns
+        code, out, err = invoke(["b0max", "--tf-min", "0.05", "--tf-max", "0.1",
+                                 "--points", "2"])
+        assert code == 2
+        assert out == "" and "tf=0.05 ns" in err
 
 
 class TestSweep:
@@ -352,6 +370,20 @@ class TestConfigHandling:
         [(section, leaf)] = doc.items()
         assert code == 2
         assert out == "" and f"{section}.{next(iter(leaf))} must be" in err
+
+    @pytest.mark.parametrize("material", [
+        {"hbar_alpha_meV_cm": 1.0e+300, "beta_over_alpha": 1.0e+300},
+        {"hbar_alpha_meV_cm": 1.0e-300, "beta_over_alpha": 1.0e-300},
+        {"g_factor": 0.0},
+    ], ids=["hbar_beta-overflow", "hbar_beta-underflow", "g_factor-zero"])
+    def test_material_rejected_by_params(self, tmp_path, material):
+        # finite leaves whose product is not, and a g that zeroes eta, are
+        # config errors, not a ValueError traceback or a false singularity
+        cfg = tmp_path / "bad.yaml"
+        cfg.write_text(yaml.safe_dump({"material": material}))
+        code, out, err = invoke(["design", "--config", str(cfg)])
+        assert code == 2
+        assert out == "" and err.startswith("error: material: ")
 
     @pytest.mark.parametrize("argv", [["design", "--tf", "nan"],
                                       ["simulate", "--gamma", "nan", "--steps", "1000"]],

@@ -125,6 +125,12 @@ class TestMaterialParams:
         with pytest.raises(ValueError):
             MaterialParams(hbar_alpha=1e-6, hbar_beta=0.0, g=-0.44)
 
+    def test_zero_g_rejected(self):
+        # the fields divide by eta = g mu_B / hbar; g = 0 used to surface as
+        # a non-cancellable singularity
+        with pytest.raises(ValueError, match="g must be nonzero"):
+            MaterialParams(hbar_alpha=2e-6, hbar_beta=1e-6, g=0.0)
+
     def test_nonfinite_rejected(self):
         with pytest.raises(ValueError):
             MaterialParams(hbar_alpha=np.nan, hbar_beta=1e-6, g=-0.44)

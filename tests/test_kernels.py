@@ -6,12 +6,11 @@ same expression.  Each RK4 propagator, and the density matrix run on its
 Bloch vector, must stay within 1e-12 of a step-by-step RK4 loop written here
 over the reference right-hand sides in ``tests/oracles.py`` and
 :func:`spinflip.build_heff`, at step counts below one scan block and across
-a block boundary that is not a block multiple.  The Euler-Maruyama kernels,
-their increments handed over in blocks, must stay within 1e-12 of a
+a block boundary that is not a block multiple.  The Euler-Maruyama kernel,
+its increments handed over in blocks, must stay within 1e-12 of a
 step-by-step loop over :func:`spinflip.build_heff` and
-``oracles.xonly_hprime``; the lock-step grid's rows must equal one
-ensemble per noise strength bit for bit, and the loop, which steps in place,
-must yield the same two buffers at every step.
+``oracles.xonly_hprime``, and each row of its lock-step noise-strength grid
+must equal a one-strength run bit for bit.
 """
 
 import ast
@@ -24,7 +23,7 @@ import pytest
 from spinflip import (FieldTriple, NoiseParams, SingularityError,
                       TrajectoryDesign, build_heff, detect_singularities,
                       ensemble_average, fields_xyz_at, propagate_bloch,
-                      propagate_density, propagate_schrodinger, sse_trajectory)
+                      propagate_density, propagate_schrodinger)
 from spinflip import _kernels as K
 from spinflip.constants import HBAR, MU_B
 from spinflip.opensys import dephasing_sweep, ensemble_sweep
@@ -226,25 +225,6 @@ def em_reference(design, mat, fields, lam, psi0, dw):
     return out
 
 
-def test_em_ensemble_matches(args, design, mat, pref, fields):
-    psi0 = np.array([0.6, 0.8j])
-    lam, steps = 0.2, 300
-    dw = np.random.default_rng(0).normal(0.0, np.sqrt(design.tf / steps), (8, steps))
-    ref = em_reference(design, mat, fields, lam, psi0, dw)
-    cross = ref[..., 0] * ref[..., 1].conj()
-    ref_bloch = np.stack([2.0 * cross.real, 2.0 * cross.imag,
-                          np.abs(ref[..., 0])**2 - np.abs(ref[..., 1])**2], axis=-1).mean(axis=0)
-    # the increments arrive in blocks of uneven width, as a stream would
-    bloch, fid = K.em_ensemble(*args, pref, HBAR, lam, psi0,
-                               np.split(dw, (100, 250), axis=1), steps)
-    assert bloch.shape == (steps + 1, 3) and fid.shape == (8,)
-    assert np.abs(bloch - ref_bloch).max() < TOL
-    assert np.abs(fid - np.abs(ref[:, -1, 1])).max() < TOL
-    for i in (0, 5):
-        states = K.em_states(*args, pref, HBAR, lam, psi0, dw[i], steps)
-        assert np.abs(states - ref[i]).max() < TOL, i
-
-
 def test_em_final_matches(args, design, mat, pref, fields):
     # a noise-strength grid as one lock-step ensemble on shared increments
     psi0 = np.array([0.6, 0.8j])
@@ -258,34 +238,17 @@ def test_em_final_matches(args, design, mat, pref, fields):
         assert np.abs(row - np.abs(ref[:, -1, 1])).max() < TOL, lam
 
 
-def test_em_final_rows_equal_em_ensemble(args, design, pref):
-    # the lock-step grid and one ensemble per lam, on the same uneven blocks
+def test_em_final_rows_equal_one_strength_runs(args, design, pref):
+    # the lock-step grid and one run per lam, on the same uneven blocks
     psi0 = np.array([0.6, 0.8j])
     lams, steps = (0.0, 0.2, 0.45), 300
     dw = np.random.default_rng(2).normal(0.0, np.sqrt(design.tf / steps), (8, steps))
     fid = K.em_final(*args, pref, HBAR, lams, psi0, np.split(dw, (100, 250), axis=1),
                      steps)
     for row, lam in zip(fid, lams):
-        _, ref = K.em_ensemble(*args, pref, HBAR, lam, psi0,
-                               np.split(dw, (100, 250), axis=1), steps)
-        assert np.array_equal(row, ref), lam
-
-
-def test_em_lockstep_reuses_its_buffers(args, design, pref):
-    # the step runs in place: every step yields the same two arrays, and
-    # the states read before advancing are those em_states records
-    psi0 = np.array([0.6, 0.8j])
-    steps = 300
-    dw = np.random.default_rng(3).normal(0.0, np.sqrt(design.tf / steps), (1, steps))
-    seen, values = set(), []
-    for p0, p1 in K._em_lockstep(*args, pref, HBAR, np.full((1, 1), 0.2), psi0,
-                                 np.split(dw, (100, 250), axis=1), steps):
-        seen.add((id(p0), id(p1)))
-        values.append((p0[0, 0], p1[0, 0]))
-    assert len(seen) == 1 and len(values) == steps + 1
-    assert values[0] == (psi0[0], psi0[1])
-    states = K.em_states(*args, pref, HBAR, 0.2, psi0, dw[0], steps)
-    assert np.array_equal(np.array(values), states)
+        ref = K.em_final(*args, pref, HBAR, [lam], psi0,
+                         np.split(dw, (100, 250), axis=1), steps)
+        assert np.array_equal(row, ref[0]), lam
 
 
 def test_seeded_ensemble_values_pinned(design):
@@ -335,18 +298,17 @@ def test_propagate_bloch_rejects_noncancellable_design(design):
     lambda d: propagate_density(d, lambda0=0.1, channel="x-only"),
     lambda d: ensemble_average(d, NoiseParams(lambda0=0.1, channel="x-only", n_traj=8),
                                steps=2000),
-    lambda d: sse_trajectory(d, NoiseParams(lambda0=0.1), steps=2000),
     lambda d: propagate_schrodinger(d, np.array([1.0, 0.0])),
     lambda d: dephasing_sweep(d, [0.0, 0.5]),
     lambda d: ensemble_sweep(d, [0.1, 0.2], seed=0, n_traj=8, steps=2000),
-], ids=["propagate_density", "ensemble_average", "sse_trajectory",
-        "propagate_schrodinger", "dephasing_sweep", "ensemble_sweep"])
+], ids=["propagate_density", "ensemble_average", "propagate_schrodinger",
+        "dephasing_sweep", "ensemble_sweep"])
 def test_propagators_check_design_first(design, call, monkeypatch):
     # at B0 = 2 T the other library propagators, too, raise before any
     # kernel runs
     def refuse(*args, **kwargs):
         raise AssertionError("propagated an over-limit design")
-    for name in ("rk4_bloch", "rk4_spin", "em_ensemble", "em_final", "em_states"):
+    for name in ("rk4_bloch", "rk4_spin", "em_final"):
         monkeypatch.setattr(K, name, refuse)
     with pytest.raises(SingularityError, match="non-cancellable"):
         call(TrajectoryDesign.design(1.0, 2.0, design.mat))
