@@ -10,10 +10,14 @@ step is a real transfer matrix built from fields evaluated on all stage
 times at once (see :func:`_rk4_linear`).  The one Euler-Maruyama kernel,
 :func:`em_final`, runs a lock-step loop over a (noise strength, trajectory)
 array: a noise-strength grid runs as one ensemble on shared increments,
-which arrive in blocks of steps, and each block's coefficients come from one
-field evaluation on its part of the step grid.  Its step runs in place on
-state and scratch buffers allocated once per call, so it allocates no array
-per step, and it returns the final fidelities only.
+which arrive in blocks of steps.  It too runs on the real 4-vector
+(Re psi0, Im psi0, Re psi1, Im psi1): each block's real 4x8 step matrices
+[D | S] (drift and noise) come from one field evaluation on its part of
+the step grid, and a step is one elementwise product (dW y) and one batched
+matmul between two state buffers allocated once per call.  The linear step
+needs no renormalization to keep |psi_1| / |psi|, so states are rescaled
+every RENORM_EVERY steps of the global step index and at t_f, and only the
+final fidelities are returned.
 
 Angle cubics enter as raw coefficient arrays (rad/ns^j); material parameters
 as scalars.  Error signalling is NaN poisoning: a non-cancellable
@@ -48,6 +52,10 @@ NONCANCEL_TOL = 1e-6
 # less, and the per-call numpy overhead, paid while holding the interpreter
 # lock, starts to dominate the Bloch sweeps.
 BLOCK_BYTES = 1 << 17
+# Euler-Maruyama steps between renormalizations of the states.  The step is
+# linear, so rescaling does not move |psi_1| / |psi| in exact arithmetic;
+# the norms drift only by O(dt) factors per step, far from overflow.
+RENORM_EVERY = 256
 
 
 def poly3(c, t):
@@ -290,84 +298,50 @@ def em_final(tc, pc, tf, b0, alpha, beta, eta, pref, hbar, lams, psi0, dw, steps
     strength, every trajectory in lock step on the same increments.
 
     dw yields (n_traj, c) blocks of increments whose widths add up to steps,
-    so the whole (n_traj, steps) array need never exist.  A block's drift
-    and noise coefficients come from one field evaluation on its part of the
-    step grid k tf / steps, as (c, G, 1) arrays; the lam-free a01 and a10 as
-    Python complex scalars.  Each step renormalizes the states, in place on
-    buffers allocated once per call.  Every elementwise operation and its
-    operand order are those of n0 = (a00 p0 + a01 p1) dt + (s00 p0 + s01 p1)
-    dW, p0 += n0 (and n1, p1 alike), p /= |p|, so the states equal that
-    expression bit for bit.
+    so the whole (n_traj, steps) array need never exist.  On the real state
+    y = (Re psi0, Im psi0, Re psi1, Im psi1) a step of strength lam is
+
+        y <- D y + S (dW y),  D = (1 - kappa lam^2 dt / 2) I + dt real(-iH/hbar),
+                              S = lam real(-iH'/hbar),
+
+    with H' = H(0, Y, Z') and kappa = (pref/hbar)^2 (Y^2 + Z'^2), since
+    H'^2 = pref^2 (Y^2 + Z'^2) I.  A block's matrices W = [D | S] come from
+    one field evaluation on its part of the step grid k tf / steps, as one
+    (c, G, 4, 8) array.  The state lives in the upper half of one of two
+    (8, G, n_traj) buffers; a step writes dW y into its lower half and one
+    batched matmul of W with it into the upper half of the other.  The step
+    is linear and a positive scale leaves |psi_1| / |psi| alone, so the
+    states are renormalized only every RENORM_EVERY steps of the global step
+    index, and at tf; the result does not depend on how dw is blocked.  Each
+    row equals its one-strength run bit for bit, but trajectory i of an
+    n_traj run may differ in its last bit from a run of that one trajectory,
+    as the BLAS kernel may treat a matrix column by its position.
     """
-    lam = np.reshape(np.asarray(lams, dtype=float), (-1, 1))
+    lam = np.asarray(lams, dtype=float)
     dt = tf / steps
-    # -+i lam / hbar in Python complex arithmetic, as for a scalar lam: numpy's
-    # complex division multiplies by the reciprocal, which can move the last bit
-    minus = np.array([-1j * v / hbar for v in lam[:, 0].tolist()], dtype=complex)[:, None]
-    plus = np.array([1j * v / hbar for v in lam[:, 0].tolist()], dtype=complex)[:, None]
     start = 0
     for block in dw:
         width = block.shape[1]
-        x, y, z = (v[:, None, None] for v in _xyz(np.arange(start, start + width) * dt,
-                                                  tc, pc, tf, b0, alpha, beta, eta))
+        x, y, z = _xyz(np.arange(start, start + width) * dt, tc, pc, tf, b0, alpha, beta, eta)
         zp = z - b0
-        h00 = pref * z
-        h01 = pref * (x + 1j * y)
-        q00 = pref * zp
-        q01 = pref * (1j * y)
-        # Hp^2 = pref^2 (Y^2 + Z'^2) * identity
-        drift = -0.5 * lam * lam * pref * pref * (y * y + zp * zp) / (hbar * hbar)
-        a00 = -1j / hbar * h00 + drift
-        a01 = (-1j / hbar * h01).ravel().tolist()
-        a10 = (-1j / hbar * h01.conjugate()).ravel().tolist()
-        a11 = 1j / hbar * h00 + drift
-        s00 = minus * q00
-        s01 = minus * q01
-        s10 = minus * q01.conjugate()
-        s11 = plus * q00
+        decay = 1.0 - 0.5 * dt * (pref / hbar) ** 2 * (y * y + zp * zp)[:, None] * (lam * lam)
+        w = np.empty((width, lam.shape[0], 4, 8))
+        w[..., :4] = dt * _spin_generator(x, y, z, pref, hbar)[:, None]
+        w[..., :4] += decay[..., None, None] * np.eye(4)
+        w[..., 4:] = lam[:, None, None] * _spin_generator(np.zeros_like(y), y, zp, pref,
+                                                          hbar)[:, None]
         if start == 0:
-            state = np.empty((2, lam.shape[0], block.shape[0]), dtype=np.complex128)
-            state[0], state[1] = psi0[0], psi0[1]
-            p0, p1 = state
-            n0, n1, t0, t1 = np.empty((4,) + p0.shape, dtype=np.complex128)
-            n0_re, n1_re = n0.view(float), n1.view(float)
-            mag = np.empty(state.shape)
-            norm = np.empty(p0.shape)
-            # each reciprocal norm twice, once for Re and once for Im
-            inv = np.empty(p0.shape + (2,))
-            state_re = state.view(float).reshape(state.shape + (2,))
-        for k, dwk in enumerate(np.ascontiguousarray(block.T)):
-            # n0 = (a00 p0 + a01 p1) dt + (s00 p0 + s01 p1) dW, and n1 alike.
-            # A complex times the real dt is (re dt, im dt), as on the float view.
-            np.multiply(a00[k], p0, out=n0)
-            np.multiply(a01[k], p1, out=t0)
-            np.add(n0, t0, out=n0)
-            np.multiply(n0_re, dt, out=n0_re)
-            np.multiply(s00[k], p0, out=t0)
-            np.multiply(s01[k], p1, out=t1)
-            np.add(t0, t1, out=t0)
-            np.multiply(t0, dwk, out=t0)
-            np.add(n0, t0, out=n0)
-            np.multiply(a10[k], p0, out=n1)
-            np.multiply(a11[k], p1, out=t0)
-            np.add(n1, t0, out=n1)
-            np.multiply(n1_re, dt, out=n1_re)
-            np.multiply(s10[k], p0, out=t0)
-            np.multiply(s11[k], p1, out=t1)
-            np.add(t0, t1, out=t0)
-            np.multiply(t0, dwk, out=t0)
-            np.add(n1, t0, out=n1)
-            np.add(p0, n0, out=p0)
-            np.add(p1, n1, out=p1)
-            # numpy divides a complex by a real as (re, im) * (1 / real), so
-            # scaling Re and Im by the reciprocal renormalizes bit for bit
-            np.abs(state, out=mag)
-            np.square(mag, out=mag)
-            np.add(mag[0], mag[1], out=norm)
-            np.sqrt(norm, out=norm)
-            np.divide(1.0, norm, out=inv[..., 0])
-            inv[..., 1] = inv[..., 0]
-            np.multiply(state_re, inv, out=state_re)
+            bufs = np.empty((2, 8, lam.shape[0], block.shape[0]))
+            bufs[0, :4] = np.ascontiguousarray(psi0, dtype=np.complex128).view(float)[:, None, None]
+            # per strength, (8, n_traj) and (4, n_traj) matrices in the buffers
+            mats = bufs.transpose(0, 2, 1, 3)
+        for k, dwk in enumerate(np.ascontiguousarray(block.T), start):
+            state, nxt = bufs[k % 2], bufs[(k + 1) % 2, :4]
+            np.multiply(state[:4], dwk, out=state[4:])
+            np.matmul(w[k - start], mats[k % 2], out=mats[(k + 1) % 2, :, :4])
+            if (k + 1) % RENORM_EVERY == 0:
+                nxt /= np.linalg.norm(nxt, axis=0)
         start += width
-    return np.abs(p1)
-
+    final = bufs[steps % 2, :4]
+    final /= np.linalg.norm(final, axis=0)
+    return np.hypot(final[2], final[3])

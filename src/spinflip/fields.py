@@ -239,12 +239,15 @@ def design_is_realizable(design: TrajectoryDesign, grid: int = 1001) -> bool:
     return len(rep.times) == 1 and rep.all_cancellable
 
 
-def compute_b0_max(tf: float, mat: MaterialParams, b0_hi: float = 10.0,
+def compute_b0_max(tf: float, mat: MaterialParams, b0_hi: float | None = None,
                    grid: int = 1001, tol: float = 1e-3) -> float:
     """Largest B0 for which the design keeps a single (removable) singularity.
 
-    Bisection on B0 of the single-root predicate; `b0_hi` must already show
-    extra roots, else ValueError asks for a larger bracket.
+    Bisection on B0 of the single-root predicate.  A given `b0_hi` must
+    already show extra roots, else ValueError asks for a larger bracket.
+    Without one the bracket starts at 10 T and doubles, at most 16 times,
+    while the predicate still holds there: B0_max * tf stays near
+    1.16 T ns, so short pulses need more than 10 T.
     """
     if not tf > 0.0:
         raise ValueError(f"tf must be positive, got {tf}")
@@ -252,13 +255,15 @@ def compute_b0_max(tf: float, mat: MaterialParams, b0_hi: float = 10.0,
     def single(b0: float) -> bool:
         return design_is_realizable(TrajectoryDesign.design(tf, b0, mat), grid)
 
-    lo = min(1e-3, 0.1 * b0_hi)
+    hi, doublings = (10.0, 16) if b0_hi is None else (b0_hi, 0)
+    lo = min(1e-3, 0.1 * hi)
     if not single(lo):
         raise ValueError(f"no single-singularity design even at B0={lo} T")
-    if single(b0_hi):
-        raise ValueError(
-            f"single singularity still holds at B0={b0_hi} T; raise b0_hi to bracket the limit")
-    hi = b0_hi
+    while single(hi):
+        if not doublings:
+            raise ValueError(
+                f"single singularity still holds at B0={hi} T; raise b0_hi to bracket the limit")
+        hi, doublings = 2.0 * hi, doublings - 1
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
         if single(mid):

