@@ -1,23 +1,23 @@
 """Hot numeric kernels: field synthesis, RK4 propagators, Euler-Maruyama.
 
-Everything here is plain numpy.  The scalar per-point field functions serve
-single-instant callers and the guard-window points of the field grids; the
-grids themselves, the denominator scan and every propagator are vectorized
-over time.  The two RK4 equations, Bloch (3x3, with dephasing and either
-source-noise channel) and Schrodinger (run on (Re psi, Im psi) as a 4x4),
-are real and linear with coefficients that depend on t alone, so every RK4
-step is a real transfer matrix built from fields evaluated on all stage
-times at once (see :func:`_rk4_linear`).  The one Euler-Maruyama kernel,
-:func:`em_final`, runs a lock-step loop over a (noise strength, trajectory)
-array: a noise-strength grid runs as one ensemble on shared increments,
-which arrive in blocks of steps.  It too runs on the real 4-vector
-(Re psi0, Im psi0, Re psi1, Im psi1): each block's real 4x8 step matrices
-[D | S] (drift and noise) come from one field evaluation on its part of
-the step grid, and a step is one elementwise product (dW y) and one batched
-matmul between two state buffers allocated once per call.  The linear step
-needs no renormalization to keep |psi_1| / |psi|, so states are rescaled
-every RENORM_EVERY steps of the global step index and at t_f, and only the
-final fidelities are returned.
+Everything here is plain numpy.  The drive fields have one kernel,
+:func:`b1_b2`, over an array of times, guard-window points included; the
+only scalar evaluation on math functions is :func:`_denominator`, the probe
+of the singularity bisection.  The two RK4 equations, Bloch (3x3, with
+dephasing and either source-noise channel) and Schrodinger (run on (Re psi,
+Im psi) as a 4x4), are real and linear with coefficients that depend on t
+alone, so every RK4 step is a real transfer matrix built from fields
+evaluated on all stage times at once (see :func:`_rk4_linear`).  The one
+Euler-Maruyama kernel, :func:`em_final`, runs a lock-step loop over a (noise
+strength, trajectory) array: a noise-strength grid runs as one ensemble on
+shared increments, which arrive in blocks of steps.  It too runs on the real
+4-vector (Re psi0, Im psi0, Re psi1, Im psi1): each block's real 4x8 step
+matrices [D | S] (drift and noise) come from one field evaluation on its
+part of the step grid, and a step is one elementwise product (dW y) and one
+batched matmul between two state buffers allocated once per call.  The linear
+step needs no renormalization to keep |psi_1| / |psi|, so states are
+rescaled every RENORM_EVERY steps of the global step index and at t_f, and
+only the final fidelities are returned.
 
 Angle cubics enter as raw coefficient arrays (rad/ns^j); material parameters
 as scalars.  Error signalling is NaN poisoning: a non-cancellable
@@ -66,86 +66,56 @@ def dpoly3(c, t):
     return (3.0 * c[3] * t + 2.0 * c[2]) * t + c[1]
 
 
-def _parts(cot, sph, cph, thd, phd, b0, alpha, beta, eta):
-    # shared by the scalar and the vectorized field synthesis
-    n1 = -beta * thd * cot * cph + beta * (phd + eta * b0) * sph
-    n2 = alpha * thd * cot * sph + alpha * (phd + eta * b0) * cph - beta * thd
-    d0 = alpha * cot - beta * sph
-    return n1, n2, d0
-
-
 def field_parts(t, tc, pc, b0, alpha, beta, eta):
-    """Numerators of B1, B2 and the shared denominator factor (no eta, no xi).
+    """Numerators of B1, B2, the shared denominator factor (no eta, no xi)
+    and the numerators' scale, at a time or an array of times.
 
-    Returns (n1, n2, d0) with d0 = alpha*cot(theta) - beta*sin(phi);
-    B1 = n1 / (eta (1+xi_x) d0), B2 = n2 / (eta (1+xi_y) d0).
+    Returns (n1, n2, d0, scale) with d0 = alpha*cot(theta) - beta*sin(phi),
+    B1 = n1 / (eta (1+xi_x) d0), B2 = n2 / (eta (1+xi_y) d0), and
+    scale = |beta thetad| + |beta (phid + eta B0)|, which the numerators at
+    a root of d0 must be small against to cancel.
     """
     th = poly3(tc, t)
     ph = poly3(pc, t)
-    return _parts(math.cos(th) / math.sin(th), math.sin(ph), math.cos(ph),
-                  dpoly3(tc, t), dpoly3(pc, t), b0, alpha, beta, eta)
+    cot, sph, cph = np.cos(th) / np.sin(th), np.sin(ph), np.cos(ph)
+    thd, drive = dpoly3(tc, t), dpoly3(pc, t) + eta * b0
+    n1 = -beta * thd * cot * cph + beta * drive * sph
+    n2 = alpha * thd * cot * sph + alpha * drive * cph - beta * thd
+    d0 = alpha * cot - beta * sph
+    return n1, n2, d0, np.abs(beta * thd) + np.abs(beta * drive)
 
 
-def b1_b2(t, tc, pc, tf, b0, alpha, beta, eta, xi_x, xi_y):
-    """Effective drive fields (B1, B2) in T at one instant.
+def b1_b2(ts, tc, pc, tf, b0, alpha, beta, eta, xi_x, xi_y):
+    """Effective drive fields (B1, B2) in T at an array of times.
 
-    Returns exact zero limits inside the endpoint clamp, the L'Hopital value
-    inside the denominator guard, and (NaN, NaN) when the guarded point does
-    not satisfy numerator cancellation.
-    """
-    edge = EDGE_FRAC * tf
-    if t < edge or t > tf - edge:
-        return 0.0, 0.0
-    n1, n2, d0 = field_parts(t, tc, pc, b0, alpha, beta, eta)
-    fx = 1.0 + xi_x
-    fy = 1.0 + xi_y
-    if abs(d0) < DEN_GUARD * alpha:
-        thd = dpoly3(tc, t)
-        phd = dpoly3(pc, t)
-        scale = abs(beta * thd) + abs(beta * (phd + eta * b0))
-        if abs(n1) > NONCANCEL_TOL * scale or abs(n2) > NONCANCEL_TOL * scale:
-            return np.nan, np.nan
-        h = LHOP_STEP * tf
-        n1p, n2p, d0p = field_parts(t + h, tc, pc, b0, alpha, beta, eta)
-        n1m, n2m, d0m = field_parts(t - h, tc, pc, b0, alpha, beta, eta)
-        dd = d0p - d0m
-        if dd == 0.0:
-            return np.nan, np.nan
-        return (n1p - n1m) / (eta * fx * dd), (n2p - n2m) / (eta * fy * dd)
-    return n1 / (eta * fx * d0), n2 / (eta * fy * d0)
-
-
-def _b1_b2(ts, tc, pc, tf, b0, alpha, beta, eta, xi_x, xi_y):
-    """b1_b2 over an array of times, bit-identical to it point by point.
-
-    The common branch is evaluated in one pass; endpoint-clamp points get
-    the zero limits, and the few points inside the denominator guard window
-    go through the scalar b1_b2 (L'Hopital value or NaN poisoning).
+    Points inside the endpoint clamp get the exact zero limits.  Points
+    inside the denominator guard window get the L'Hopital value, or NaN
+    when their numerators do not cancel.
     """
     ts = np.asarray(ts, dtype=float)
-    with np.errstate(all="ignore"):
-        th = poly3(tc, ts)
-        ph = poly3(pc, ts)
-        n1, n2, d0 = _parts(np.cos(th) / np.sin(th), np.sin(ph), np.cos(ph),
-                            dpoly3(tc, ts), dpoly3(pc, ts), b0, alpha, beta, eta)
-        b1 = n1 / (eta * (1.0 + xi_x) * d0)
-        b2 = n2 / (eta * (1.0 + xi_y) * d0)
+    fx, fy = eta * (1.0 + xi_x), eta * (1.0 + xi_y)
     edge = EDGE_FRAC * tf
     inside = (ts >= edge) & (ts <= tf - edge)
-    b1[~inside] = 0.0
-    b2[~inside] = 0.0
-    for i in np.flatnonzero(inside & (np.abs(d0) < DEN_GUARD * alpha)):
-        b1[i], b2[i] = b1_b2(ts[i], tc, pc, tf, b0, alpha, beta, eta, xi_x, xi_y)
+    with np.errstate(all="ignore"):
+        n1, n2, d0, scale = field_parts(ts, tc, pc, b0, alpha, beta, eta)
+        b1 = np.where(inside, n1 / (fx * d0), 0.0)
+        b2 = np.where(inside, n2 / (fy * d0), 0.0)
+        guard = np.flatnonzero(inside & (np.abs(d0) < DEN_GUARD * alpha))
+        if guard.size:
+            t, h = ts[guard], LHOP_STEP * tf
+            n1p, n2p, d0p, _ = field_parts(t + h, tc, pc, b0, alpha, beta, eta)
+            n1m, n2m, d0m, _ = field_parts(t - h, tc, pc, b0, alpha, beta, eta)
+            dd = d0p - d0m
+            tol = NONCANCEL_TOL * scale[guard]
+            bad = (np.abs(n1[guard]) > tol) | (np.abs(n2[guard]) > tol) | (dd == 0.0)
+            b1[guard] = np.where(bad, np.nan, (n1p - n1m) / (fx * dd))
+            b2[guard] = np.where(bad, np.nan, (n2p - n2m) / (fy * dd))
     return b1, b2
 
 
 def _xyz(ts, tc, pc, tf, b0, alpha, beta, eta):
-    b1, b2 = _b1_b2(ts, tc, pc, tf, b0, alpha, beta, eta, 0.0, 0.0)
+    b1, b2 = b1_b2(ts, tc, pc, tf, b0, alpha, beta, eta, 0.0, 0.0)
     return b2, (alpha / beta) * b1, b0 + b1
-
-
-def b1_b2_grid(ts, tc, pc, tf, b0, alpha, beta, eta, xi_x, xi_y):
-    return np.column_stack(_b1_b2(ts, tc, pc, tf, b0, alpha, beta, eta, xi_x, xi_y))
 
 
 def _denominator(t, tc, pc, alpha, beta):

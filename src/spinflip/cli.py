@@ -32,8 +32,8 @@ from .fields import (compute_b0_max, design_is_realizable, require_cancellable,
 from .lowdin import (FourLevelModel, build_full_hamiltonian, lowdin_reduce,
                      orbital_adiabaticity, partition, validity_check,
                      xi_factors)
-from .opensys import (dephasing_sweep, ensemble_sweep, perturbative_bound,
-                      propagate_bloch)
+from .opensys import (LindbladParams, NoiseParams, dephasing_sweep, ensemble_sweep,
+                      perturbative_bound, propagate_bloch)
 from .tables import OutputTable, config_hash
 from .trajectory import TrajectoryDesign
 
@@ -100,28 +100,29 @@ def load_config(path: str | None, overrides: dict | None = None) -> dict:
     if overrides:
         _merge_checked(config, overrides)
     _validate(config)
+    noise = config["noise"]
+    _build("material", material_from, config)
+    _build("decoherence", LindbladParams, config["decoherence"]["gamma_per_ns"])
+    _build("noise", NoiseParams, noise["lambda0"], noise["channel"], noise["seed"],
+           noise["n_traj"])
     return config
 
 
+def _build(section: str, make, *args):
+    """make(*args), with its ValueError as a ConfigError naming the section."""
+    try:
+        return make(*args)
+    except ValueError as exc:
+        raise ConfigError(f"{section}: {exc}") from exc
+
+
 def _validate(config: dict) -> None:
-    mat = config["material"]
+    """The checks that no parameter object makes."""
     ctl = config["control"]
-    if config["noise"]["seed"] < 0:
-        raise ConfigError(f"noise.seed must be >= 0, got {config['noise']['seed']}")
-    if mat["hbar_alpha_meV_cm"] == 0.0 or mat["beta_over_alpha"] == 0.0:
-        raise ConfigError("hbar_alpha_meV_cm and beta_over_alpha must be nonzero")
     if ctl["tf_ns"] <= 0.0:
         raise ConfigError(f"tf_ns must be positive, got {ctl['tf_ns']}")
     if ctl["samples"] < 2:
         raise ConfigError(f"samples must be >= 2, got {ctl['samples']}")
-    if config["decoherence"]["gamma_per_ns"] < 0.0:
-        raise ConfigError("gamma_per_ns must be >= 0")
-    if config["noise"]["lambda0"] < 0.0:
-        raise ConfigError("lambda0 must be >= 0")
-    if config["noise"]["channel"] not in ("as-printed", "x-only"):
-        raise ConfigError(f"unknown noise channel {config['noise']['channel']!r}")
-    if config["noise"]["n_traj"] < 1:
-        raise ConfigError("n_traj must be >= 1")
     if config["integrator"]["steps"] < 1000:
         raise ConfigError("integrator steps must be >= 1000")
     if config["output"]["format"] not in ("csv", "json"):
@@ -131,13 +132,10 @@ def _validate(config: dict) -> None:
 def material_from(config: dict) -> MaterialParams:
     mat = config["material"]
     ha = mat["hbar_alpha_meV_cm"]
-    try:
-        return MaterialParams(hbar_alpha=ha,
-                              hbar_beta=ha * mat["beta_over_alpha"],
-                              g=mat["g_factor"],
-                              xi_x=mat["xi_x"], xi_y=mat["xi_y"])
-    except ValueError as exc:
-        raise ConfigError(f"material: {exc}") from exc
+    return MaterialParams(hbar_alpha=ha,
+                          hbar_beta=ha * mat["beta_over_alpha"],
+                          g=mat["g_factor"],
+                          xi_x=mat["xi_x"], xi_y=mat["xi_y"])
 
 
 def design_from(config: dict) -> TrajectoryDesign:

@@ -61,26 +61,28 @@ def commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def spin_to_density(psi: np.ndarray) -> np.ndarray:
-    """Pure-state density matrix |psi><psi|."""
+    """Pure-state density matrix |psi><psi|, or a stack of them."""
     psi = np.asarray(psi, dtype=complex)
-    return np.outer(psi, psi.conj())
+    return psi[..., :, None] * psi[..., None, :].conj()
 
 
 def spin_to_bloch(psi: np.ndarray) -> np.ndarray:
-    """Bloch vector (u, v, w) of a normalized two-component state."""
+    """Bloch vector (u, v, w) of a normalized state, or of each in a stack."""
     return density_to_bloch(spin_to_density(psi))
 
 
 def density_to_bloch(rho: np.ndarray) -> np.ndarray:
-    """Bloch vector (u, v, w) of a unit-trace 2x2 density matrix."""
+    """Bloch vector (u, v, w) of a unit-trace 2x2 density matrix, or of each
+    in a (..., 2, 2) stack."""
     rho = np.asarray(rho, dtype=complex)
-    tr = rho[0, 0] + rho[1, 1]
-    if abs(tr - 1.0) > 1e-9:
-        raise ValueError(f"density matrix trace {tr} differs from 1 beyond 1e-9")
-    u = (rho[0, 1] + rho[1, 0]).real
-    v = (-1j * (rho[0, 1] - rho[1, 0])).real
-    w = (rho[0, 0] - rho[1, 1]).real
-    return np.array([u, v, w])
+    tr = np.asarray(rho[..., 0, 0] + rho[..., 1, 1])
+    bad = np.abs(tr - 1.0) > 1e-9
+    if bad.any():
+        raise ValueError(f"density matrix trace {tr[bad].flat[0]} differs from 1 beyond 1e-9")
+    u = (rho[..., 0, 1] + rho[..., 1, 0]).real
+    v = (-1j * (rho[..., 0, 1] - rho[..., 1, 0])).real
+    w = (rho[..., 0, 0] - rho[..., 1, 1]).real
+    return np.stack([u, v, w], axis=-1)
 
 
 def bloch_to_density(r: np.ndarray) -> np.ndarray:

@@ -70,11 +70,11 @@ def effective_fields(design: TrajectoryDesign, t: float) -> tuple[float, float]:
     tc, pc, tf, b0, al, be, eta = design.kernel_args()
     if not 0.0 <= t <= tf:
         raise ValueError(f"t={t} outside [0, {tf}]")
-    b1, b2 = K.b1_b2(t, tc, pc, tf, b0, al, be, eta,
+    b1, b2 = K.b1_b2(np.array([t], dtype=float), tc, pc, tf, b0, al, be, eta,
                      design.mat.xi_x, design.mat.xi_y)
-    if np.isnan(b1) or np.isnan(b2):
+    if np.isnan(b1[0]) or np.isnan(b2[0]):
         raise SingularityError(t, verify_cancellation(design, t))
-    return b1, b2
+    return float(b1[0]), float(b2[0])
 
 
 def fields_xyz(b1: float, b2: float, b0: float, mat: MaterialParams) -> FieldTriple:
@@ -109,7 +109,7 @@ def _electric_stencil(design: TrajectoryDesign, ts: np.ndarray):
     pref_y = design.mat.g * MU_B / (2.0 * al) * MEV_PER_E_CM_TO_V_PER_CM
     h = E_STEP_FRAC * tf
     offsets = (h, -h, 0.5 * h, -0.5 * h)
-    b = np.stack(K._b1_b2(np.concatenate([ts + s for s in offsets]), tc, pc, tf, b0,
+    b = np.stack(K.b1_b2(np.concatenate([ts + s for s in offsets]), tc, pc, tf, b0,
                           al, be, eta, design.mat.xi_x, design.mat.xi_y)).reshape(2, 4, -1)
     # coarse (step h) and fine (step h/2) estimates of dB1/dt and dB2/dt
     coarse = (b[:, 0] - b[:, 1]) / (2.0 * h)
@@ -153,29 +153,26 @@ def sample_fields(design: TrajectoryDesign, samples: int) -> list[FieldSample]:
     require_cancellable(design)
     tc, pc, tf, b0, al, be, eta = design.kernel_args()
     ts = np.linspace(0.0, tf, samples)
-    bs = K.b1_b2_grid(ts, tc, pc, tf, b0, al, be, eta,
-                      design.mat.xi_x, design.mat.xi_y)
+    b1, b2 = K.b1_b2(ts, tc, pc, tf, b0, al, be, eta, design.mat.xi_x, design.mat.xi_y)
     ex, ey = _electric_stencil(design, ts)
-    return [FieldSample(t=t, b1=b1, b2=b2, ex=x, ey=y) for t, (b1, b2), x, y in
-            zip(ts.tolist(), bs.tolist(), ex.tolist(), ey.tolist())]
+    return [FieldSample(*row) for row in
+            zip(ts.tolist(), b1.tolist(), b2.tolist(), ex.tolist(), ey.tolist())]
 
 
 def verify_cancellation(design: TrajectoryDesign, ts: float) -> float:
     """Max |numerator| of B1, B2 at a denominator root, in T rad/ns units.
 
     The root is cancellable when the residual is below
-    CANCEL_REL_TOL * (|beta thetad| + |beta (phid + eta B0)|).
+    CANCEL_REL_TOL * cancellation_scale(design, ts).
     """
     tc, pc, tf, b0, al, be, eta = design.kernel_args()
-    n1, n2, _ = K.field_parts(ts, tc, pc, b0, al, be, eta)
-    return max(abs(n1), abs(n2))
+    n1, n2, _, _ = K.field_parts(ts, tc, pc, b0, al, be, eta)
+    return float(max(abs(n1), abs(n2)))
 
 
 def cancellation_scale(design: TrajectoryDesign, ts: float) -> float:
-    thd = design.theta.deriv(ts)
-    phd = design.phi.deriv(ts)
-    be = design.mat.beta
-    return abs(be * thd) + abs(be * (phd + design.mat.eta * design.b0))
+    tc, pc, tf, b0, al, be, eta = design.kernel_args()
+    return float(K.field_parts(ts, tc, pc, b0, al, be, eta)[3])
 
 
 def detect_singularities(design: TrajectoryDesign, grid: int = 1001) -> SingularityReport:
@@ -215,10 +212,10 @@ def detect_singularities(design: TrajectoryDesign, grid: int = 1001) -> Singular
     for r in roots:
         if not merged or abs(r - merged[-1]) > 1e-6 * tf:
             merged.append(r)
-    residuals = tuple(verify_cancellation(design, r) for r in merged)
-    cancellable = tuple(
-        res < CANCEL_REL_TOL * cancellation_scale(design, r)
-        for r, res in zip(merged, residuals))
+    # one float per call: a one-point array costs eight times the overhead
+    parts = [K.field_parts(r, tcl, pcl, b0, al, be, eta) for r in merged]
+    residuals = tuple(float(max(abs(n1), abs(n2))) for n1, n2, _, _ in parts)
+    cancellable = tuple(res < CANCEL_REL_TOL * p[3] for res, p in zip(residuals, parts))
     return SingularityReport(times=tuple(merged), cancellable=cancellable,
                              numerator_residuals=residuals)
 
@@ -251,6 +248,8 @@ def compute_b0_max(tf: float, mat: MaterialParams, b0_hi: float | None = None,
     """
     if not tf > 0.0:
         raise ValueError(f"tf must be positive, got {tf}")
+    if not (np.isfinite(tol) and tol > 0.0):
+        raise ValueError(f"tol must be finite and positive, got {tol}")
 
     def single(b0: float) -> bool:
         return design_is_realizable(TrajectoryDesign.design(tf, b0, mat), grid)
@@ -266,6 +265,8 @@ def compute_b0_max(tf: float, mat: MaterialParams, b0_hi: float | None = None,
         hi, doublings = 2.0 * hi, doublings - 1
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:  # adjacent floats: tol is below their spacing
+            break
         if single(mid):
             lo = mid
         else:

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import _kernels as K
 from .constants import HBAR, MU_B
-from .core import FieldTriple, build_heff, commutator
+from .core import FieldTriple, build_heff, commutator, spin_to_bloch
 from .errors import IntegratorError, SingularityError
 from .fields import fields_xyz_at, require_cancellable, verify_cancellation
 from .trajectory import TrajectoryDesign, eval_angles
@@ -221,11 +221,7 @@ def perturbed_initial_evolution(design: TrajectoryDesign, eps: float,
     psi0 = np.array([np.sqrt(1.0 - eps) * np.exp(1j * phi0), np.sqrt(eps)],
                     dtype=complex)
     prop = propagate_schrodinger(design, psi0, steps)
-    a, b = prop.states[:, 0], prop.states[:, 1]
-    cross = a * b.conjugate()
-    u = 2.0 * cross.real
-    v = 2.0 * cross.imag
-    w = (np.abs(a) ** 2 - np.abs(b) ** 2)
+    u, v, w = spin_to_bloch(prop.states).T
     defined = np.abs(w) <= 1.0 - POLE_TOL
     trans = np.sqrt(u * u + v * v)
     sin_phi = np.where(defined, v / np.where(trans == 0.0, 1.0, trans), 0.0)

@@ -36,6 +36,7 @@ import numpy as np
 
 from . import _kernels as K
 from .constants import HBAR, MU_B
+from .core import density_to_bloch
 from .errors import IntegratorError
 from .fields import require_cancellable
 from .invariant import GATE_TOL
@@ -96,12 +97,12 @@ class BlochTrajectory:
 
     @property
     def final_fidelity(self) -> float:
-        return fidelity_from_w(float(self.r[-1, 2]))
+        return float(fidelity_from_w(self.r[-1, 2]))
 
 
-def fidelity_from_w(w: float) -> float:
-    """F = sqrt((1 - w)/2): modulus of the down-state overlap."""
-    return float(np.sqrt(max(0.0, (1.0 - w) / 2.0)))
+def fidelity_from_w(w):
+    """F = sqrt((1 - w)/2), elementwise: modulus of the down-state overlap."""
+    return np.sqrt(np.maximum(0.0, (1.0 - w) / 2.0))
 
 
 def _run_bloch(design: TrajectoryDesign, gamma: float, lambda0: float,
@@ -152,8 +153,7 @@ def dephasing_sweep(design: TrajectoryDesign, gammas, steps: int = 10000) -> np.
     if not gate <= GATE_TOL:  # non-finite components fail it too
         raise IntegratorError(
             f"step-halving gate failed: final Bloch vector moved by {gate:.3e}")
-    w = np.exp(-4.0 * gammas * design.tf) * coarse[2]
-    return np.sqrt(np.maximum(0.0, (1.0 - w) / 2.0))
+    return fidelity_from_w(np.exp(-4.0 * gammas * design.tf) * coarse[2])
 
 
 def propagate_master(design: TrajectoryDesign, gamma: float, steps: int = 10000) -> float:
@@ -171,11 +171,8 @@ class DensityTrajectory:
     rho: np.ndarray  # (n+1, 2, 2)
 
     def bloch(self) -> np.ndarray:
-        out = np.empty((self.rho.shape[0], 3))
-        out[:, 0] = (self.rho[:, 0, 1] + self.rho[:, 1, 0]).real
-        out[:, 1] = (-1j * (self.rho[:, 0, 1] - self.rho[:, 1, 0])).real
-        out[:, 2] = (self.rho[:, 0, 0] - self.rho[:, 1, 1]).real
-        return out
+        """(n+1, 3) Bloch vectors; the trace must be 1, as density_to_bloch says."""
+        return density_to_bloch(self.rho)
 
     @property
     def final_fidelity(self) -> float:
@@ -270,16 +267,21 @@ def ensemble_average(design: TrajectoryDesign, noise: NoiseParams,
 
 def ensemble_sweep(design: TrajectoryDesign, lambda0s, seed: int, n_traj: int,
                    steps: int = 10000) -> list[tuple[float, float]]:
-    """Monte Carlo fidelity mean and standard error at every lambda0 in
+    """Monte Carlo fidelity and its standard error at every lambda0 in
     lambda0s: one lock-step ensemble of len(lambda0s) x n_traj trajectories
     on one stream of increments, read at t_f only.
 
-    Point g equals ensemble_average(design, NoiseParams(lambda0s[g],
-    "x-only", seed, n_traj), steps) bit for bit.  Memory does not grow with
-    steps: the increments arrive in blocks of INCREMENT_BLOCK steps.
+    F = sqrt(P) and se_P / (2 F) (delta method) from the population_mean P
+    and population_se of ensemble_average(design, NoiseParams(lambda0s[g],
+    "x-only", seed, n_traj), steps), bit for bit: P estimates rho_11 without
+    bias.  Memory does not grow with steps: the increments arrive in blocks
+    of INCREMENT_BLOCK steps.
     """
-    return [_mean_se(row)
-            for row in _em_fidelities(design, lambda0s, seed, n_traj, steps)]
+    stats = [_mean_se(row * row)
+             for row in _em_fidelities(design, lambda0s, seed, n_traj, steps)]
+    # P = 0 only when every trajectory ends at 0, with no spread
+    return [(float(np.sqrt(p)), se / (2.0 * np.sqrt(p)) if p > 0.0 else 0.0)
+            for p, se in stats]
 
 
 def _mean_se(values: np.ndarray) -> tuple[float, float]:

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._kernels import dpoly3, poly3
 from .constants import MaterialParams
 
 
@@ -35,14 +36,10 @@ class CubicPolynomial:
         return t
 
     def __call__(self, t: float) -> float:
-        t = self._check(t)
-        c = self.coeffs
-        return ((c[3] * t + c[2]) * t + c[1]) * t + c[0]
+        return poly3(self.coeffs, self._check(t))
 
     def deriv(self, t: float) -> float:
-        t = self._check(t)
-        c = self.coeffs
-        return (3.0 * c[3] * t + 2.0 * c[2]) * t + c[1]
+        return dpoly3(self.coeffs, self._check(t))
 
     def coeff_array(self) -> np.ndarray:
         return np.asarray(self.coeffs, dtype=float)

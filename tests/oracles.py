@@ -1,9 +1,10 @@
-"""Reference right-hand sides of the open-system equations, for the tests.
+"""Reference drive fields and open-system right-hand sides, for the tests.
 
-The propagators in :mod:`spinflip.opensys` run on transfer matrices built
-in :mod:`spinflip._kernels`; these references state the same equations
-directly, one instant at a time, on the density matrix or the Bloch vector.
-They stay independent of the kernels: this module imports only numpy,
+The field kernel in :mod:`spinflip._kernels` works on arrays of times, and
+the propagators in :mod:`spinflip.opensys` run on transfer matrices built
+there; these references state the same formulas directly, one instant at a
+time, on floats, the density matrix or the Bloch vector.  They stay
+independent of the kernels: this module imports only numpy,
 :mod:`spinflip.constants` and :mod:`spinflip.core`, which
 ``test_oracles_stay_independent`` checks.
 """
@@ -12,6 +13,42 @@ import numpy as np
 
 from spinflip.constants import HBAR, MU_B, MaterialParams
 from spinflip.core import FieldTriple, bloch_to_density, build_heff
+
+
+def b1_b2_at(t, tc, pc, tf, b0, alpha, beta, eta, xi_x, xi_y):
+    """Effective drive fields (B1, B2) in T at one instant t.
+
+    Zero limits within 1e-6 tf of the endpoints; where
+    |alpha cot(theta) - beta sin(phi)| < 1e-6 alpha, the L'Hopital quotient
+    of central differences with step 1e-6 tf, or (NaN, NaN) when a
+    numerator exceeds 1e-6 (|beta thetad| + |beta (phid + eta B0)|).
+    """
+    def parts(t):
+        th = ((tc[3] * t + tc[2]) * t + tc[1]) * t + tc[0]
+        ph = ((pc[3] * t + pc[2]) * t + pc[1]) * t + pc[0]
+        thd = (3.0 * tc[3] * t + 2.0 * tc[2]) * t + tc[1]
+        phd = (3.0 * pc[3] * t + 2.0 * pc[2]) * t + pc[1]
+        cot = np.cos(th) / np.sin(th)
+        n1 = -beta * thd * cot * np.cos(ph) + beta * (phd + eta * b0) * np.sin(ph)
+        n2 = (alpha * thd * cot * np.sin(ph) + alpha * (phd + eta * b0) * np.cos(ph)
+              - beta * thd)
+        return n1, n2, alpha * cot - beta * np.sin(ph), thd, phd
+
+    if t < 1e-6 * tf or t > tf - 1e-6 * tf:
+        return 0.0, 0.0
+    n1, n2, d0, thd, phd = parts(t)
+    fx, fy = 1.0 + xi_x, 1.0 + xi_y
+    if abs(d0) < 1e-6 * alpha:
+        scale = abs(beta * thd) + abs(beta * (phd + eta * b0))
+        if abs(n1) > 1e-6 * scale or abs(n2) > 1e-6 * scale:
+            return np.nan, np.nan
+        n1p, n2p, d0p, _, _ = parts(t + 1e-6 * tf)
+        n1m, n2m, d0m, _, _ = parts(t - 1e-6 * tf)
+        dd = d0p - d0m
+        if dd == 0.0:
+            return np.nan, np.nan
+        return (n1p - n1m) / (eta * fx * dd), (n2p - n2m) / (eta * fy * dd)
+    return n1 / (eta * fx * d0), n2 / (eta * fy * d0)
 
 
 def bloch_of(mat: np.ndarray) -> np.ndarray:

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 import yaml
 
-from spinflip import NoiseParams, ensemble_average, propagate_bloch
+from spinflip import NoiseParams, ensemble_average, propagate_bloch, propagate_density
 from spinflip.cli import main
 
 
@@ -199,22 +199,35 @@ class TestSweep:
                                "--steps", "2000", "--seed", "17"])
         assert code == 0
         _, _, rows = parse_csv(out)
-        for (value, mean, se), l2 in zip(rows, grid):
+        for (value, f, se), l2 in zip(rows, grid):
             res = ensemble_average(design, NoiseParams(float(np.sqrt(l2)), "x-only",
                                                        seed=17, n_traj=32), steps=2000)
             assert value == l2
-            assert mean == res.fidelity_mean and se == res.fidelity_se
+            assert f == np.sqrt(res.population_mean)
+            assert se == res.population_se / (2.0 * f)
+
+    def test_mc_table_matches_master(self, design):
+        # the F column estimates sqrt(rho_11) of the x-only master equation;
+        # the mean of |psi_down| over the same trajectories sits 3.3 SE below
+        code, out, _ = invoke(["sweep", "--axis", "lambda0_sq", "--grid", "0.2", "--mc",
+                               "--n-traj", "2000", "--steps", "2000", "--seed", "5"])
+        assert code == 0
+        _, _, rows = parse_csv(out)
+        master = propagate_density(design, lambda0=float(np.sqrt(0.2)), channel="x-only",
+                                   steps=10000).final_fidelity
+        assert abs(rows[0, 1] - master) < 3 * rows[0, 2]
 
     def test_mc_table_rows_pinned(self):
-        # rows of the real [D | S] Euler-Maruyama step; they hold for the
-        # BLAS kernel that does its batched matmul
+        # rows of the real [D | S] Euler-Maruyama step, reduced to
+        # sqrt(mean population) and its delta-method standard error; they
+        # hold for the BLAS kernel that does its batched matmul
         code, out, _ = invoke(["sweep", "--axis", "lambda0_sq", "--grid", "0.013,0.035",
                                "--mc", "--n-traj", "32", "--steps", "2000",
                                "--seed", "1234"])
         assert code == 0
         assert out.splitlines()[-2:] == [
-            "0.012999999999999999,0.99253854783079642,0.0014933119196140585",
-            "0.035000000000000003,0.98000549668402237,0.0039690431432902627"]
+            "0.012999999999999999,0.99257337175910243,0.0014830836234628754",
+            "0.035000000000000003,0.98025462301310762,0.0038966954590193619"]
 
     def test_mc_memory_does_not_grow_with_steps(self):
         def peak(steps):
@@ -272,7 +285,7 @@ class TestSweep:
                                  "--mc", "--seed", "-1", "--n-traj", "4",
                                  "--steps", "1000"])
         assert code == 2
-        assert out == "" and "noise.seed must be >= 0" in err
+        assert out == "" and "noise: seed must be a non-negative integer, got -1" in err
 
     def test_empty_grid_empty_table(self):
         code, out, _ = invoke(["sweep", "--axis", "gamma", "--grid", ""])
@@ -387,6 +400,35 @@ class TestConfigHandling:
         code, out, err = invoke(["design", "--config", str(cfg)])
         assert code == 2
         assert out == "" and err.startswith("error: material: ")
+
+    @pytest.mark.parametrize("argv, doc, message", [
+        (["simulate"], {"decoherence": {"gamma_per_ns": -0.5}},
+         "decoherence: gamma must be >= 0, got -0.5"),
+        (["simulate", "--lambda0", "-0.1"], None, "noise: lambda0 must be >= 0, got -0.1"),
+        (["simulate"], {"noise": {"channel": "z-only"}},
+         "noise: channel must be one of ('as-printed', 'x-only'), got 'z-only'"),
+        (["sweep", "--axis", "lambda0_sq", "--grid", "0.01", "--mc", "--n-traj", "0"],
+         None, "noise: n_traj must be an integer >= 1, got 0"),
+        (["simulate", "--steps", "999"], None, "integrator steps must be >= 1000"),
+        (["design"], {"control": {"tf_ns": 0}}, "tf_ns must be positive, got 0"),
+        (["design", "--samples", "1"], None, "samples must be >= 2, got 1"),
+        (["design"], {"output": {"format": "xml"}}, "format must be csv or json, got 'xml'"),
+        (["design"], {"material": {"hbar_alpha_meV_cm": 0}},
+         "material: hbar_alpha must be nonzero"),
+        (["design"], {"material": {"beta_over_alpha": 0}},
+         "material: hbar_beta must be nonzero"),
+    ], ids=["gamma-negative", "lambda0-negative", "channel-unknown", "n_traj-zero",
+            "steps-999", "tf_ns-zero", "samples-1", "format-xml", "hbar_alpha-zero",
+            "beta_over_alpha-zero"])
+    def test_config_values_rejected(self, tmp_path, argv, doc, message):
+        # every value check on the merged config: exit 2 before any output
+        if doc is not None:
+            cfg = tmp_path / "bad.yaml"
+            cfg.write_text(yaml.safe_dump(doc))
+            argv = argv + ["--config", str(cfg)]
+        code, out, err = invoke(argv)
+        assert code == 2
+        assert out == "" and message in err
 
     @pytest.mark.parametrize("argv", [["design", "--tf", "nan"],
                                       ["simulate", "--gamma", "nan", "--steps", "1000"]],

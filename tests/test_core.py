@@ -91,6 +91,17 @@ class TestBlochConversions:
         with pytest.raises(ValueError):
             density_to_bloch(np.eye(2, dtype=complex))
 
+    def test_stack_matches_one_by_one(self):
+        rng = np.random.default_rng(4)
+        psi = rng.normal(size=(5, 2)) + 1j * rng.normal(size=(5, 2))
+        psi /= np.linalg.norm(psi, axis=1)[:, None]
+        rho = psi[:, :, None] * psi[:, None, :].conj()
+        assert np.array_equal(density_to_bloch(rho),
+                              np.array([density_to_bloch(r) for r in rho]))
+        rho[3] *= 2.0
+        with pytest.raises(ValueError, match="trace"):
+            density_to_bloch(rho)
+
 
 class TestCommutator:
     def test_pauli_algebra(self):

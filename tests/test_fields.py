@@ -5,16 +5,18 @@ from spinflip import (IntegratorError, SingularityError, TrajectoryDesign,
                       compute_b0_max, detect_singularities, effective_fields,
                       electric_fields, fields_xyz, fields_xyz_at, sample_fields,
                       verify_cancellation)
-from spinflip import _kernels as K
 from spinflip.constants import MEV_PER_E_CM_TO_V_PER_CM, MU_B, MaterialParams
 from spinflip.fields import (CANCEL_REL_TOL, E_EDGE_FRAC, E_STEP_FRAC,
                              cancellation_scale, design_is_realizable)
 from spinflip.trajectory import CubicPolynomial, eval_angles
 
+from oracles import b1_b2_at
+
 
 def electric_reference(design, samples):
     """(Ex, Ey) on the sample grid by per-point central differences (step
-    h/2) over the scalar K.b1_b2: the oracle for the vectorized stencil."""
+    h/2) over the per-point oracles.b1_b2_at: the oracle for the vectorized
+    stencil."""
     tc, pc, tf, b0, al, be, eta = design.kernel_args()
     xi = (design.mat.xi_x, design.mat.xi_y)
     edge, h = E_EDGE_FRAC * tf, 0.5 * E_STEP_FRAC * tf
@@ -23,8 +25,8 @@ def electric_reference(design, samples):
     out = []
     for t in np.linspace(0.0, tf, samples):
         t = min(max(float(t), edge), tf - edge)
-        p = K.b1_b2(t + h, tc, pc, tf, b0, al, be, eta, *xi)
-        m = K.b1_b2(t - h, tc, pc, tf, b0, al, be, eta, *xi)
+        p = b1_b2_at(t + h, tc, pc, tf, b0, al, be, eta, *xi)
+        m = b1_b2_at(t - h, tc, pc, tf, b0, al, be, eta, *xi)
         out.append((pref_x * ((p[0] - m[0]) / (2.0 * h)),
                     pref_y * ((p[1] - m[1]) / (2.0 * h))))
     return np.array(out)
@@ -279,6 +281,16 @@ class TestB0Max:
     def test_bracket_failure(self, mat):
         with pytest.raises(ValueError):
             compute_b0_max(1.0, mat, b0_hi=0.5)
+
+    @pytest.mark.parametrize("tol", [float("nan"), float("inf"), 0.0, -1e-3])
+    def test_bad_tol_rejected(self, mat, tol):
+        # with nan or inf the bisection would stop at once; with 0 or below
+        # it would never stop, as a bracket of two adjacent floats cannot shrink
+        with pytest.raises(ValueError, match="tol must be finite and positive"):
+            compute_b0_max(1.0, mat, b0_hi=5.0, tol=tol)
+
+    def test_tol_below_float_resolution_returns(self, mat):
+        assert compute_b0_max(1.0, mat, b0_hi=5.0, tol=1e-300) == pytest.approx(1.159, abs=5e-3)
 
     def test_realizable_predicate(self, mat):
         assert design_is_realizable(TrajectoryDesign.design(1.0, 0.15, mat))

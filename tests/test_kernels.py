@@ -1,9 +1,10 @@
 """The vectorized kernels against independent references.
 
-The field grids must equal the scalar per-point kernels bit for bit, and the
-denominator grid and its scalar form must equal a per-point loop over the
-same expression.  Each RK4 propagator, and the density matrix run on its
-Bloch vector, must stay within 1e-12 of a step-by-step RK4 loop written here
+The field kernel must equal the per-point reference ``oracles.b1_b2_at`` bit
+for bit, NaN poisoning included, and the denominator grid and its scalar
+form must equal a per-point loop over the same expression.  Each RK4
+propagator, and the density matrix run on its Bloch vector, must stay
+within 1e-12 of a step-by-step RK4 loop written here
 over the reference right-hand sides in ``tests/oracles.py`` and
 :func:`spinflip.build_heff`, at step counts below one scan block and across
 a block boundary that is not a block multiple.  The Euler-Maruyama kernel,
@@ -29,8 +30,8 @@ from spinflip import _kernels as K
 from spinflip.constants import HBAR, MU_B
 from spinflip.opensys import dephasing_sweep, ensemble_sweep
 
-from oracles import (bloch_rhs, lindblad_step_rhs, noise_bloch_rhs, noise_master_rhs,
-                     xonly_hprime)
+from oracles import (b1_b2_at, bloch_rhs, lindblad_step_rhs, noise_bloch_rhs,
+                     noise_master_rhs, xonly_hprime)
 
 STEP_COUNTS = (300, 2500)
 GAMMA, LAM2 = 0.02, 0.03
@@ -94,19 +95,38 @@ def test_oracles_stay_independent():
 
 
 def test_field_kernels_match(args, design):
-    # endpoints and clamp edges, the guarded root tf/2 and a point inside its
-    # window, and a dense interior grid
+    # endpoints, points inside and on the clamp edges, the guarded root tf/2
+    # and a point inside its window, a dense interior grid, and two
+    # 2001-point windows at tf/2: one of +- 3e-6 tf across the edges of the
+    # guard window, one of +- 1e-7 tf where every point takes the guard branch
     ts = np.concatenate([np.linspace(0.0, 1.0, 4001),
-                         [1e-7, 1.0 - 1e-7, 0.5, 0.5 + 1e-9]])
-    for xi_x, xi_y in ((0.0, 0.0), (0.03, -0.02)):
-        loop = np.array([K.b1_b2(t, *args, xi_x, xi_y) for t in ts])
-        assert np.array_equal(K.b1_b2_grid(ts, *args, xi_x, xi_y), loop)
+                         [1e-7, 1.0 - 1e-7, 1e-6, 1.0 - 1e-6, 0.5, 0.5 + 1e-9]])
+    guarded = 0.5 + np.linspace(-1e-7, 1e-7, 2001)
+    windows = np.concatenate([ts, 0.5 + np.linspace(-3e-6, 3e-6, 2001), guarded])
+    tc, pc, _, _, al, be, _ = args
+    assert (np.abs(K.denominator_grid(guarded, tc, pc, al, be)) < K.DEN_GUARD * al).all()
+    # the near-limit design, and the over-limit one with windows at its
+    # non-cancellable roots, where the NaN positions must match
+    over = TrajectoryDesign.design(1.0, 2.0, design.mat)
+    roots = detect_singularities(over).times
+    xi_both = ((0.0, 0.0), (0.03, -0.02))
+    cases = [(args, windows, xi_both),
+             (TrajectoryDesign.design(1.0, 1.05, design.mat).kernel_args(), windows, xi_both[1:]),
+             (over.kernel_args(),
+              np.concatenate([windows] + [r + np.linspace(-3e-6, 3e-6, 201) for r in roots]),
+              xi_both[1:])]
+    for (ctc, cpc, *rest), grid, xis in cases:
+        for xi in xis:
+            # the reference on Python floats: the same arithmetic, less overhead
+            loop = np.array([b1_b2_at(t, ctc.tolist(), cpc.tolist(), *rest, *xi)
+                             for t in grid.tolist()]).T
+            assert np.array_equal(K.b1_b2(grid, ctc, cpc, *rest, *xi), loop, equal_nan=True)
+    assert np.isnan(loop).any()
     # the Hamiltonian triple on the grid, against the public one-point map
     loop = np.array([fields_xyz_at(design, t) for t in ts])
     assert np.array_equal(np.column_stack(K._xyz(ts, *args)), loop)
     # the denominator point by point with math functions, off t = 0 where
     # theta = 0
-    tc, pc, _, _, al, be, _ = args
     inner = ts[ts > 0.0]
     loop = [al * math.cos(K.poly3(tc, t)) / math.sin(K.poly3(tc, t))
             - be * math.sin(K.poly3(pc, t)) for t in inner]
@@ -283,7 +303,7 @@ def test_nan_poisoning_on_noncancellable(design):
     rep = detect_singularities(bad)
     t_bad = [t for t, ok in zip(rep.times, rep.cancellable) if not ok][0]
     m = bad.mat
-    b1, b2 = K.b1_b2(t_bad, bad.theta.coeff_array(), bad.phi.coeff_array(),
+    b1, b2 = K.b1_b2(np.array([t_bad]), bad.theta.coeff_array(), bad.phi.coeff_array(),
                      bad.tf, bad.b0, m.alpha, m.beta, m.eta, 0.0, 0.0)
     assert np.isnan(b1) and np.isnan(b2)
 
@@ -303,7 +323,7 @@ def test_propagate_bloch_rejects_noncancellable_design(design):
     steps = min(range(1000, 20001),
                 key=lambda n: abs(np.round(2 * t_bad * n) / (2 * n) - t_bad))
     t_stage = np.round(2 * t_bad * steps) / (2 * steps)
-    assert np.isnan(K.b1_b2(t_stage, *bad.kernel_args(), 0.0, 0.0)[0])
+    assert np.isnan(K.b1_b2(np.array([t_stage]), *bad.kernel_args(), 0.0, 0.0)[0])
     r = K.rk4_bloch(*bad.kernel_args(), 0.0, 0.0, 0, np.array([0.0, 0.0, 1.0]), steps)
     assert np.isnan(r[-1]).all()
 
@@ -316,7 +336,7 @@ def test_ensemble_nan_check_on_noncancellable_design(design, monkeypatch):
     rep = detect_singularities(bad)
     t_bad = [t for t, ok in zip(rep.times, rep.cancellable) if not ok][0]
     steps = min(range(1000, 20001), key=lambda n: abs(np.round(t_bad * n) / n - t_bad))
-    assert np.isnan(K.b1_b2(np.round(t_bad * steps) / steps, *bad.kernel_args(),
+    assert np.isnan(K.b1_b2(np.array([np.round(t_bad * steps) / steps]), *bad.kernel_args(),
                             0.0, 0.0)[0])
     monkeypatch.setattr("spinflip.opensys.require_cancellable", lambda d: None)
     with pytest.raises(IntegratorError, match="non-finite"):
