@@ -20,9 +20,10 @@ rescaled every RENORM_EVERY steps of the global step index and at t_f, and
 only the final fidelities are returned.
 
 Angle cubics enter as raw coefficient arrays (rad/ns^j); material parameters
-as scalars.  Error signalling is NaN poisoning: a non-cancellable
-field-synthesis singularity yields NaN fields, which wrappers in
-:mod:`spinflip.fields` and the propagator modules convert to typed errors.
+as scalars; the Bloch noise channel by name, or None for no noise.  Error
+signalling is NaN poisoning: a non-cancellable field-synthesis singularity
+yields NaN fields, which wrappers in :mod:`spinflip.fields` and the
+propagator modules convert to typed errors.
 
 Numerical guards (times in units of tf):
   EDGE_FRAC   open-interval clamp; inside it the exact B1 = B2 = 0 endpoint
@@ -231,10 +232,10 @@ def rk4_spin_const(x, y, z, pref, hbar, psi0, tf, steps):
 
 def rk4_bloch(tc, pc, tf, b0, alpha, beta, eta, gamma, lam2, channel, r0, steps):
     """RK4 Bloch propagation: dephasing at rate gamma plus source-noise decay
-    -(lam2 eta^2/2)(|a|^2 I - a a^T), Z' = Z - B0.  Channel 0 has none;
-    channel 1 (as printed) keeps the diagonal of it with a = (X, Y, Z');
-    channel 2 (x-only) is the full matrix with a = (0, Y, Z'), the Bloch
-    form of the double commutator with the x-only noise operator.
+    -(lam2 eta^2/2)(|a|^2 I - a a^T), Z' = Z - B0.  channel None has none;
+    "as-printed" keeps the diagonal of it with a = (X, Y, Z'); "x-only" is
+    the full matrix with a = (0, Y, Z'), the Bloch form of the double
+    commutator with the x-only noise operator.
 
     r0 is (3,) or (3, k); columns of a (3, k) start propagate independently
     and the trajectory is (steps+1, 3, k).
@@ -246,10 +247,10 @@ def rk4_bloch(tc, pc, tf, b0, alpha, beta, eta, gamma, lam2, channel, r0, steps)
         a[:, 1, 0], a[:, 1, 2] = -eta * z, eta * x
         a[:, 2, 0], a[:, 2, 1] = eta * y, -eta * x
         rates = (0.0,) * 3
-        if channel:
+        if channel is not None:
             zp = z - b0
             ke = 0.5 * lam2 * eta * eta
-            if channel == 1:
+            if channel == "as-printed":
                 rates = (ke * (y * y + zp * zp), ke * (x * x + zp * zp),
                          ke * (x * x + y * y))
             else:

@@ -24,11 +24,11 @@ import yaml
 
 from . import __version__
 from .constants import MaterialParams
-from .core import spin_to_bloch
+from .core import initial_state, spin_to_bloch
 from .errors import (ConfigError, DegenerateReferenceError, IntegratorError,
                      SingularityError)
-from .fields import (compute_b0_max, design_is_realizable, require_cancellable,
-                     sample_fields)
+from .fields import compute_b0_max, design_is_realizable, sample_fields
+from .invariant import MIN_GATED_STEPS
 from .lowdin import (FourLevelModel, build_full_hamiltonian, lowdin_reduce,
                      orbital_adiabaticity, partition, validity_check,
                      xi_factors)
@@ -123,8 +123,8 @@ def _validate(config: dict) -> None:
         raise ConfigError(f"tf_ns must be positive, got {ctl['tf_ns']}")
     if ctl["samples"] < 2:
         raise ConfigError(f"samples must be >= 2, got {ctl['samples']}")
-    if config["integrator"]["steps"] < 1000:
-        raise ConfigError("integrator steps must be >= 1000")
+    if config["integrator"]["steps"] < MIN_GATED_STEPS:
+        raise ConfigError(f"integrator steps must be >= {MIN_GATED_STEPS}")
     if config["output"]["format"] not in ("csv", "json"):
         raise ConfigError(f"format must be csv or json, got {config['output']['format']!r}")
 
@@ -201,19 +201,11 @@ def cmd_design(config: dict, args) -> int:
 
 def cmd_simulate(config: dict, args) -> int:
     design = design_from(config)
-    require_cancellable(design)
     gamma = config["decoherence"]["gamma_per_ns"]
     lambda0 = config["noise"]["lambda0"]
     channel = config["noise"]["channel"]
     steps = config["integrator"]["steps"]
-    eps = args.epsilon or 0.0
-    phi0 = args.phi0 if args.phi0 is not None else np.pi / 2
-    if not 0.0 <= eps < 1.0:
-        raise ConfigError(f"epsilon must lie in [0, 1), got {eps}")
-    if not math.isfinite(phi0):
-        raise ConfigError(f"phi0 must be finite, got {phi0}")
-    psi0 = np.array([np.sqrt(1.0 - eps) * np.exp(1j * phi0), np.sqrt(eps)],
-                    dtype=complex)
+    psi0 = _build("simulate", initial_state, args.epsilon or 0.0, args.phi0)
     traj = propagate_bloch(design, gamma=gamma, lambda0=lambda0, channel=channel,
                            steps=steps, r0=tuple(spin_to_bloch(psi0)))
     meta = _meta(config)
@@ -278,7 +270,6 @@ def cmd_sweep(config: dict, args) -> int:
     design = design_from(config)
     steps = config["integrator"]["steps"]
     grid = _parse_grid(args.grid)
-    require_cancellable(design)
     mc = bool(args.mc)
     columns = ["axis_value", "F"] + (["standard_error"] if mc else [])
     table = OutputTable(columns=columns, meta=_meta(config))
@@ -399,7 +390,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gamma", type=float, help="dephasing rate in 1/ns")
     p.add_argument("--lambda0", type=float, help="source-noise strength")
     p.add_argument("--epsilon", type=float, help="initialization error")
-    p.add_argument("--phi0", type=float, help="initialization phase (rad)")
+    p.add_argument("--phi0", type=float, default=np.pi / 2, help="initialization phase (rad)")
     p.add_argument("--steps", type=int, help="RK4 step count")
 
     p = sub.add_parser("b0max", help="tabulate the B0 upper limit vs t_f")

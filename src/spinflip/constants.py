@@ -31,7 +31,8 @@ class MaterialParams:
         eta = g mu_B / hbar.
     xi_x, xi_y : float
         Dimensionless orbital-correction factors renormalizing the drive
-        fields (0 when higher orbitals are neglected).
+        fields (0 when higher orbitals are neglected), > -1: the fields
+        divide by 1 + xi.
     """
 
     hbar_alpha: float
@@ -51,6 +52,9 @@ class MaterialParams:
             raise ValueError("hbar_beta must be nonzero")
         if self.g == 0.0:
             raise ValueError("g must be nonzero")
+        for name in ("xi_x", "xi_y"):
+            if getattr(self, name) <= -1.0:
+                raise ValueError(f"{name} must be > -1, got {getattr(self, name)!r}")
 
     @property
     def alpha(self) -> float:

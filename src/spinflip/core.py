@@ -85,6 +85,17 @@ def density_to_bloch(rho: np.ndarray) -> np.ndarray:
     return np.stack([u, v, w], axis=-1)
 
 
+def initial_state(eps: float, phi0: float) -> np.ndarray:
+    """(sqrt(1 - eps) e^{i phi0}, sqrt(eps)): spin up with an initialization
+    error eps in [0, 1) and phase phi0, which must be finite, else ValueError."""
+    if not 0.0 <= eps < 1.0:
+        raise ValueError(f"epsilon must lie in [0, 1), got {eps}")
+    if not math.isfinite(phi0):
+        raise ValueError(f"phi0 must be finite, got {phi0}")
+    return np.array([np.sqrt(1.0 - eps) * np.exp(1j * phi0), np.sqrt(eps)],
+                    dtype=complex)
+
+
 def bloch_to_density(r: np.ndarray) -> np.ndarray:
     """Inverse of :func:`density_to_bloch` (exact round trip)."""
     u, v, w = float(r[0]), float(r[1]), float(r[2])

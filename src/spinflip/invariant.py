@@ -15,13 +15,31 @@ import numpy as np
 
 from . import _kernels as K
 from .constants import HBAR, MU_B
-from .core import FieldTriple, build_heff, commutator, spin_to_bloch
+from .core import FieldTriple, build_heff, commutator, initial_state, spin_to_bloch
 from .errors import IntegratorError, SingularityError
 from .fields import fields_xyz_at, require_cancellable, verify_cancellation
 from .trajectory import TrajectoryDesign, eval_angles
 
 GATE_TOL = 1e-8
+MIN_GATED_STEPS = 1000
 POLE_TOL = 1e-9
+
+
+def check_steps(steps: int, minimum: int) -> None:
+    """ValueError unless steps >= minimum."""
+    if steps < minimum:
+        raise ValueError(f"steps must be >= {minimum}, got {steps}")
+
+
+def gate(coarse_final: np.ndarray, fine_final: np.ndarray) -> float:
+    """Step-doubling gate (Hairer, Norsett & Wanner, Solving ODEs I, II.4): max
+    |coarse - fine| of the final states at steps and 2 steps, returned if it is
+    <= GATE_TOL, else IntegratorError (a NaN fails too)."""
+    delta = float(np.max(np.abs(coarse_final - fine_final)))
+    if not delta <= GATE_TOL:
+        raise IntegratorError(
+            f"step-halving gate failed: final state moved by {delta:.3e} > {GATE_TOL}")
+    return delta
 
 
 @dataclass(frozen=True)
@@ -137,7 +155,7 @@ def lr_phase(spec: InvariantSpec, branch: int, t: float, nodes: int = 1001) -> f
 def _unit_state(psi0: np.ndarray) -> np.ndarray:
     psi0 = np.asarray(psi0, dtype=complex)
     nrm = np.linalg.norm(psi0)
-    if abs(nrm - 1.0) > 1e-9:
+    if not abs(nrm - 1.0) <= 1e-9:  # a NaN norm fails too
         raise ValueError(f"psi0 norm {nrm} differs from 1 beyond 1e-9")
     return psi0
 
@@ -150,22 +168,16 @@ def propagate_schrodinger(design: TrajectoryDesign, psi0: np.ndarray,
     move the final state by less than 1e-8, else IntegratorError.  A design
     above the B0 limit raises SingularityError before propagating.
     """
-    if steps < 1000:
-        raise ValueError(f"steps must be >= 1000, got {steps}")
+    check_steps(steps, MIN_GATED_STEPS)
     psi0 = _unit_state(psi0)
     require_cancellable(design)
     args = (*design.kernel_args(), 0.5 * design.mat.g * MU_B, HBAR)
     traj, drift = K.rk4_spin(*args, psi0, steps)
     fine, _ = K.rk4_spin(*args, psi0, 2 * steps)
-    if np.isnan(traj).any():
-        raise IntegratorError("propagation produced non-finite amplitudes")
-    gate = float(np.max(np.abs(traj[-1] - fine[-1])))
-    if gate > GATE_TOL:
-        raise IntegratorError(
-            f"step-halving gate failed: final state moved by {gate:.3e} > {GATE_TOL}")
+    delta = gate(traj[-1], fine[-1])
     times = np.linspace(0.0, design.tf, steps + 1)
     return Propagation(times=times, states=traj, steps=steps, order=4,
-                       max_norm_drift=float(drift), gate_delta=gate)
+                       max_norm_drift=float(drift), gate_delta=delta)
 
 
 def propagate_constant(fields: FieldTriple, design_or_mat, psi0: np.ndarray,
@@ -174,8 +186,7 @@ def propagate_constant(fields: FieldTriple, design_or_mat, psi0: np.ndarray,
 
     steps must be >= 1 and psi0 of unit norm within 1e-9, else ValueError.
     """
-    if steps < 1:
-        raise ValueError(f"steps must be >= 1, got {steps}")
+    check_steps(steps, 1)
     psi0 = _unit_state(psi0)
     mat = getattr(design_or_mat, "mat", design_or_mat)
     pref = 0.5 * mat.g * MU_B
@@ -211,16 +222,12 @@ class PerturbedEvolution:
 
 def perturbed_initial_evolution(design: TrajectoryDesign, eps: float,
                                 phi0: float, steps: int = 10000) -> PerturbedEvolution:
-    """Propagate (sqrt(1-eps) e^{i phi0}, sqrt(eps)) under the unmodified fields.
+    """Propagate core.initial_state(eps, phi0) under the unmodified fields.
 
     The angles are read off the Bloch vector in the chi_plus parametrization:
     cos(theta) = w, sin(phi) = v / sqrt(u^2 + v^2).
     """
-    if not 0.0 <= eps < 1.0:
-        raise ValueError(f"eps must lie in [0, 1), got {eps}")
-    psi0 = np.array([np.sqrt(1.0 - eps) * np.exp(1j * phi0), np.sqrt(eps)],
-                    dtype=complex)
-    prop = propagate_schrodinger(design, psi0, steps)
+    prop = propagate_schrodinger(design, initial_state(eps, phi0), steps)
     u, v, w = spin_to_bloch(prop.states).T
     defined = np.abs(w) <= 1.0 - POLE_TOL
     trans = np.sqrt(u * u + v * v)

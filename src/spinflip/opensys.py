@@ -29,6 +29,7 @@ the step count.
 
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import dataclass
 
@@ -39,11 +40,10 @@ from .constants import HBAR, MU_B
 from .core import density_to_bloch
 from .errors import IntegratorError
 from .fields import require_cancellable
-from .invariant import GATE_TOL
+from .invariant import MIN_GATED_STEPS, check_steps, gate
 from .trajectory import TrajectoryDesign
 
 CHANNELS = ("as-printed", "x-only")
-_CHANNEL_CODE = {"as-printed": 1, "x-only": 2}
 # Steps of Wiener increments per block of a Monte Carlo run: 2 KiB per
 # trajectory, few enough generator calls that drawing stays a small share.
 INCREMENT_BLOCK = 256
@@ -54,9 +54,9 @@ def _is_integer(value) -> bool:
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
-def _check_steps(steps: int) -> None:
-    if steps < 1:
-        raise ValueError(f"steps must be >= 1, got {steps}")
+def _check_rate(name: str, value: float) -> None:
+    if not 0.0 <= value < math.inf:  # NaN fails too
+        raise ValueError(f"{name} must be {'>= 0' if value < 0.0 else 'finite'}, got {value}")
 
 
 @dataclass(frozen=True)
@@ -66,8 +66,7 @@ class LindbladParams:
     gamma: float
 
     def __post_init__(self):
-        if self.gamma < 0.0:
-            raise ValueError(f"gamma must be >= 0, got {self.gamma}")
+        _check_rate("gamma", self.gamma)
 
 
 @dataclass(frozen=True)
@@ -80,8 +79,7 @@ class NoiseParams:
     n_traj: int = 1
 
     def __post_init__(self):
-        if self.lambda0 < 0.0:
-            raise ValueError(f"lambda0 must be >= 0, got {self.lambda0}")
+        _check_rate("lambda0", self.lambda0)
         if self.channel not in CHANNELS:
             raise ValueError(f"channel must be one of {CHANNELS}, got {self.channel!r}")
         if not _is_integer(self.n_traj) or self.n_traj < 1:
@@ -107,13 +105,12 @@ def fidelity_from_w(w):
 
 def _run_bloch(design: TrajectoryDesign, gamma: float, lambda0: float,
                channel: str, r0: np.ndarray, steps: int) -> np.ndarray:
-    _check_steps(steps)
+    check_steps(steps, 1)
     LindbladParams(gamma)
     NoiseParams(lambda0, channel)
     require_cancellable(design)
-    code = _CHANNEL_CODE[channel] if lambda0 > 0.0 else 0
-    traj = K.rk4_bloch(*design.kernel_args(), gamma, lambda0**2 * design.tf, code,
-                       r0, steps)
+    traj = K.rk4_bloch(*design.kernel_args(), gamma, lambda0**2 * design.tf,
+                       channel if lambda0 > 0.0 else None, r0, steps)
     if np.isnan(traj).any():
         raise IntegratorError("Bloch propagation produced non-finite components")
     return traj
@@ -125,10 +122,14 @@ def propagate_bloch(design: TrajectoryDesign, gamma: float = 0.0,
                     r0: tuple[float, float, float] = (0.0, 0.0, 1.0)) -> BlochTrajectory:
     """RK4 on the Bloch equation with dephasing and the selected noise channel.
 
-    Like every propagator here, it raises SingularityError before
-    propagating a design above the B0 limit.
+    r0 must be finite with |r0| <= 1, else ValueError.  Like every
+    propagator here, it raises SingularityError before propagating a design
+    above the B0 limit.
     """
-    traj = _run_bloch(design, gamma, lambda0, channel, np.asarray(r0, dtype=float), steps)
+    r0 = np.asarray(r0, dtype=float)
+    if not np.linalg.norm(r0) <= 1.0 + 1e-12:  # a non-finite r0 fails too
+        raise ValueError(f"r0 must be finite with |r0| <= 1, got {r0.tolist()}")
+    traj = _run_bloch(design, gamma, lambda0, channel, r0, steps)
     return BlochTrajectory(times=np.linspace(0.0, design.tf, steps + 1), r=traj)
 
 
@@ -142,17 +143,13 @@ def dephasing_sweep(design: TrajectoryDesign, gammas, steps: int = 10000) -> np.
     its delta at gamma is e^{-4 gamma tf} times that one, so the single
     gate is at least as strict at every rate.
     """
-    if steps < 1000:
-        raise ValueError(f"steps must be >= 1000, got {steps}")
+    check_steps(steps, MIN_GATED_STEPS)
     gammas = np.array([LindbladParams(float(g)).gamma for g in gammas])
     require_cancellable(design)
     r0 = np.array([0.0, 0.0, 1.0])
-    coarse, fine = (K.rk4_bloch(*design.kernel_args(), 0.0, 0.0, 0, r0, n)[-1]
+    coarse, fine = (K.rk4_bloch(*design.kernel_args(), 0.0, 0.0, None, r0, n)[-1]
                     for n in (steps, 2 * steps))
-    gate = float(np.max(np.abs(coarse - fine)))
-    if not gate <= GATE_TOL:  # non-finite components fail it too
-        raise IntegratorError(
-            f"step-halving gate failed: final Bloch vector moved by {gate:.3e}")
+    gate(coarse, fine)
     return fidelity_from_w(np.exp(-4.0 * gammas * design.tf) * coarse[2])
 
 
@@ -239,7 +236,7 @@ def _em_fidelities(design: TrajectoryDesign, lambda0s, seed: int, n_traj: int,
                    steps: int) -> np.ndarray:
     """Per-trajectory final fidelities, one row per lambda0, from one
     lock-step ensemble on one stream of increments."""
-    _check_steps(steps)
+    check_steps(steps, 1)
     lams = [NoiseParams(float(l0), "x-only", seed, n_traj).lambda0 * np.sqrt(design.tf)
             for l0 in lambda0s]
     require_cancellable(design)

@@ -3,6 +3,7 @@ import json
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from contextlib import redirect_stderr, redirect_stdout
 
 import numpy as np
@@ -10,6 +11,7 @@ import pytest
 import yaml
 
 from spinflip import NoiseParams, ensemble_average, propagate_bloch, propagate_density
+from spinflip import fields
 from spinflip.cli import main
 
 
@@ -328,14 +330,14 @@ class TestSweep:
 
 class TestOverLimitB0:
     """B0 = 2 T at tf = 1 ns carries non-cancellable roots: every propagating
-    command exits 3 from one singularity scan, before any propagation."""
+    command exits 3 from the library's singularity scan, before any kernel."""
 
     @pytest.fixture(autouse=True)
     def no_propagation(self, monkeypatch):
         def refuse(*args, **kwargs):
             raise AssertionError("propagated an over-limit design")
-        for name in ("propagate_bloch", "dephasing_sweep", "ensemble_sweep"):
-            monkeypatch.setattr(f"spinflip.cli.{name}", refuse)
+        for name in ("rk4_bloch", "em_final"):
+            monkeypatch.setattr(f"spinflip._kernels.{name}", refuse)
 
     @pytest.mark.parametrize("argv", [
         ["simulate", "--lambda0", "0.1"],
@@ -350,6 +352,38 @@ class TestOverLimitB0:
         code, out, err = invoke(argv + ["--b0", "2.0"])
         assert code == 3
         assert out == "" and "non-cancellable singularity" in err
+
+    def test_bad_epsilon_exits_2_before_the_scan(self):
+        code, out, err = invoke(["simulate", "--epsilon", "1.5", "--b0", "2.0"])
+        assert code == 2
+        assert out == "" and "simulate: epsilon must lie in [0, 1), got 1.5" in err
+
+    def test_empty_grid_propagates_nothing(self):
+        code, out, err = invoke(["sweep", "--axis", "gamma", "--grid", "", "--b0", "2.0"])
+        assert code == 0 and err == ""
+        assert parse_csv(out)[2].size == 0
+
+
+class TestOneScan:
+    """The library propagators scan the design before any kernel, so the
+    CLI commands scan once per propagation."""
+
+    @pytest.mark.parametrize("argv, scans", [
+        (["simulate", "--samples", "3"], 1),
+        (["sweep", "--axis", "gamma", "--grid", "0:1:3"], 1),
+        (["sweep", "--axis", "lambda0_sq", "--grid", "0.01,0.02", "--mc",
+          "--n-traj", "4"], 1),
+        (["sweep", "--axis", "lambda0_sq", "--grid", "0,0.01,0.02"], 3),
+    ], ids=["simulate", "sweep-gamma", "sweep-mc", "sweep-lambda0_sq"])
+    def test_scan_count(self, monkeypatch, argv, scans):
+        calls, detect = [], fields.detect_singularities
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return detect(*args, **kwargs)
+        monkeypatch.setattr(fields, "detect_singularities", counted)
+        code, _, _ = invoke(argv + ["--steps", "1000"])
+        assert code == 0 and len(calls) == scans
 
 
 class TestConfigHandling:
@@ -400,6 +434,19 @@ class TestConfigHandling:
         code, out, err = invoke(["design", "--config", str(cfg)])
         assert code == 2
         assert out == "" and err.startswith("error: material: ")
+
+    @pytest.mark.parametrize("argv", [["design"], ["simulate", "--steps", "1000"]],
+                             ids=["design", "simulate"])
+    def test_xi_at_minus_one_rejected(self, tmp_path, argv):
+        # the fields divide by 1 + xi_x: design used to print two numpy
+        # RuntimeWarnings and exit 3, simulate to exit 0
+        cfg = tmp_path / "xi.yaml"
+        cfg.write_text(yaml.safe_dump({"material": {"xi_x": -1.0}}))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = invoke(argv + ["--config", str(cfg)])
+        assert code == 2
+        assert out == "" and err == "error: material: xi_x must be > -1, got -1.0\n"
 
     @pytest.mark.parametrize("argv, doc, message", [
         (["simulate"], {"decoherence": {"gamma_per_ns": -0.5}},

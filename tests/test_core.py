@@ -145,3 +145,10 @@ class TestMaterialParams:
     def test_nonfinite_rejected(self):
         with pytest.raises(ValueError):
             MaterialParams(hbar_alpha=np.nan, hbar_beta=1e-6, g=-0.44)
+
+    @pytest.mark.parametrize("xi", [{"xi_x": -1.0}, {"xi_y": -2.5}], ids=["xi_x", "xi_y"])
+    def test_xi_at_or_below_minus_one_rejected(self, xi):
+        # the drive fields divide by 1 + xi
+        with pytest.raises(ValueError, match="must be > -1"):
+            MaterialParams(hbar_alpha=2e-6, hbar_beta=1e-6, g=-0.44, **xi)
+        assert MaterialParams(2e-6, 1e-6, -0.44, -0.5, -0.5).xi_x == -0.5

@@ -9,6 +9,7 @@ from spinflip import (FieldTriple, InvariantSpec, IntegratorError, Propagation,
                       propagate_schrodinger, fields_xyz_at)
 from spinflip import _kernels as K
 from spinflip.constants import HBAR, MU_B
+from spinflip.invariant import gate
 from spinflip.trajectory import TrajectoryDesign, eval_angles
 
 UP = np.array([1.0, 0.0], dtype=complex)
@@ -211,6 +212,12 @@ class TestPropagation:
         with pytest.raises(ValueError):
             propagate_schrodinger(design, UP, 500)
 
+    def test_non_finite_state_rejected(self, design):
+        # a NaN norm used to pass the norm check and fail later as a
+        # convergence failure (IntegratorError)
+        with pytest.raises(ValueError, match="psi0 norm nan"):
+            propagate_schrodinger(design, np.array([np.nan, 0.0]), 1000)
+
     def test_unnormalized_state_rejected(self, design):
         with pytest.raises(ValueError):
             propagate_schrodinger(design, np.array([1.0, 1.0]), 10000)
@@ -279,3 +286,20 @@ class TestPerturbedEvolution:
             perturbed_initial_evolution(design, 1.0, 0.0, 10000)
         with pytest.raises(ValueError):
             perturbed_initial_evolution(design, -0.1, 0.0, 10000)
+
+    def test_non_finite_phase_rejected(self, design):
+        # a NaN phase used to propagate and fail as IntegratorError
+        with pytest.raises(ValueError, match="phi0 must be finite"):
+            perturbed_initial_evolution(design, 0.0, np.nan, 1000)
+
+
+class TestGate:
+    def test_returns_delta_within_tolerance(self):
+        coarse = np.array([0.0, 1.0])
+        assert gate(coarse, coarse + [0.0, 5e-9]) == pytest.approx(5e-9)
+
+    @pytest.mark.parametrize("fine", [[0.0, 1.0 + 2e-8], [0.0, np.nan]],
+                             ids=["moved", "nan"])
+    def test_fails_past_tolerance_or_non_finite(self, fine):
+        with pytest.raises(IntegratorError, match="step-halving gate failed"):
+            gate(np.array([0.0, 1.0]), np.array(fine))

@@ -152,8 +152,9 @@ def test_rk4_bloch_matches(args, design, mat, fields):
                     - bloch_rhs(r, f, 0.0, mat))
         return rhs
     for steps in STEP_COUNTS:
-        for channel, rhs in ((0, lambda t, r: bloch_rhs(r, fields(t), GAMMA, mat)),
-                             (1, noisy("as-printed")), (2, noisy("x-only"))):
+        for channel, rhs in ((None, lambda t, r: bloch_rhs(r, fields(t), GAMMA, mat)),
+                             ("as-printed", noisy("as-printed")),
+                             ("x-only", noisy("x-only"))):
             ref, _ = rk4_reference(rhs, r0, design.tf, steps)
             got = K.rk4_bloch(*args, GAMMA, LAM2, channel, r0, steps)
             assert got.shape == (steps + 1, 3)
@@ -324,7 +325,7 @@ def test_propagate_bloch_rejects_noncancellable_design(design):
                 key=lambda n: abs(np.round(2 * t_bad * n) / (2 * n) - t_bad))
     t_stage = np.round(2 * t_bad * steps) / (2 * steps)
     assert np.isnan(K.b1_b2(np.array([t_stage]), *bad.kernel_args(), 0.0, 0.0)[0])
-    r = K.rk4_bloch(*bad.kernel_args(), 0.0, 0.0, 0, np.array([0.0, 0.0, 1.0]), steps)
+    r = K.rk4_bloch(*bad.kernel_args(), 0.0, 0.0, None, np.array([0.0, 0.0, 1.0]), steps)
     assert np.isnan(r[-1]).all()
 
 

@@ -396,6 +396,26 @@ class TestParams:
         with pytest.raises(ValueError, match="steps must be >= 1"):
             call(design)
 
+    @pytest.mark.parametrize("call", [
+        lambda d: LindbladParams(np.inf),
+        lambda d: NoiseParams(np.inf),
+        lambda d: propagate_bloch(d, lambda0=np.nan, steps=1000),
+        lambda d: propagate_master(d, np.nan, steps=1000),
+        lambda d: ensemble_sweep(d, [0.1, np.nan], seed=0, n_traj=4, steps=1000),
+    ], ids=["lindblad-inf", "noise-inf", "bloch-lambda0-nan", "master-gamma-nan",
+            "ensemble_sweep-nan"])
+    def test_non_finite_rates_rejected(self, design, call):
+        # unchecked, lambda0 = NaN gave the noiseless F and gamma = NaN a NaN F
+        with pytest.raises(ValueError, match="must be finite, got"):
+            call(design)
+
+    @pytest.mark.parametrize("r0", [(np.nan, 0.0, 1.0), (0.0, 0.0, -3.0)],
+                             ids=["nan", "outside-ball"])
+    def test_propagate_bloch_rejects_bad_r0(self, design, r0):
+        # a NaN r0 used to fail as IntegratorError, |r0| = 3 to give F = 0.0
+        with pytest.raises(ValueError, match="r0 must be finite with"):
+            propagate_bloch(design, steps=1000, r0=r0)
+
     def test_fidelity_from_w(self):
         assert fidelity_from_w(-1.0) == 1.0
         assert fidelity_from_w(1.0) == 0.0
