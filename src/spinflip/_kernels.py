@@ -147,16 +147,17 @@ def _rk4_linear(gen, y0, tf, steps, normalize=False):
     With normalize, every state is divided by its norm, as a loop that
     renormalizes after each step does, and the largest one-step |norm - 1|
     (the ratio of successive norms) is returned as the drift; else 0.0.
-    A and y are real; y0 is (d,), or (d, k) for k starts at once (without
-    normalize).  Returns the (steps + 1,) + y0.shape trajectory and the drift.
+    A and y are real and y0 is (d,).  Returns the (steps + 1, d) trajectory
+    and the drift.
     """
     y = np.asarray(y0, dtype=float)
-    traj = np.empty((steps + 1,) + y.shape, dtype=y.dtype)
+    d = len(y)
+    traj = np.empty((steps + 1, d))
     traj[0] = y
-    eye = np.eye(y.shape[0])
+    eye = np.eye(d)
     dt = tf / steps
     drift = 0.0
-    block = BLOCK_BYTES // traj.itemsize // y.shape[0] ** 2
+    block = BLOCK_BYTES // traj.itemsize // d ** 2
     for start in range(0, steps, block):
         t = np.arange(start, min(start + block, steps)) * dt
         with np.errstate(over="ignore", invalid="ignore"):
@@ -221,24 +222,13 @@ def rk4_spin(tc, pc, tf, b0, alpha, beta, eta, pref, hbar, psi0, steps):
     return _spin_rk4(gen, psi0, tf, steps)
 
 
-def rk4_spin_const(x, y, z, pref, hbar, psi0, tf, steps):
-    """RK4 under a constant field triple (free precession / no drive)."""
-    a = _spin_generator(x, y, z, pref, hbar)
-
-    def gen(t):
-        return np.broadcast_to(a, (len(t), 4, 4))
-    return _spin_rk4(gen, psi0, tf, steps)[0]
-
-
 def rk4_bloch(tc, pc, tf, b0, alpha, beta, eta, gamma, lam2, channel, r0, steps):
     """RK4 Bloch propagation: dephasing at rate gamma plus source-noise decay
     -(lam2 eta^2/2)(|a|^2 I - a a^T), Z' = Z - B0.  channel None has none;
     "as-printed" keeps the diagonal of it with a = (X, Y, Z'); "x-only" is
     the full matrix with a = (0, Y, Z'), the Bloch form of the double
-    commutator with the x-only noise operator.
-
-    r0 is (3,) or (3, k); columns of a (3, k) start propagate independently
-    and the trajectory is (steps+1, 3, k).
+    commutator with the x-only noise operator.  Returns the (steps+1, 3)
+    trajectory from r0.
     """
     def gen(t):
         x, y, z = _xyz(t, tc, pc, tf, b0, alpha, beta, eta)

@@ -56,6 +56,8 @@ EXIT_CONFIG = 2
 EXIT_SINGULARITY = 3
 EXIT_INTEGRATOR = 4
 EXIT_DEGENERATE = 5
+EXIT_CODES = {ConfigError: EXIT_CONFIG, SingularityError: EXIT_SINGULARITY,
+              IntegratorError: EXIT_INTEGRATOR, DegenerateReferenceError: EXIT_DEGENERATE}
 
 
 def _merge_checked(base: dict, override: dict, defaults: dict = DEFAULT_CONFIG,
@@ -83,20 +85,27 @@ def _merge_checked(base: dict, override: dict, defaults: dict = DEFAULT_CONFIG,
         base[key] = value
 
 
+def _read_mapping(kind: str, path: str) -> dict:
+    """The YAML mapping in the file at path; an empty (or other false)
+    document is an empty mapping.  An unreadable file, bad YAML or any other
+    document is a ConfigError."""
+    try:
+        with open(path) as fh:
+            doc = yaml.safe_load(fh) or {}
+    except OSError as exc:
+        raise ConfigError(f"cannot read {kind} {path!r}: {exc}") from exc
+    except yaml.YAMLError as exc:
+        raise ConfigError(f"cannot parse {kind} {path!r}: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{kind} file must hold a mapping at top level")
+    return doc
+
+
 def load_config(path: str | None, overrides: dict | None = None) -> dict:
     """Defaults, then config file, then CLI overrides; unknown keys rejected."""
     config = copy.deepcopy(DEFAULT_CONFIG)
     if path is not None:
-        try:
-            with open(path) as fh:
-                loaded = yaml.safe_load(fh) or {}
-        except OSError as exc:
-            raise ConfigError(f"cannot read config {path!r}: {exc}") from exc
-        except yaml.YAMLError as exc:
-            raise ConfigError(f"cannot parse config {path!r}: {exc}") from exc
-        if not isinstance(loaded, dict):
-            raise ConfigError("config file must hold a mapping at top level")
-        _merge_checked(config, loaded)
+        _merge_checked(config, _read_mapping("config", path))
     if overrides:
         _merge_checked(config, overrides)
     _validate(config)
@@ -293,15 +302,7 @@ def cmd_sweep(config: dict, args) -> int:
 
 
 def _load_model(path: str, config: dict) -> FourLevelModel:
-    try:
-        with open(path) as fh:
-            doc = yaml.safe_load(fh)
-    except OSError as exc:
-        raise ConfigError(f"cannot read model {path!r}: {exc}") from exc
-    except yaml.YAMLError as exc:
-        raise ConfigError(f"cannot parse model {path!r}: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise ConfigError("model file must hold a mapping")
+    doc = _read_mapping("model", path)
     required = {"e1_meV", "e2_meV", "delta_z_meV", "pbar_x", "pbar_y",
                 "mass_meV_ns2_cm2", "drive_b1_T", "drive_b2_T"}
     unknown = set(doc) - required
@@ -448,18 +449,9 @@ def main(argv: list[str] | None = None) -> int:
     try:
         config = load_config(args.config, _overrides_from(args))
         return handlers[args.command](config, args)
-    except ConfigError as exc:
+    except tuple(EXIT_CODES) as exc:
         sys.stderr.write(f"error: {exc}\n")
-        return EXIT_CONFIG
-    except SingularityError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_SINGULARITY
-    except IntegratorError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_INTEGRATOR
-    except DegenerateReferenceError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_DEGENERATE
+        return next(code for kind, code in EXIT_CODES.items() if isinstance(exc, kind))
 
 
 if __name__ == "__main__":

@@ -72,13 +72,18 @@ def spin_to_bloch(psi: np.ndarray) -> np.ndarray:
 
 
 def density_to_bloch(rho: np.ndarray) -> np.ndarray:
-    """Bloch vector (u, v, w) of a unit-trace 2x2 density matrix, or of each
-    in a (..., 2, 2) stack."""
+    """Bloch vector (u, v, w) of a Hermitian unit-trace 2x2 density matrix,
+    or of each in a (..., 2, 2) stack; ValueError beyond 1e-9 (or on NaN)."""
     rho = np.asarray(rho, dtype=complex)
     tr = np.asarray(rho[..., 0, 0] + rho[..., 1, 1])
-    bad = np.abs(tr - 1.0) > 1e-9
+    bad = ~(np.abs(tr - 1.0) <= 1e-9)
     if bad.any():
         raise ValueError(f"density matrix trace {tr[bad].flat[0]} differs from 1 beyond 1e-9")
+    skew = np.asarray(np.abs(rho - np.swapaxes(rho, -1, -2).conj()).max(axis=(-2, -1)))
+    bad = ~(skew <= 1e-9)
+    if bad.any():
+        raise ValueError(f"density matrix differs from its adjoint by {skew[bad].flat[0]}"
+                         " beyond 1e-9")
     u = (rho[..., 0, 1] + rho[..., 1, 0]).real
     v = (-1j * (rho[..., 0, 1] - rho[..., 1, 0])).real
     w = (rho[..., 0, 0] - rho[..., 1, 1]).real
@@ -97,7 +102,11 @@ def initial_state(eps: float, phi0: float) -> np.ndarray:
 
 
 def bloch_to_density(r: np.ndarray) -> np.ndarray:
-    """Inverse of :func:`density_to_bloch` (exact round trip)."""
-    u, v, w = float(r[0]), float(r[1]), float(r[2])
-    return np.array([[(1 + w) / 2, (u + 1j * v) / 2],
-                     [(u - 1j * v) / 2, (1 - w) / 2]], dtype=complex)
+    """Inverse of :func:`density_to_bloch` (exact round trip), on a Bloch
+    vector or a (..., 3) stack."""
+    r = np.asarray(r, dtype=float)
+    u, v, w = r[..., 0], r[..., 1], r[..., 2]
+    rho = np.empty(r.shape[:-1] + (2, 2), dtype=complex)
+    rho[..., 0, 0], rho[..., 0, 1] = (1 + w) / 2, (u + 1j * v) / 2
+    rho[..., 1, 0], rho[..., 1, 1] = (u - 1j * v) / 2, (1 - w) / 2
+    return rho

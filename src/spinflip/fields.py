@@ -61,20 +61,24 @@ class SingularityReport:
         return all(self.cancellable)
 
 
+def _at(design: TrajectoryDesign, t: float, kernel, *extra) -> tuple[float, ...]:
+    """kernel's arrays at the one time t in [0, tf], as floats; SingularityError
+    on NaN."""
+    if not 0.0 <= t <= design.tf:
+        raise ValueError(f"t={t} outside [0, {design.tf}]")
+    values = kernel(np.array([t], dtype=float), *design.kernel_args(), *extra)
+    if np.isnan(values).any():
+        raise SingularityError(t, verify_cancellation(design, t))
+    return tuple(float(v[0]) for v in values)
+
+
 def effective_fields(design: TrajectoryDesign, t: float) -> tuple[float, float]:
     """(B1, B2) in T at time t; endpoint values are the (zero) inside limits.
 
     Raises SingularityError when t falls in the guard window of a
     denominator zero whose numerators do not cancel.
     """
-    tc, pc, tf, b0, al, be, eta = design.kernel_args()
-    if not 0.0 <= t <= tf:
-        raise ValueError(f"t={t} outside [0, {tf}]")
-    b1, b2 = K.b1_b2(np.array([t], dtype=float), tc, pc, tf, b0, al, be, eta,
-                     design.mat.xi_x, design.mat.xi_y)
-    if np.isnan(b1[0]) or np.isnan(b2[0]):
-        raise SingularityError(t, verify_cancellation(design, t))
-    return float(b1[0]), float(b2[0])
+    return _at(design, t, K.b1_b2, design.mat.xi_x, design.mat.xi_y)
 
 
 def fields_xyz(b1: float, b2: float, b0: float, mat: MaterialParams) -> FieldTriple:
@@ -87,13 +91,13 @@ def fields_xyz(b1: float, b2: float, b0: float, mat: MaterialParams) -> FieldTri
 
 
 def fields_xyz_at(design: TrajectoryDesign, t: float) -> FieldTriple:
-    """Hamiltonian field triple along the design.
+    """Hamiltonian field triple along the design, with the checks of
+    effective_fields.
 
     The xi factors cancel between the drive fields and the map, so (X, Y, Z)
-    is independent of them.
+    is independent of them: it is evaluated without them, exactly.
     """
-    b1, b2 = effective_fields(design, t)
-    return fields_xyz(b1, b2, design.b0, design.mat)
+    return FieldTriple(*_at(design, t, K._xyz))
 
 
 def _electric_stencil(design: TrajectoryDesign, ts: np.ndarray):

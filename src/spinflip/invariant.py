@@ -184,14 +184,18 @@ def propagate_constant(fields: FieldTriple, design_or_mat, psi0: np.ndarray,
                        tf: float, steps: int = 10000) -> Propagation:
     """RK4 under a time-independent field triple (e.g. no drive: (0, 0, B0)).
 
-    steps must be >= 1 and psi0 of unit norm within 1e-9, else ValueError.
+    steps must be >= 1, the fields finite, tf finite and positive and psi0
+    of unit norm within 1e-9, else ValueError.
     """
     check_steps(steps, 1)
+    if not np.isfinite(np.asarray(fields, dtype=float)).all():
+        raise ValueError(f"field components must be finite, got {tuple(fields)!r}")
+    if not 0.0 < tf < np.inf:  # NaN fails too
+        raise ValueError(f"tf must be finite and positive, got {tf}")
     psi0 = _unit_state(psi0)
     mat = getattr(design_or_mat, "mat", design_or_mat)
-    pref = 0.5 * mat.g * MU_B
-    traj = K.rk4_spin_const(fields[0], fields[1], fields[2], pref, HBAR, psi0,
-                            tf, steps)
+    a = K._spin_generator(*fields, 0.5 * mat.g * MU_B, HBAR)
+    traj, _ = K._spin_rk4(lambda t: np.broadcast_to(a, (len(t), 4, 4)), psi0, tf, steps)
     times = np.linspace(0.0, tf, steps + 1)
     return Propagation(times=times, states=traj, steps=steps, order=4,
                        max_norm_drift=0.0, gate_delta=0.0)
@@ -201,9 +205,13 @@ def fidelity(prop: Propagation) -> float:
     """|<down | psi(t_f)>| — modulus of the final spin-down amplitude.
 
     The states are unit vectors only to rounding, so a full flip can read
-    1 + 2e-16; the modulus is capped at 1.
+    1 + 2e-16; the modulus is capped at 1.  A modulus that is not finite or
+    exceeds 1 + 1e-12 is no rounding: IntegratorError.
     """
-    return min(1.0, float(np.abs(prop.states[-1, 1])))
+    f = float(np.abs(prop.states[-1, 1]))
+    if not f <= 1.0 + 1e-12:  # NaN fails too
+        raise IntegratorError(f"final spin-down modulus {f} is not in [0, 1]")
+    return min(1.0, f)
 
 
 @dataclass(frozen=True)

@@ -37,7 +37,7 @@ import numpy as np
 
 from . import _kernels as K
 from .constants import HBAR, MU_B
-from .core import density_to_bloch
+from .core import bloch_to_density, density_to_bloch
 from .errors import IntegratorError
 from .fields import require_cancellable
 from .invariant import MIN_GATED_STEPS, check_steps, gate
@@ -103,17 +103,11 @@ def fidelity_from_w(w):
     return np.sqrt(np.maximum(0.0, (1.0 - w) / 2.0))
 
 
-def _run_bloch(design: TrajectoryDesign, gamma: float, lambda0: float,
-               channel: str, r0: np.ndarray, steps: int) -> np.ndarray:
-    check_steps(steps, 1)
-    LindbladParams(gamma)
-    NoiseParams(lambda0, channel)
-    require_cancellable(design)
-    traj = K.rk4_bloch(*design.kernel_args(), gamma, lambda0**2 * design.tf,
-                       channel if lambda0 > 0.0 else None, r0, steps)
-    if np.isnan(traj).any():
-        raise IntegratorError("Bloch propagation produced non-finite components")
-    return traj
+def _finite(values: np.ndarray, what: str) -> np.ndarray:
+    """values, unless a NaN shows that the propagation diverged."""
+    if np.isnan(values).any():
+        raise IntegratorError(f"{what} propagation produced non-finite components")
+    return values
 
 
 def propagate_bloch(design: TrajectoryDesign, gamma: float = 0.0,
@@ -129,8 +123,14 @@ def propagate_bloch(design: TrajectoryDesign, gamma: float = 0.0,
     r0 = np.asarray(r0, dtype=float)
     if not np.linalg.norm(r0) <= 1.0 + 1e-12:  # a non-finite r0 fails too
         raise ValueError(f"r0 must be finite with |r0| <= 1, got {r0.tolist()}")
-    traj = _run_bloch(design, gamma, lambda0, channel, r0, steps)
-    return BlochTrajectory(times=np.linspace(0.0, design.tf, steps + 1), r=traj)
+    check_steps(steps, 1)
+    LindbladParams(gamma)
+    NoiseParams(lambda0, channel)
+    require_cancellable(design)
+    traj = K.rk4_bloch(*design.kernel_args(), gamma, lambda0**2 * design.tf,
+                       channel if lambda0 > 0.0 else None, r0, steps)
+    return BlochTrajectory(times=np.linspace(0.0, design.tf, steps + 1),
+                           r=_finite(traj, "Bloch"))
 
 
 def dephasing_sweep(design: TrajectoryDesign, gammas, steps: int = 10000) -> np.ndarray:
@@ -180,24 +180,15 @@ def propagate_density(design: TrajectoryDesign, gamma: float = 0.0,
                       lambda0: float = 0.0, channel: str = "as-printed",
                       steps: int = 10000,
                       rho0: np.ndarray | None = None) -> DensityTrajectory:
-    """RK4 on the density matrix with the selected dissipators.
+    """RK4 on the density matrix with the selected dissipators: propagate_bloch
+    on the Bloch vector of rho0 (default spin up).
 
-    rho0 maps linearly, over the complex numbers, to its constant trace and
-    its Bloch components, whose real and imaginary parts run side by side
-    on the Bloch equation; any complex rho0 is propagated.
+    rho0 must be a density matrix, Hermitian with unit trace and positive
+    (|r0| <= 1), else ValueError before any propagation.
     """
-    if rho0 is None:
-        rho0 = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
-    rho0 = np.asarray(rho0, dtype=complex)
-    tr = rho0[0, 0] + rho0[1, 1]
-    r0 = np.array([rho0[0, 1] + rho0[1, 0], -1j * (rho0[0, 1] - rho0[1, 0]),
-                   rho0[0, 0] - rho0[1, 1]])
-    traj = _run_bloch(design, gamma, lambda0, channel,
-                      np.column_stack([r0.real, r0.imag]), steps)
-    u, v, w = (traj[..., 0] + 1j * traj[..., 1]).T
-    rho = 0.5 * np.array([[tr + w, u + 1j * v], [u - 1j * v, tr - w]])
-    return DensityTrajectory(times=np.linspace(0.0, design.tf, steps + 1),
-                             rho=rho.transpose(2, 0, 1))
+    r0 = (0.0, 0.0, 1.0) if rho0 is None else density_to_bloch(rho0)
+    traj = propagate_bloch(design, gamma, lambda0, channel, steps, r0)
+    return DensityTrajectory(times=traj.times, rho=bloch_to_density(traj.r))
 
 
 def _increment_blocks(seed: int, n_traj: int, steps: int, dt: float,
@@ -241,11 +232,8 @@ def _em_fidelities(design: TrajectoryDesign, lambda0s, seed: int, n_traj: int,
             for l0 in lambda0s]
     require_cancellable(design)
     dw = _increment_blocks(seed, n_traj, steps, design.tf / steps)
-    fid = K.em_final(*design.kernel_args(), 0.5 * design.mat.g * MU_B, HBAR, lams,
-                     _PSI_UP, dw, steps)
-    if np.isnan(fid).any():
-        raise IntegratorError("ensemble propagation produced non-finite components")
-    return fid
+    return _finite(K.em_final(*design.kernel_args(), 0.5 * design.mat.g * MU_B, HBAR,
+                              lams, _PSI_UP, dw, steps), "ensemble")
 
 
 def ensemble_average(design: TrajectoryDesign, noise: NoiseParams,

@@ -553,6 +553,28 @@ class TestReduce:
         code, _, _ = invoke(["reduce", "--model", str(model)])
         assert code == 2
 
+    @pytest.mark.parametrize("text, message", [
+        (None, "cannot read {}"), ("a: [", "cannot parse {}"),
+        ("- 1\n- 2\n", "{} file must hold a mapping at top level"),
+    ], ids=["missing", "bad-yaml", "list"])
+    @pytest.mark.parametrize("kind", ["config", "model"])
+    def test_config_and_model_read_alike(self, tmp_path, kind, text, message):
+        path = tmp_path / "file.yaml"
+        if text is not None:
+            path.write_text(text)
+        argv = ["reduce", "--model", str(path)] if kind == "model" else \
+            ["design", "--config", str(path)]
+        code, out, err = invoke(argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: " + message.format(kind))
+
+    def test_empty_model_lists_missing_keys(self, tmp_path):
+        model = tmp_path / "model.yaml"
+        model.write_text("")
+        code, _, err = invoke(["reduce", "--model", str(model)])
+        assert code == 2
+        assert err.startswith("error: missing model keys: ['delta_z_meV'")
+
 
 class TestEntryPoints:
     def test_module_invocation(self):

@@ -91,6 +91,18 @@ class TestBlochConversions:
         with pytest.raises(ValueError):
             density_to_bloch(np.eye(2, dtype=complex))
 
+    def test_non_hermitian_rejected(self):
+        # the real parts of such a matrix used to be read as a Bloch vector
+        with pytest.raises(ValueError, match="adjoint"):
+            density_to_bloch(np.array([[0.5, 0.3], [0.1, 0.5]]))
+        with pytest.raises(ValueError, match="adjoint"):
+            density_to_bloch(np.array([[0.5, 0.3j], [0.3j, 0.5]]))
+
+    def test_stack_to_density_matches_one_by_one(self):
+        r = np.random.default_rng(6).normal(size=(4, 5, 3))
+        assert bloch_to_density(r).shape == (4, 5, 2, 2)
+        assert np.array_equal(bloch_to_density(r)[2, 3], bloch_to_density(r[2, 3]))
+
     def test_stack_matches_one_by_one(self):
         rng = np.random.default_rng(4)
         psi = rng.normal(size=(5, 2)) + 1j * rng.normal(size=(5, 2))

@@ -5,7 +5,7 @@ from spinflip import (IntegratorError, SingularityError, TrajectoryDesign,
                       compute_b0_max, detect_singularities, effective_fields,
                       electric_fields, fields_xyz, fields_xyz_at, sample_fields,
                       verify_cancellation)
-from spinflip.constants import MEV_PER_E_CM_TO_V_PER_CM, MU_B, MaterialParams
+from spinflip.constants import MEV_PER_E_CM_TO_V_PER_CM, MU_B, MaterialParams, gaas
 from spinflip.fields import (CANCEL_REL_TOL, E_EDGE_FRAC, E_STEP_FRAC,
                              cancellation_scale, design_is_realizable)
 from spinflip.trajectory import CubicPolynomial, eval_angles
@@ -138,6 +138,13 @@ class TestFieldsXYZ:
         for t in (0.2, 0.5, 0.8):
             assert np.allclose(fields_xyz_at(design, t),
                                fields_xyz_at(design_xi, t), rtol=1e-12)
+
+    def test_xyz_bitwise_independent_of_xi(self, design):
+        # applying the xi factors and taking them back out used to move the
+        # last bits at most of these points
+        design_xi = TrajectoryDesign.design(1.0, 0.15, gaas(0.3, 0.7))
+        for t in np.linspace(0.01, 0.99, 200).tolist():
+            assert fields_xyz_at(design, t) == fields_xyz_at(design_xi, t), t
 
 
 class TestElectricFields:

@@ -232,6 +232,18 @@ class TestPropagation:
             propagate_constant(FieldTriple(0.0, 0.0, 0.15), mat,
                                np.array([1.0, 1.0]), 1.0, 100)
 
+    @pytest.mark.parametrize("fields, tf", [
+        (FieldTriple(np.nan, 0.0, 0.15), 1.0),
+        (FieldTriple(0.0, np.inf, 0.15), 1.0),
+        (FieldTriple(0.0, 0.0, 0.15), np.nan),
+        (FieldTriple(0.0, 0.0, 0.15), np.inf),
+        (FieldTriple(0.0, 0.0, 0.15), 0.0),
+    ], ids=["field-nan", "field-inf", "tf-nan", "tf-inf", "tf-zero"])
+    def test_constant_bad_fields_or_tf_rejected(self, mat, fields, tf):
+        # a NaN field or tf used to give NaN states, whose fidelity read 1.0
+        with pytest.raises(ValueError, match="must be finite"):
+            propagate_constant(fields, mat, UP, tf, 100)
+
     def test_results_independent_of_bc(self, design):
         # B_c never enters synthesis or propagation
         p1 = propagate_schrodinger(design, UP, 2000)
@@ -248,6 +260,14 @@ class TestFidelity:
     def test_extreme_values(self):
         assert fidelity(self._prop_ending_in([0.0, 1.0])) == 1.0
         assert fidelity(self._prop_ending_in([1.0, 0.0])) == 0.0
+        assert fidelity(self._prop_ending_in([0.0, 1.0 + 2e-16])) == 1.0  # rounding
+
+    @pytest.mark.parametrize("psi_f", [[0.0, np.nan], [0.0, np.inf], [0.0, 1.0 + 1e-9]],
+                             ids=["nan", "inf", "above-one"])
+    def test_non_physical_modulus_raises(self, psi_f):
+        # min(1.0, nan) is 1.0: a NaN final state used to read as a full flip
+        with pytest.raises(IntegratorError, match="modulus"):
+            fidelity(self._prop_ending_in(psi_f))
 
     def test_equal_superposition(self):
         psi = np.array([1.0, 1.0]) / np.sqrt(2)

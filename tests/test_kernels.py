@@ -24,13 +24,14 @@ import pytest
 
 from spinflip import (FieldTriple, IntegratorError, NoiseParams, SingularityError,
                       TrajectoryDesign, build_heff, detect_singularities,
-                      ensemble_average, fields_xyz_at, propagate_bloch,
-                      propagate_density, propagate_schrodinger)
+                      effective_fields, ensemble_average, fields_xyz,
+                      fields_xyz_at, propagate_bloch,
+                      propagate_constant, propagate_density, propagate_schrodinger)
 from spinflip import _kernels as K
 from spinflip.constants import HBAR, MU_B
 from spinflip.opensys import dephasing_sweep, ensemble_sweep
 
-from oracles import (b1_b2_at, bloch_rhs, lindblad_step_rhs, noise_bloch_rhs,
+from oracles import (b1_b2_at, bloch_of, bloch_rhs, lindblad_step_rhs, noise_bloch_rhs,
                      noise_master_rhs, xonly_hprime)
 
 STEP_COUNTS = (300, 2500)
@@ -122,8 +123,10 @@ def test_field_kernels_match(args, design):
                              for t in grid.tolist()]).T
             assert np.array_equal(K.b1_b2(grid, ctc, cpc, *rest, *xi), loop, equal_nan=True)
     assert np.isnan(loop).any()
-    # the Hamiltonian triple on the grid, against the public one-point map
-    loop = np.array([fields_xyz_at(design, t) for t in ts])
+    # the Hamiltonian triple on the grid, against the public map of the
+    # one-point drive fields (xi = 0: its factors are exactly 1)
+    loop = np.array([fields_xyz(*effective_fields(design, t), design.b0, design.mat)
+                     for t in ts])
     assert np.array_equal(np.column_stack(K._xyz(ts, *args)), loop)
     # the denominator point by point with math functions, off t = 0 where
     # theta = 0
@@ -163,10 +166,8 @@ def test_rk4_bloch_matches(args, design, mat, fields):
 
 def test_rk4_density_matches(design, mat, fields):
     # propagate_density runs rho on its Bloch vector; the references here
-    # step rho itself, linear over the complex numbers
-    rho0s = (np.array([[0.7, 0.2 - 0.3j], [0.2 + 0.3j, 0.3]]),
-             # non-Hermitian, trace 1.3 - 0.2j
-             np.array([[0.9 + 0.1j, 0.3 - 0.2j], [-0.1 + 0.4j, 0.4 - 0.3j]]))
+    # step rho itself.  None is the default rho0, spin up.
+    rho0s = (None, np.array([[0.7, 0.2 - 0.3j], [0.2 + 0.3j, 0.3]]))
     lam = np.sqrt(LAM2)
     lambda0 = np.sqrt(LAM2 / design.tf)
     zero = np.zeros((2, 2))
@@ -175,15 +176,10 @@ def test_rk4_density_matches(design, mat, fields):
         return lindblad_step_rhs(rho, build_heff(fields(t), mat), GAMMA)
 
     def printed(t, rho):
-        # the printed Bloch decay of the real and imaginary parts of (u, v, w),
-        # lifted to a traceless matrix
-        f = fields(t)
-        r = np.array([rho[0, 1] + rho[1, 0], -1j * (rho[0, 1] - rho[1, 0]),
-                      rho[0, 0] - rho[1, 1]])
-
-        def decay(x):
-            return noise_bloch_rhs(x, f, design.b0, lam, mat) - bloch_rhs(x, f, 0.0, mat)
-        du, dv, dw = decay(r.real) + 1j * decay(r.imag)
+        # the printed Bloch decay of (u, v, w), lifted to a traceless matrix
+        f, r = fields(t), bloch_of(rho)
+        du, dv, dw = (noise_bloch_rhs(r, f, design.b0, lam, mat)
+                      - bloch_rhs(r, f, 0.0, mat))
         return lindblad(t, rho) + 0.5 * np.array([[dw, du + 1j * dv],
                                                   [du - 1j * dv, -dw]])
 
@@ -196,12 +192,30 @@ def test_rk4_density_matches(design, mat, fields):
                                    ("as-printed", lambda0, printed),
                                    ("x-only", lambda0, xonly)):
             for i, rho0 in enumerate(rho0s):
+                start = np.array([1.0, 0.0, 0.0, 0.0]) if rho0 is None else rho0.reshape(4)
                 ref, _ = rk4_reference(lambda t, y: rhs(t, y.reshape(2, 2)).reshape(4),
-                                       rho0.reshape(4), design.tf, steps)
+                                       start.astype(complex), design.tf, steps)
                 got = propagate_density(design, gamma=GAMMA, lambda0=lam0,
                                         channel=channel, steps=steps, rho0=rho0).rho
                 assert got.shape == (steps + 1, 2, 2)
                 assert np.abs(got.reshape(-1, 4) - ref).max() < TOL, (steps, channel, i)
+
+
+@pytest.mark.parametrize("rho0", [
+    [[0.9 + 0.1j, 0.3 - 0.2j], [-0.1 + 0.4j, 0.4 - 0.3j]],
+    [[0.5, 0.3], [0.1, 0.5]],
+    [[0.8, 0.0], [0.0, 0.5]],
+    [[1.5, 0.0], [0.0, -0.5]],
+    [[np.nan, 0.0], [0.0, 1.0]],
+], ids=["trace-1.3-0.2j", "non-hermitian", "trace-1.3", "outside-ball", "nan"])
+def test_density_rejects_non_physical_rho0(design, monkeypatch, rho0):
+    # each used to be propagated, or to fail only as a non-finite result;
+    # a density matrix is Hermitian with unit trace and |r| <= 1
+    def kernel(*args):
+        raise AssertionError("a kernel ran before the check")
+    monkeypatch.setattr(K, "rk4_bloch", kernel)
+    with pytest.raises(ValueError):
+        propagate_density(design, steps=1000, rho0=np.array(rho0))
 
 
 def test_rk4_spin_matches(args, design, mat, pref, fields):
@@ -215,14 +229,14 @@ def test_rk4_spin_matches(args, design, mat, pref, fields):
         assert drift == pytest.approx(ref_drift, abs=TOL)
 
 
-def test_rk4_spin_const_matches(mat, pref):
+def test_rk4_spin_const_matches(mat):
     f = FieldTriple(0.01, -0.02, 0.15)
     h = build_heff(f, mat)
     psi0 = np.array([0.6, 0.8j])
     for steps in STEP_COUNTS:
         ref, _ = rk4_reference(lambda t, psi: -1j / HBAR * h @ psi, psi0, 1.0, steps,
                                normalize=True)
-        got = K.rk4_spin_const(*f, pref, HBAR, psi0, 1.0, steps)
+        got = propagate_constant(f, mat, psi0, 1.0, steps).states
         assert np.abs(got - ref).max() < TOL, steps
 
 
