@@ -10,14 +10,15 @@ alone, so every RK4 step is a real transfer matrix built from fields
 evaluated on all stage times at once (see :func:`_rk4_linear`).  The one
 Euler-Maruyama kernel, :func:`em_final`, runs a lock-step loop over a (noise
 strength, trajectory) array: a noise-strength grid runs as one ensemble on
-shared increments, which arrive in blocks of steps.  It too runs on the real
-4-vector (Re psi0, Im psi0, Re psi1, Im psi1): each block's real 4x8 step
-matrices [D | S] (drift and noise) come from one field evaluation on its
-part of the step grid, and a step is one elementwise product (dW y) and one
-batched matmul between two state buffers allocated once per call.  The linear
-step needs no renormalization to keep |psi_1| / |psi|, so states are
-rescaled every RENORM_EVERY steps of the global step index and at t_f, and
-only the final fidelities are returned.
+shared increments, which arrive as step-major (steps, n_traj) blocks, one
+contiguous row of increments per step.  It too runs on the real 4-vector
+(Re psi0, Im psi0, Re psi1, Im psi1): each block's real 4x8 step matrices
+[D | S] (drift and noise) come from one field evaluation on its part of the
+step grid, and a step is one elementwise product (dW y) and one batched
+matmul between two state buffers allocated once per call.  The linear step
+needs no renormalization to keep |psi_1| / |psi|, so states are rescaled
+every RENORM_EVERY steps of the global step index and at t_f, and only the
+final fidelities are returned.
 
 Angle cubics enter as raw coefficient arrays (rad/ns^j); material parameters
 as scalars; the Bloch noise channel by name, or None for no noise.  Error
@@ -258,8 +259,9 @@ def em_final(tc, pc, tf, b0, alpha, beta, eta, pref, hbar, lams, psi0, dw, steps
     x-only noise operator, a (len(lams), n_traj) array: one row per noise
     strength, every trajectory in lock step on the same increments.
 
-    dw yields (n_traj, c) blocks of increments whose widths add up to steps,
-    so the whole (n_traj, steps) array need never exist.  On the real state
+    dw yields step-major (c, n_traj) blocks of increments, C-contiguous so
+    that each step reads one contiguous row, whose lengths c add up to steps;
+    the whole (steps, n_traj) array need never exist.  On the real state
     y = (Re psi0, Im psi0, Re psi1, Im psi1) a step of strength lam is
 
         y <- D y + S (dW y),  D = (1 - kappa lam^2 dt / 2) I + dt real(-iH/hbar),
@@ -282,7 +284,7 @@ def em_final(tc, pc, tf, b0, alpha, beta, eta, pref, hbar, lams, psi0, dw, steps
     dt = tf / steps
     start = 0
     for block in dw:
-        width = block.shape[1]
+        width = block.shape[0]
         x, y, z = _xyz(np.arange(start, start + width) * dt, tc, pc, tf, b0, alpha, beta, eta)
         zp = z - b0
         decay = 1.0 - 0.5 * dt * (pref / hbar) ** 2 * (y * y + zp * zp)[:, None] * (lam * lam)
@@ -292,11 +294,11 @@ def em_final(tc, pc, tf, b0, alpha, beta, eta, pref, hbar, lams, psi0, dw, steps
         w[..., 4:] = lam[:, None, None] * _spin_generator(np.zeros_like(y), y, zp, pref,
                                                           hbar)[:, None]
         if start == 0:
-            bufs = np.empty((2, 8, lam.shape[0], block.shape[0]))
+            bufs = np.empty((2, 8, lam.shape[0], block.shape[1]))
             bufs[0, :4] = np.ascontiguousarray(psi0, dtype=np.complex128).view(float)[:, None, None]
             # per strength, (8, n_traj) and (4, n_traj) matrices in the buffers
             mats = bufs.transpose(0, 2, 1, 3)
-        for k, dwk in enumerate(np.ascontiguousarray(block.T), start):
+        for k, dwk in enumerate(block, start):
             state, nxt = bufs[k % 2], bufs[(k + 1) % 2, :4]
             np.multiply(state[:4], dwk, out=state[4:])
             np.matmul(w[k - start], mats[k % 2], out=mats[(k + 1) % 2, :, :4])

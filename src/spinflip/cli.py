@@ -27,7 +27,7 @@ from .constants import MaterialParams
 from .core import initial_state, spin_to_bloch
 from .errors import (ConfigError, DegenerateReferenceError, IntegratorError,
                      SingularityError)
-from .fields import compute_b0_max, design_is_realizable, sample_fields
+from .fields import compute_b0_max, detect_singularities, sample_fields
 from .invariant import MIN_GATED_STEPS
 from .lowdin import (FourLevelModel, build_full_hamiltonian, lowdin_reduce,
                      orbital_adiabaticity, partition, validity_check,
@@ -190,7 +190,8 @@ def _check_jobs(args) -> None:
 
 def cmd_design(config: dict, args) -> int:
     design = design_from(config)
-    if not design_is_realizable(design):
+    report = detect_singularities(design)
+    if not report.realizable:
         try:
             hint = f"{compute_b0_max(design.tf, design.mat, b0_hi=4 * design.b0):.3f} T"
         except ValueError:
@@ -201,7 +202,7 @@ def cmd_design(config: dict, args) -> int:
         return EXIT_SINGULARITY
     table = OutputTable(columns=["t_ns", "theta_rad", "phi_rad", "B1_T", "B2_T",
                                  "Ex_V_per_cm", "Ey_V_per_cm"], meta=_meta(config))
-    for s in sample_fields(design, config["control"]["samples"]):
+    for s in sample_fields(design, config["control"]["samples"], report):
         table.add_row(s.t, design.theta(s.t), design.phi(s.t), s.b1, s.b2,
                       s.ex, s.ey)
     _write(table, config, args.out)

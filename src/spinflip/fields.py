@@ -60,6 +60,11 @@ class SingularityReport:
     def all_cancellable(self) -> bool:
         return all(self.cancellable)
 
+    @property
+    def realizable(self) -> bool:
+        """True when the only root is the cancellable one at tf/2."""
+        return len(self.times) == 1 and self.all_cancellable
+
 
 def _at(design: TrajectoryDesign, t: float, kernel, *extra) -> tuple[float, ...]:
     """kernel's arrays at the one time t in [0, tf], as floats; SingularityError
@@ -148,13 +153,15 @@ def electric_fields(design: TrajectoryDesign, t: float) -> tuple[float, float]:
     return float(ex[0]), float(ey[0])
 
 
-def sample_fields(design: TrajectoryDesign, samples: int) -> list[FieldSample]:
+def sample_fields(design: TrajectoryDesign, samples: int,
+                  report: SingularityReport | None = None) -> list[FieldSample]:
     """Uniform field table on [0, tf]; endpoints filled with inside limits.
 
     Raises SingularityError when the design carries any non-cancellable
-    denominator zero (the fields diverge there even if no sample lands on it).
+    denominator zero (the fields diverge there even if no sample lands on it),
+    read from report, the design's own scan, when the caller has one.
     """
-    require_cancellable(design)
+    require_cancellable(design, report)
     tc, pc, tf, b0, al, be, eta = design.kernel_args()
     ts = np.linspace(0.0, tf, samples)
     b1, b2 = K.b1_b2(ts, tc, pc, tf, b0, al, be, eta, design.mat.xi_x, design.mat.xi_y)
@@ -224,11 +231,13 @@ def detect_singularities(design: TrajectoryDesign, grid: int = 1001) -> Singular
                              numerator_residuals=residuals)
 
 
-def require_cancellable(design: TrajectoryDesign) -> None:
+def require_cancellable(design: TrajectoryDesign,
+                        report: SingularityReport | None = None) -> None:
     """Raise SingularityError at the first denominator root whose numerators
     do not cancel: the fields diverge there, whether or not a sample or an
-    integrator stage lands on it."""
-    rep = detect_singularities(design)
+    integrator stage lands on it.  A given report, the design's own scan,
+    saves scanning again."""
+    rep = detect_singularities(design) if report is None else report
     for ts_bad, ok, res in zip(rep.times, rep.cancellable, rep.numerator_residuals):
         if not ok:
             raise SingularityError(ts_bad, res)
@@ -236,8 +245,7 @@ def require_cancellable(design: TrajectoryDesign) -> None:
 
 def design_is_realizable(design: TrajectoryDesign, grid: int = 1001) -> bool:
     """True when the only denominator zero is the cancellable one at tf/2."""
-    rep = detect_singularities(design, grid)
-    return len(rep.times) == 1 and rep.all_cancellable
+    return detect_singularities(design, grid).realizable
 
 
 def compute_b0_max(tf: float, mat: MaterialParams, b0_hi: float | None = None,

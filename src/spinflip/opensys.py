@@ -23,8 +23,10 @@ Each sweep axis is one batched evaluation.  ``dephasing_sweep`` gives the
 whole gamma curve from one gated unitary Bloch run, because the isotropic
 dephasing factors out of the rotation.  ``ensemble_sweep`` runs every
 lambda0 of a Monte Carlo grid as one lock-step ensemble on one stream of
-Wiener increments, drawn in blocks of steps, so memory does not grow with
-the step count.
+two-point increments (+-sqrt(dt), one random bit each), drawn in blocks of
+steps, so memory does not grow with the step count.  Its outputs are weak
+estimates, a mean population and its standard error: a single trajectory
+is not a sample path of the stochastic Schrodinger equation.
 """
 
 from __future__ import annotations
@@ -44,9 +46,11 @@ from .invariant import MIN_GATED_STEPS, check_steps, gate
 from .trajectory import TrajectoryDesign
 
 CHANNELS = ("as-printed", "x-only")
-# Steps of Wiener increments per block of a Monte Carlo run: 2 KiB per
-# trajectory, few enough generator calls that drawing stays a small share.
+# Steps of increments per block of a Monte Carlo run (one (256, n_traj)
+# float block), and per generator call: a call draws the sign bits of 8192
+# steps, 1 KiB per trajectory, so memory does not grow with the step count.
 INCREMENT_BLOCK = 256
+INCREMENT_CHUNK = 8192
 _PSI_UP = np.array([1.0, 0.0], dtype=complex)
 
 
@@ -103,6 +107,14 @@ def fidelity_from_w(w):
     return np.sqrt(np.maximum(0.0, (1.0 - w) / 2.0))
 
 
+def _shaped(name: str, value, shape: tuple[int, ...], dtype=float) -> np.ndarray:
+    """value as an array, unless its shape is not shape (ValueError)."""
+    value = np.asarray(value, dtype=dtype)
+    if value.shape != shape:
+        raise ValueError(f"{name} must have shape {shape}, got {value.shape}")
+    return value
+
+
 def _finite(values: np.ndarray, what: str) -> np.ndarray:
     """values, unless a NaN shows that the propagation diverged."""
     if np.isnan(values).any():
@@ -116,11 +128,11 @@ def propagate_bloch(design: TrajectoryDesign, gamma: float = 0.0,
                     r0: tuple[float, float, float] = (0.0, 0.0, 1.0)) -> BlochTrajectory:
     """RK4 on the Bloch equation with dephasing and the selected noise channel.
 
-    r0 must be finite with |r0| <= 1, else ValueError.  Like every
-    propagator here, it raises SingularityError before propagating a design
-    above the B0 limit.
+    r0 must be finite, of shape (3,), with |r0| <= 1, else ValueError.
+    Like every propagator here, it raises SingularityError before
+    propagating a design above the B0 limit.
     """
-    r0 = np.asarray(r0, dtype=float)
+    r0 = _shaped("r0", r0, (3,))
     if not np.linalg.norm(r0) <= 1.0 + 1e-12:  # a non-finite r0 fails too
         raise ValueError(f"r0 must be finite with |r0| <= 1, got {r0.tolist()}")
     check_steps(steps, 1)
@@ -183,32 +195,51 @@ def propagate_density(design: TrajectoryDesign, gamma: float = 0.0,
     """RK4 on the density matrix with the selected dissipators: propagate_bloch
     on the Bloch vector of rho0 (default spin up).
 
-    rho0 must be a density matrix, Hermitian with unit trace and positive
-    (|r0| <= 1), else ValueError before any propagation.
+    rho0 must be one 2x2 density matrix, Hermitian with unit trace and
+    positive (|r0| <= 1), else ValueError before any propagation.
     """
-    r0 = (0.0, 0.0, 1.0) if rho0 is None else density_to_bloch(rho0)
+    r0 = (0.0, 0.0, 1.0) if rho0 is None else density_to_bloch(
+        _shaped("rho0", rho0, (2, 2), complex))
     traj = propagate_bloch(design, gamma, lambda0, channel, steps, r0)
     return DensityTrajectory(times=traj.times, rho=bloch_to_density(traj.r))
 
 
 def _increment_blocks(seed: int, n_traj: int, steps: int, dt: float,
                       width: int = INCREMENT_BLOCK):
-    """Wiener increments dW ~ Normal(0, dt) as (n_traj, width) blocks over
-    the steps, the last one narrower; one private generator per trajectory,
-    spawned from np.random.SeedSequence(seed), so that the streams of
-    different trajectories and different seeds are independent.  A
-    generator's draws in blocks equal one draw of all its steps bit for bit.
-    Each row is filled with standard normals in place and the block scaled
-    once: rng.normal(0.0, scale, n) is 0.0 + scale z, the same numbers.
+    """Two-point weak increments dW = +-sqrt(dt), each sign one random bit,
+    as step-major (c, n_traj) blocks of `width` steps (a multiple of 8), cut
+    also at every INCREMENT_CHUNK steps.
+
+    They match the first three moments of Normal(0, dt), which is all the
+    weak order 1 of the Euler-Maruyama step needs: the simplified weak Euler
+    scheme (Kloeden & Platen, Numerical Solution of SDEs, 1992, sec. 14.1).
+    Trajectory i has a private generator, spawned from
+    np.random.SeedSequence(seed), so that the streams of different
+    trajectories and different seeds are independent.  Its increments are
+    the bits of one rng.bytes(ceil(steps / 8)) draw, most significant bit
+    first, bit 1 giving +sqrt(dt): every chunk but the last draws 1 KiB, a
+    whole number of the generator's 32-bit words, so the chunked draws equal
+    that one draw.
     """
+    if width <= 0 or width % 8:
+        raise ValueError(f"width must be a positive multiple of 8, got {width}")
     rngs = [np.random.default_rng(c) for c in np.random.SeedSequence(seed).spawn(n_traj)]
     scale = np.sqrt(dt)
-    for start in range(0, steps, width):
-        block = np.empty((n_traj, min(width, steps - start)))
-        for row, rng in zip(block, rngs):
-            rng.standard_normal(out=row)
-        block *= scale
-        yield block
+    for chunk in range(0, steps, INCREMENT_CHUNK):
+        n = min(INCREMENT_CHUNK, steps - chunk)
+        raw = np.empty((n_traj, -(-n // 8)), dtype=np.uint8)
+        for row, rng in zip(raw, rngs):
+            row[:] = np.frombuffer(rng.bytes(row.size), dtype=np.uint8)
+        for start in range(0, n, width):
+            c = min(width, n - start)
+            # the transposed bytes unpack along axis 0 into step-major,
+            # C-contiguous bits, and 2 scale b - scale is exactly +-scale;
+            # a lookup table would first cast the bits to a (c, n_traj)
+            # integer index array
+            block = np.unpackbits(raw[:, start // 8:(start + c + 7) // 8].T, axis=0,
+                                  count=c) * (2.0 * scale)
+            block -= scale
+            yield block
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,7 @@ import pytest
 import yaml
 
 from spinflip import NoiseParams, ensemble_average, propagate_bloch, propagate_density
-from spinflip import fields
+from spinflip import cli, fields
 from spinflip.cli import main
 
 
@@ -228,8 +228,8 @@ class TestSweep:
                                "--seed", "1234"])
         assert code == 0
         assert out.splitlines()[-2:] == [
-            "0.012999999999999999,0.99257337175910243,0.0014830836234628754",
-            "0.035000000000000003,0.98025462301310762,0.0038966954590193619"]
+            "0.012999999999999999,0.99264069626505558,0.00142272336863277",
+            "0.035000000000000003,0.98075685762471387,0.003688907386732691"]
 
     def test_mc_memory_does_not_grow_with_steps(self):
         def peak(steps):
@@ -369,12 +369,13 @@ class TestOneScan:
     CLI commands scan once per propagation."""
 
     @pytest.mark.parametrize("argv, scans", [
-        (["simulate", "--samples", "3"], 1),
-        (["sweep", "--axis", "gamma", "--grid", "0:1:3"], 1),
+        (["design", "--samples", "11"], 1),
+        (["simulate", "--samples", "3", "--steps", "1000"], 1),
+        (["sweep", "--axis", "gamma", "--grid", "0:1:3", "--steps", "1000"], 1),
         (["sweep", "--axis", "lambda0_sq", "--grid", "0.01,0.02", "--mc",
-          "--n-traj", "4"], 1),
-        (["sweep", "--axis", "lambda0_sq", "--grid", "0,0.01,0.02"], 3),
-    ], ids=["simulate", "sweep-gamma", "sweep-mc", "sweep-lambda0_sq"])
+          "--n-traj", "4", "--steps", "1000"], 1),
+        (["sweep", "--axis", "lambda0_sq", "--grid", "0,0.01,0.02", "--steps", "1000"], 3),
+    ], ids=["design", "simulate", "sweep-gamma", "sweep-mc", "sweep-lambda0_sq"])
     def test_scan_count(self, monkeypatch, argv, scans):
         calls, detect = [], fields.detect_singularities
 
@@ -382,7 +383,8 @@ class TestOneScan:
             calls.append(args)
             return detect(*args, **kwargs)
         monkeypatch.setattr(fields, "detect_singularities", counted)
-        code, _, _ = invoke(argv + ["--steps", "1000"])
+        monkeypatch.setattr(cli, "detect_singularities", counted)
+        code, _, _ = invoke(argv)
         assert code == 0 and len(calls) == scans
 
 

@@ -252,7 +252,7 @@ class TestSSE:
         # that does its batched matmul; trajectory 0 of a larger ensemble on
         # the same seed may differ from it in the last bit
         res = ensemble_average(design, NoiseParams(0.3, "x-only", 99, 1), 10000)
-        assert res.fidelities[0] == 0.9093159257167707
+        assert res.fidelities[0] == 0.9887402961083613
 
     def test_wiener_increment_statistics(self):
         dt = 1e-4
@@ -265,28 +265,32 @@ class TestSSE:
         se_var = dt * np.sqrt(2.0 / n)
         assert abs(flat.var() - dt) < 3 * se_var
 
-    def test_increment_blocks_equal_one_normal_draw(self):
-        # oracle: each spawned generator's rng.normal(0, sqrt(dt), steps),
-        # split at the block edges; 600 steps leave a narrower last block
-        seed, n_traj, steps, dt = 42, 5, 600, 1e-4
+    def test_increment_blocks_equal_one_bytes_draw(self):
+        # oracle: the bits of each spawned generator's one rng.bytes draw,
+        # as +-sqrt(dt); 8500 steps cross the 8192-step chunk edge, are not
+        # a multiple of 8 and leave a narrower last block
+        seed, n_traj, steps, dt = 42, 5, 8500, 1e-4
         rngs = [np.random.default_rng(c)
                 for c in np.random.SeedSequence(seed).spawn(n_traj)]
-        ref = np.array([rng.normal(0.0, np.sqrt(dt), steps) for rng in rngs])
+        bits = np.array([np.unpackbits(np.frombuffer(rng.bytes(-(-steps // 8)), np.uint8),
+                                       count=steps) for rng in rngs])
+        ref = np.where(bits == 1, np.sqrt(dt), -np.sqrt(dt)).T
         blocks = list(_increment_blocks(seed, n_traj, steps, dt))
-        edges = range(INCREMENT_BLOCK, steps, INCREMENT_BLOCK)
-        assert [b.shape for b in blocks] == [(n_traj, 256), (n_traj, 256), (n_traj, 88)]
-        for got, want in zip(blocks, np.split(ref, edges, axis=1)):
-            assert np.array_equal(got, want)
+        assert [b.shape for b in blocks] == [(INCREMENT_BLOCK, n_traj)] * 33 + [(52, n_traj)]
+        # step-major and C-contiguous: the kernel reads one row per step
+        assert all(b.flags.c_contiguous for b in blocks)
+        assert np.array_equal(np.concatenate(blocks), ref)
 
     def test_per_trajectory_generators(self):
         # seed ^ i seeding made 1232, 1234 and 1235 share one set of 256
-        # trajectories in a different order; spawned streams share none
+        # trajectories in a different order; spawned streams share none.
+        # 64 one-bit steps make a chance match of two trajectories unlikely.
         sets = []
         for seed in (1232, 1234, 1235):
-            dw, = _increment_blocks(seed=seed, n_traj=256, steps=16, dt=0.1)
-            again, = _increment_blocks(seed=seed, n_traj=256, steps=16, dt=0.1)
+            dw, = _increment_blocks(seed=seed, n_traj=256, steps=64, dt=0.1)
+            again, = _increment_blocks(seed=seed, n_traj=256, steps=64, dt=0.1)
             assert np.array_equal(dw, again)
-            sets.append({row.tobytes() for row in dw})
+            sets.append({col.tobytes() for col in dw.T})
         assert all(len(s) == 256 for s in sets)
         assert not (sets[0] & sets[1] or sets[1] & sets[2] or sets[0] & sets[2])
 
@@ -415,6 +419,23 @@ class TestParams:
         # a NaN r0 used to fail as IntegratorError, |r0| = 3 to give F = 0.0
         with pytest.raises(ValueError, match="r0 must be finite with"):
             propagate_bloch(design, steps=1000, r0=r0)
+
+    @pytest.mark.parametrize("call, message", [
+        (lambda d: propagate_bloch(d, steps=1000, r0=0.1 * np.eye(3)),
+         r"r0 must have shape \(3,\), got \(3, 3\)"),
+        (lambda d: propagate_density(d, steps=1000,
+                                     rho0=np.array([np.diag([1.0, 0.0]), np.diag([0.5, 0.5])])),
+         r"rho0 must have shape \(2, 2\), got \(2, 2, 2\)"),
+    ], ids=["bloch-3x3", "density-stack"])
+    def test_initial_state_shape_checked_before_the_scan(self, design, monkeypatch,
+                                                         call, message):
+        # both passed the norm check and failed after the singularity scan,
+        # with numpy's broadcast error inside the RK4 kernel
+        def scan(d):
+            raise AssertionError("scanned the design before checking the shape")
+        monkeypatch.setattr("spinflip.opensys.require_cancellable", scan)
+        with pytest.raises(ValueError, match=message):
+            call(design)
 
     def test_fidelity_from_w(self):
         assert fidelity_from_w(-1.0) == 1.0
