@@ -131,7 +131,7 @@ def denominator_grid(ts, tc, pc, alpha, beta):
     return alpha * np.cos(th) / np.sin(th) - beta * np.sin(poly3(pc, ts))
 
 
-def _rk4_linear(gen, y0, tf, steps, normalize=False):
+def _rk4_linear(gen, y0, tf, steps, normalize=False, final=False):
     """Fixed-step RK4 for the linear system y' = A(t) y on [0, tf].
 
     gen(t) returns A at an array of times, shape (len(t), d, d).  A does not
@@ -149,16 +149,17 @@ def _rk4_linear(gen, y0, tf, steps, normalize=False):
     renormalizes after each step does, and the largest one-step |norm - 1|
     (the ratio of successive norms) is returned as the drift; else 0.0.
     A and y are real and y0 is (d,).  Returns the (steps + 1, d) trajectory
-    and the drift.
+    and the drift.  With final, a block's product is formed pairwise (half
+    the scan's matmuls), and the final (d,) state alone is returned, with a
+    NaN drift; normalize then divides only it by its norm.
     """
     y = np.asarray(y0, dtype=float)
     d = len(y)
-    traj = np.empty((steps + 1, d))
-    traj[0] = y
+    traj = None if final else np.empty((steps + 1, d))
     eye = np.eye(d)
     dt = tf / steps
-    drift = 0.0
-    block = BLOCK_BYTES // traj.itemsize // d ** 2
+    drift = math.nan if final else 0.0
+    block = BLOCK_BYTES // y.itemsize // d ** 2
     for start in range(0, steps, block):
         t = np.arange(start, min(start + block, steps)) * dt
         with np.errstate(over="ignore", invalid="ignore"):
@@ -173,6 +174,14 @@ def _rk4_linear(gen, y0, tf, steps, normalize=False):
             a4 = gen(t + dt)
             m += a4 + dt * (a4 @ k)
             m = eye + dt / 6.0 * m
+            if final:  # later steps on the left; an odd last one folds into the one before
+                while len(m) > 1:
+                    if len(m) % 2:
+                        m[-2] = m[-1] @ m[-2]
+                        m = m[:-1]
+                    m = m[1::2] @ m[::2]
+                y = m[0] @ y
+                continue
             span = 1
             while span < len(t):
                 m[span:] = m[span:] @ m[:-span]
@@ -185,6 +194,9 @@ def _rk4_linear(gen, y0, tf, steps, normalize=False):
             ys = ys / norms[:, None]
         traj[start + 1:start + 1 + len(t)] = ys
         y = ys[-1]
+    if final:
+        return (y / np.linalg.norm(y) if normalize else y), drift
+    traj[0] = y0
     return traj, drift
 
 
@@ -204,32 +216,32 @@ def _spin_generator(x, y, z, pref, hbar):
                      u, v, -w, o], axis=-1).reshape(w.shape + (4, 4))
 
 
-def _spin_rk4(gen, psi0, tf, steps):
+def _spin_rk4(gen, psi0, tf, steps, final=False):
     """Renormalized RK4 of the real spin generator gen; complex trajectory."""
     y0 = np.ascontiguousarray(psi0, dtype=np.complex128).view(float)
-    traj, drift = _rk4_linear(gen, y0, tf, steps, normalize=True)
+    traj, drift = _rk4_linear(gen, y0, tf, steps, normalize=True, final=final)
     return traj.view(np.complex128), drift
 
 
-def rk4_spin(tc, pc, tf, b0, alpha, beta, eta, pref, hbar, psi0, steps):
+def rk4_spin(tc, pc, tf, b0, alpha, beta, eta, pref, hbar, psi0, steps, final=False):
     """RK4 Schrodinger propagation under the synthesized fields.
 
     pref = g mu_B / 2 (meV/T).  States are renormalized each step; the
     maximum pre-renormalization drift |norm - 1| is returned alongside the
-    (steps+1, 2) complex trajectory.
+    (steps+1, 2) complex trajectory, or with final the (2,) final state.
     """
     def gen(t):
         return _spin_generator(*_xyz(t, tc, pc, tf, b0, alpha, beta, eta), pref, hbar)
-    return _spin_rk4(gen, psi0, tf, steps)
+    return _spin_rk4(gen, psi0, tf, steps, final)
 
 
-def rk4_bloch(tc, pc, tf, b0, alpha, beta, eta, gamma, lam2, channel, r0, steps):
+def rk4_bloch(tc, pc, tf, b0, alpha, beta, eta, gamma, lam2, channel, r0, steps, final=False):
     """RK4 Bloch propagation: dephasing at rate gamma plus source-noise decay
     -(lam2 eta^2/2)(|a|^2 I - a a^T), Z' = Z - B0.  channel None has none;
     "as-printed" keeps the diagonal of it with a = (X, Y, Z'); "x-only" is
     the full matrix with a = (0, Y, Z'), the Bloch form of the double
     commutator with the x-only noise operator.  Returns the (steps+1, 3)
-    trajectory from r0.
+    trajectory from r0, or with final its (3,) final state alone.
     """
     def gen(t):
         x, y, z = _xyz(t, tc, pc, tf, b0, alpha, beta, eta)
@@ -251,7 +263,7 @@ def rk4_bloch(tc, pc, tf, b0, alpha, beta, eta, gamma, lam2, channel, r0, steps)
         for i, rate in enumerate(rates):
             a[:, i, i] = -4.0 * gamma - rate
         return a
-    return _rk4_linear(gen, r0, tf, steps)[0]
+    return _rk4_linear(gen, r0, tf, steps, final=final)[0]
 
 
 def em_final(tc, pc, tf, b0, alpha, beta, eta, pref, hbar, lams, psi0, dw, steps):

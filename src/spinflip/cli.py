@@ -244,12 +244,14 @@ def cmd_b0max(config: dict, args) -> int:
         raise ConfigError(f"points must be >= 2, got {args.points}")
     mat = material_from(config)
     table = OutputTable(columns=["tf_ns", "b0max_T"], meta=_meta(config))
+    # B0_max = K / tf (the design depends on tf and B0 through B0 tf alone):
+    # one bisection at tf_min, within tol/2 there and tol/2 tf_min / tf beyond
+    try:
+        k = compute_b0_max(args.tf_min, mat) * args.tf_min
+    except ValueError as exc:
+        raise ConfigError(f"B0_max at tf={args.tf_min} ns: {exc}") from exc
     for tf in np.linspace(args.tf_min, args.tf_max, args.points).tolist():
-        try:
-            b0max = compute_b0_max(tf, mat)
-        except ValueError as exc:
-            raise ConfigError(f"B0_max at tf={tf} ns: {exc}") from exc
-        table.add_row(tf, b0max)
+        table.add_row(tf, k / tf)
     _write(table, config, args.out)
     return 0
 

@@ -173,8 +173,8 @@ def propagate_schrodinger(design: TrajectoryDesign, psi0: np.ndarray,
     require_cancellable(design)
     args = (*design.kernel_args(), 0.5 * design.mat.g * MU_B, HBAR)
     traj, drift = K.rk4_spin(*args, psi0, steps)
-    fine, _ = K.rk4_spin(*args, psi0, 2 * steps)
-    delta = gate(traj[-1], fine[-1])
+    fine, _ = K.rk4_spin(*args, psi0, 2 * steps, final=True)
+    delta = gate(traj[-1], fine)
     times = np.linspace(0.0, design.tf, steps + 1)
     return Propagation(times=times, states=traj, steps=steps, order=4,
                        max_norm_drift=float(drift), gate_delta=delta)

@@ -159,9 +159,9 @@ def dephasing_sweep(design: TrajectoryDesign, gammas, steps: int = 10000) -> np.
     gammas = np.array([LindbladParams(float(g)).gamma for g in gammas])
     require_cancellable(design)
     r0 = np.array([0.0, 0.0, 1.0])
-    coarse, fine = (K.rk4_bloch(*design.kernel_args(), 0.0, 0.0, None, r0, n)[-1]
-                    for n in (steps, 2 * steps))
-    gate(coarse, fine)
+    args = (*design.kernel_args(), 0.0, 0.0, None, r0)
+    coarse = K.rk4_bloch(*args, steps)[-1]
+    gate(coarse, K.rk4_bloch(*args, 2 * steps, final=True))
     return fidelity_from_w(np.exp(-4.0 * gammas * design.tf) * coarse[2])
 
 

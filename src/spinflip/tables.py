@@ -19,14 +19,6 @@ def config_hash(config: dict) -> str:
     return hashlib.sha1(b"blob %d\0" % len(payload) + payload).hexdigest()
 
 
-def _fmt(value) -> str:
-    if isinstance(value, bool):
-        return str(value)
-    if isinstance(value, float):
-        return format(value, ".17g")
-    return str(value)
-
-
 @dataclass
 class OutputTable:
     """Named columns, row-major records, '#'-prefixed header metadata."""
@@ -44,8 +36,15 @@ class OutputTable:
     def to_csv(self) -> str:
         lines = [f"# {k}: {v}" for k, v in self.meta.items()]
         lines.append(",".join(self.columns))
+        # one %-template per tuple of value types: "%.17g" % x formats a
+        # float (numpy's float64 too) as format(x, ".17g") does, "%s" as str
+        templates = {}
         for row in self.rows:
-            lines.append(",".join(_fmt(v) for v in row))
+            kinds = tuple(map(type, row))
+            if kinds not in templates:
+                templates[kinds] = ",".join(
+                    "%.17g" if issubclass(k, float) else "%s" for k in kinds)
+            lines.append(templates[kinds] % tuple(row))
         return "\n".join(lines) + "\n"
 
     def to_json(self) -> str:

@@ -1,4 +1,5 @@
-"""Reference drive fields and open-system right-hand sides, for the tests.
+"""Reference drive fields, open-system right-hand sides and the CSV number
+format, for the tests.
 
 The field kernel in :mod:`spinflip._kernels` works on arrays of times, and
 the propagators in :mod:`spinflip.opensys` run on transfer matrices built
@@ -128,3 +129,13 @@ def noise_bloch_rhs(r: np.ndarray, fields: FieldTriple, b0: float, lam: float,
         hp = xonly_hprime(fields, b0, mat)
         return bloch_of(noise_master_rhs(bloch_to_density(r), h, hp, lam))
     raise ValueError(f"channel must be 'as-printed' or 'x-only', got {channel!r}")
+
+
+def csv_field(value) -> str:
+    """One CSV field as the tables print it: str of a bool, 17 significant
+    digits of a float (numpy's float64 too), str of anything else."""
+    if isinstance(value, bool):
+        return str(value)
+    if isinstance(value, float):
+        return format(value, ".17g")
+    return str(value)

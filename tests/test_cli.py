@@ -139,6 +139,27 @@ class TestB0Max:
         assert rows[0, 1] == pytest.approx(23.176, abs=1e-3)
         assert rows[1, 1] == pytest.approx(11.588, abs=1e-3)
 
+    @pytest.mark.parametrize("argv", [
+        ("--tf-min", "0.2", "--tf-max", "2.0", "--points", "10"),
+        ("--tf-min", "0.05", "--tf-max", "0.5", "--points", "4"),  # bracket doubles
+    ], ids=["benchmark-curve", "short-pulses"])
+    def test_one_bisection_per_curve(self, monkeypatch, argv):
+        # B0_max = K / t_f: one bisection at tf_min gives every row, each
+        # within the bisection tolerance of its own bisection
+        calls = []
+
+        def counted(tf, mat, *args, **kwargs):
+            calls.append(tf)
+            return fields.compute_b0_max(tf, mat, *args, **kwargs)
+        monkeypatch.setattr(cli, "compute_b0_max", counted)
+        code, out, _ = invoke(["b0max", *argv])
+        assert code == 0
+        assert calls == [float(argv[1])]
+        _, _, rows = parse_csv(out)
+        mat = cli.material_from(cli.DEFAULT_CONFIG)
+        for tf, b0max in rows:
+            assert abs(b0max - fields.compute_b0_max(tf, mat)) <= 1e-3, tf
+
 
 class TestSweep:
     def test_gamma_grid_decreasing(self):

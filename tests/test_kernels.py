@@ -7,7 +7,8 @@ propagator, and the density matrix run on its Bloch vector, must stay
 within 1e-12 of a step-by-step RK4 loop written here
 over the reference right-hand sides in ``tests/oracles.py`` and
 :func:`spinflip.build_heff`, at step counts below one scan block and across
-a block boundary that is not a block multiple.  The Euler-Maruyama kernel,
+a block boundary that is not a block multiple; the final-only path must
+equal the scan's last state within 1e-14.  The Euler-Maruyama kernel,
 its increments handed over in blocks, must stay within 1e-12 of a
 step-by-step loop over :func:`spinflip.build_heff` and
 ``oracles.xonly_hprime``, each row of its lock-step noise-strength grid
@@ -29,6 +30,7 @@ from spinflip import (FieldTriple, IntegratorError, NoiseParams, SingularityErro
                       propagate_constant, propagate_density, propagate_schrodinger)
 from spinflip import _kernels as K
 from spinflip.constants import HBAR, MU_B
+from spinflip.invariant import GATE_TOL
 from spinflip.opensys import dephasing_sweep, ensemble_sweep
 
 from oracles import (b1_b2_at, bloch_of, bloch_rhs, lindblad_step_rhs, noise_bloch_rhs,
@@ -227,6 +229,37 @@ def test_rk4_spin_matches(args, design, mat, pref, fields):
         got, drift = K.rk4_spin(*args, pref, HBAR, psi0, steps)
         assert np.abs(got - ref).max() < TOL, steps
         assert drift == pytest.approx(ref_drift, abs=TOL)
+
+
+# one step, odd counts, a scan block +- 1 (1820 Bloch, 1024 spin steps) and
+# several blocks
+FINAL_STEPS = (1, 3, 7, 1023, 1024, 1025, 1819, 1820, 1821, 5001)
+
+
+def test_rk4_final_equals_scan_last_state(args, pref):
+    assert K.BLOCK_BYTES // 8 // 9 == 1820 and K.BLOCK_BYTES // 8 // 16 == 1024
+    psi0 = np.array([0.6, 0.8j])
+    r0 = np.array([0.3, -0.2, 0.9])
+    for steps in FINAL_STEPS:
+        scan, _ = K.rk4_spin(*args, pref, HBAR, psi0, steps)
+        final, drift = K.rk4_spin(*args, pref, HBAR, psi0, steps, final=True)
+        assert final.shape == (2,) and math.isnan(drift)
+        assert np.abs(final - scan[-1]).max() < 1e-14, steps
+        for channel in (None, "as-printed", "x-only"):
+            scan = K.rk4_bloch(*args, GAMMA, LAM2, channel, r0, steps)
+            final = K.rk4_bloch(*args, GAMMA, LAM2, channel, r0, steps, final=True)
+            assert final.shape == (3,)
+            assert np.abs(final - scan[-1]).max() < 1e-14, (steps, channel)
+
+
+def test_schrodinger_gate_uses_final_run(design, args, pref):
+    # the gate's fine run keeps only its final state; the delta it reports
+    # is the one against the full scan's last state
+    psi0 = np.array([1.0, 0.0], dtype=complex)
+    prop = propagate_schrodinger(design, psi0, 10000)
+    fine, _ = K.rk4_spin(*args, pref, HBAR, psi0, 20000)
+    assert prop.gate_delta <= GATE_TOL
+    assert abs(prop.gate_delta - np.abs(prop.states[-1] - fine[-1]).max()) < 1e-14
 
 
 def test_rk4_spin_const_matches(mat):

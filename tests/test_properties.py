@@ -9,15 +9,20 @@ Schrodinger states (run as a real 4-vector) must keep unit norm, the
 fidelity must lie in [0, 1], and the final state must agree with the Bloch
 propagator started from the same point, unless the step-halving gate
 refuses the run.
+
+The design depends on t_f and B0 only through B0 t_f, so the B0 limit is
+K / t_f for one material constant K: compute_b0_max(t_f) t_f must equal K
+within the bisection tolerance at any t_f.
 """
 
 import numpy as np
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from spinflip import (IntegratorError, TrajectoryDesign, bloch_to_density, fidelity,
-                      gaas, propagate_bloch, propagate_density, propagate_schrodinger,
-                      spin_to_bloch)
+from spinflip import (IntegratorError, TrajectoryDesign, bloch_to_density,
+                      compute_b0_max, fidelity, gaas, propagate_bloch, propagate_density,
+                      propagate_schrodinger, spin_to_bloch)
 
 TOL = 1e-12
 
@@ -72,3 +77,16 @@ def test_spinor_stays_physical(tf, b0, psi0, steps):
     # own RK4 error reaches 1.2e-7 near t_f = 2 ns, B0 = 0.5 T
     bloch = propagate_bloch(design, steps=2 * steps, r0=tuple(spin_to_bloch(psi0)))
     assert np.abs(spin_to_bloch(prop.states[-1]) - bloch.r[-1]).max() < 1e-7
+
+
+@pytest.fixture(scope="module")
+def b0max_tf():
+    """K = B0_max t_f in T ns, bisected far below the default 1e-3 T tolerance."""
+    return compute_b0_max(1.0, gaas(), tol=1e-9)
+
+
+@settings(max_examples=25, deadline=None)
+@given(tf=st.floats(0.05, 5.0))
+def test_b0_max_scales_as_one_over_tf(b0max_tf, tf):
+    tol = 1e-3
+    assert abs(compute_b0_max(tf, gaas(), tol=tol) - b0max_tf / tf) <= 0.5 * tol + 1e-8
