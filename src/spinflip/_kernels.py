@@ -140,26 +140,27 @@ def _rk4_linear(gen, y0, tf, steps, normalize=False, final=False):
         M = I + dt/6 (A1 + 2 K2 + 2 K3 + K4),
         K2 = A2 (I + dt/2 A1),  K3 = A2 (I + dt/2 K2),  K4 = A4 (I + dt K3),
 
-    A1, A2, A4 taken at k dt, k dt + dt/2 and k dt + dt.  Steps run in
-    blocks of BLOCK_BYTES per (steps, d, d) array.  Inside a block the prefix
-    products M_j ... M_0 come from a Hillis-Steele scan (log2 of the block
-    length batched matmuls); the block's last state seeds the next block.
+    A1, A2, A4 taken at k dt, k dt + dt/2 and k dt + dt; A and y are real.
+    y0 is (*batch, d), batch () or (G,), and gen(t) is (len(t), *batch, d, d).
+    Steps run in blocks of BLOCK_BYTES per (steps, *batch, d, d) array, on one
+    field evaluation each.  Inside a block the prefix products M_j ... M_0
+    come from a Hillis-Steele scan (log2 of the block length batched
+    matmuls); the block's last state seeds the next block.
 
-    With normalize, every state is divided by its norm, as a loop that
-    renormalizes after each step does, and the largest one-step |norm - 1|
-    (the ratio of successive norms) is returned as the drift; else 0.0.
-    A and y are real and y0 is (d,).  Returns the (steps + 1, d) trajectory
-    and the drift.  With final, a block's product is formed pairwise (half
-    the scan's matmuls), and the final (d,) state alone is returned, with a
-    NaN drift; normalize then divides only it by its norm.
+    With normalize (batch () only), every state is divided by its norm, as a
+    loop that renormalizes after each step does, and the largest one-step
+    |norm - 1| (the ratio of successive norms) is returned as the drift, else
+    0.0, with the (steps + 1, *batch, d) trajectory.  With final, a block's
+    product is formed pairwise (half the scan's matmuls), and the final state
+    alone is returned, with a NaN drift; normalize divides only it by its norm.
     """
     y = np.asarray(y0, dtype=float)
-    d = len(y)
-    traj = None if final else np.empty((steps + 1, d))
+    d = y.shape[-1]
+    traj = None if final else np.empty((steps + 1,) + y.shape)
     eye = np.eye(d)
     dt = tf / steps
     drift = math.nan if final else 0.0
-    block = BLOCK_BYTES // y.itemsize // d ** 2
+    block = max(1, BLOCK_BYTES // (y.itemsize * y.size * d))
     for start in range(0, steps, block):
         t = np.arange(start, min(start + block, steps)) * dt
         with np.errstate(over="ignore", invalid="ignore"):
@@ -180,13 +181,13 @@ def _rk4_linear(gen, y0, tf, steps, normalize=False, final=False):
                         m[-2] = m[-1] @ m[-2]
                         m = m[:-1]
                     m = m[1::2] @ m[::2]
-                y = m[0] @ y
+                y = (m[0] @ y[..., None])[..., 0]
                 continue
             span = 1
             while span < len(t):
                 m[span:] = m[span:] @ m[:-span]
                 span *= 2
-            ys = m @ y
+            ys = (m @ y[..., None])[..., 0]
         if normalize:
             norms = np.linalg.norm(ys, axis=1)
             ratios = norms / np.concatenate(([1.0], norms[:-1]))
@@ -241,14 +242,16 @@ def rk4_bloch(tc, pc, tf, b0, alpha, beta, eta, gamma, lam2, channel, r0, steps,
     "as-printed" keeps the diagonal of it with a = (X, Y, Z'); "x-only" is
     the full matrix with a = (0, Y, Z'), the Bloch form of the double
     commutator with the x-only noise operator.  Returns the (steps+1, 3)
-    trajectory from r0, or with final its (3,) final state alone.
+    trajectory from r0, or with final its (3,) final state alone.  A (G,)
+    lam2 is G noise strengths in one batch: (steps+1, G, 3) or (G, 3).
     """
     def gen(t):
-        x, y, z = _xyz(t, tc, pc, tf, b0, alpha, beta, eta)
-        a = np.zeros((len(t), 3, 3))
-        a[:, 0, 1], a[:, 0, 2] = eta * z, -eta * y
-        a[:, 1, 0], a[:, 1, 2] = -eta * z, eta * x
-        a[:, 2, 0], a[:, 2, 1] = eta * y, -eta * x
+        x, y, z = (f.reshape((-1,) + (1,) * np.ndim(lam2))  # to broadcast against lam2
+                   for f in _xyz(t, tc, pc, tf, b0, alpha, beta, eta))
+        a = np.zeros((len(t),) + np.shape(lam2) + (3, 3))
+        a[..., 0, 1], a[..., 0, 2] = eta * z, -eta * y
+        a[..., 1, 0], a[..., 1, 2] = -eta * z, eta * x
+        a[..., 2, 0], a[..., 2, 1] = eta * y, -eta * x
         rates = (0.0,) * 3
         if channel is not None:
             zp = z - b0
@@ -258,11 +261,12 @@ def rk4_bloch(tc, pc, tf, b0, alpha, beta, eta, gamma, lam2, channel, r0, steps,
                          ke * (x * x + y * y))
             else:
                 rates = ke * (y * y + zp * zp), ke * zp * zp, ke * y * y
-                a[:, 1, 2] += ke * y * zp
-                a[:, 2, 1] += ke * y * zp
+                a[..., 1, 2] += ke * y * zp
+                a[..., 2, 1] += ke * y * zp
         for i, rate in enumerate(rates):
-            a[:, i, i] = -4.0 * gamma - rate
+            a[..., i, i] = -4.0 * gamma - rate
         return a
+    r0 = np.broadcast_to(r0, np.shape(lam2) + (3,))
     return _rk4_linear(gen, r0, tf, steps, final=final)[0]
 
 

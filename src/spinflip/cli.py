@@ -33,7 +33,7 @@ from .lowdin import (FourLevelModel, build_full_hamiltonian, lowdin_reduce,
                      orbital_adiabaticity, partition, validity_check,
                      xi_factors)
 from .opensys import (LindbladParams, NoiseParams, dephasing_sweep, ensemble_sweep,
-                      perturbative_bound, propagate_bloch)
+                      noise_sweep, perturbative_bound, propagate_bloch)
 from .tables import OutputTable, config_hash
 from .trajectory import TrajectoryDesign
 
@@ -294,10 +294,7 @@ def cmd_sweep(config: dict, args) -> int:
             results = ensemble_sweep(design, lambda0s, config["noise"]["seed"],
                                      config["noise"]["n_traj"], steps)
         else:
-            channel = config["noise"]["channel"]
-            results = [(propagate_bloch(design, lambda0=lambda0, channel=channel,
-                                        steps=steps).final_fidelity,)
-                       for lambda0 in lambda0s]
+            results = zip(noise_sweep(design, lambda0s, config["noise"]["channel"], steps))
     for value, res in zip(grid, results):
         table.add_row(float(value), *[float(x) for x in res])
     _write(table, config, args.out)

@@ -19,10 +19,12 @@ at constant trace.
 
 Noise strength: lam = lambda0 sqrt(t_f); lambda0^2 is the sweep axis.
 
-Each sweep axis is one batched evaluation.  ``dephasing_sweep`` gives the
-whole gamma curve from one gated unitary Bloch run, because the isotropic
-dephasing factors out of the rotation.  ``ensemble_sweep`` runs every
-lambda0 of a Monte Carlo grid as one lock-step ensemble on one stream of
+Each sweep axis is one batched evaluation; the deterministic ones are gated
+(final-only Bloch runs at steps and 2 steps agree within GATE_TOL, else
+IntegratorError).  ``noise_sweep`` runs a lambda0 grid as one batch of the
+Bloch kernel; ``dephasing_sweep`` needs one unitary run for a gamma grid,
+as the isotropic dephasing factors out of the rotation.  ``ensemble_sweep``
+runs a Monte Carlo lambda0 grid as one lock-step ensemble on one stream of
 two-point increments (+-sqrt(dt), one random bit each), drawn in blocks of
 steps, so memory does not grow with the step count.  Its outputs are weak
 estimates, a mean population and its standard error: a single trajectory
@@ -103,8 +105,8 @@ class BlochTrajectory:
 
 
 def fidelity_from_w(w):
-    """F = sqrt((1 - w)/2), elementwise: modulus of the down-state overlap."""
-    return np.sqrt(np.maximum(0.0, (1.0 - w) / 2.0))
+    """F = sqrt((1 - w)/2) capped to [0, 1], elementwise: the down-state overlap."""
+    return np.sqrt(np.clip((1.0 - w) / 2.0, 0.0, 1.0))
 
 
 def _shaped(name: str, value, shape: tuple[int, ...], dtype=float) -> np.ndarray:
@@ -145,32 +147,44 @@ def propagate_bloch(design: TrajectoryDesign, gamma: float = 0.0,
                            r=_finite(traj, "Bloch"))
 
 
+def _gated_finals(design: TrajectoryDesign, lam2, channel, steps: int) -> np.ndarray:
+    """Final Bloch vectors from (0, 0, 1) at gamma = 0 under the noise term
+    lam2 = lambda0^2 t_f (scalar, or (G,) run as one batch), after one scan,
+    gated: final-only runs at steps and 2 steps, GATE_TOL on every vector."""
+    check_steps(steps, MIN_GATED_STEPS)
+    require_cancellable(design)
+    args = (*design.kernel_args(), 0.0, lam2, channel, (0.0, 0.0, 1.0))
+    coarse = K.rk4_bloch(*args, steps, final=True)
+    gate(coarse, K.rk4_bloch(*args, 2 * steps, final=True))
+    return coarse
+
+
 def dephasing_sweep(design: TrajectoryDesign, gammas, steps: int = 10000) -> np.ndarray:
     """Fidelity of the dephasing master equation from (0, 0, 1) at every
-    rate in gammas, from one singularity scan and one gated unitary run.
+    rate in gammas, from one gated unitary run.
 
     The -4 gamma decay is isotropic and commutes with the rotation, so
-    w(tf; gamma) = e^{-4 gamma tf} w(tf; 0).  The step-halving gate (steps
-    against 2 steps, GATE_TOL on the final Bloch vector) runs at gamma = 0;
+    w(tf; gamma) = e^{-4 gamma tf} w(tf; 0).  The gate runs at gamma = 0;
     its delta at gamma is e^{-4 gamma tf} times that one, so the single
     gate is at least as strict at every rate.
     """
-    check_steps(steps, MIN_GATED_STEPS)
     gammas = np.array([LindbladParams(float(g)).gamma for g in gammas])
-    require_cancellable(design)
-    r0 = np.array([0.0, 0.0, 1.0])
-    args = (*design.kernel_args(), 0.0, 0.0, None, r0)
-    coarse = K.rk4_bloch(*args, steps)[-1]
-    gate(coarse, K.rk4_bloch(*args, 2 * steps, final=True))
-    return fidelity_from_w(np.exp(-4.0 * gammas * design.tf) * coarse[2])
+    w = _gated_finals(design, 0.0, None, steps)[2]
+    return fidelity_from_w(np.exp(-4.0 * gammas * design.tf) * w)
+
+
+def noise_sweep(design: TrajectoryDesign, lambda0s, channel: str, steps: int) -> np.ndarray:
+    """Fidelity of the source-noise master equation from (0, 0, 1), with no
+    dephasing, at every lambda0: one gated batch over lambda0^2 t_f, or none."""
+    lam0 = np.array([NoiseParams(float(l0), channel).lambda0 for l0 in lambda0s])
+    if not lam0.size:
+        return lam0
+    return fidelity_from_w(_gated_finals(design, lam0 ** 2 * design.tf, channel, steps)[:, 2])
 
 
 def propagate_master(design: TrajectoryDesign, gamma: float, steps: int = 10000) -> float:
-    """Fidelity of the dephasing master equation from (0, 0, 1).
-
-    Same step-halving convergence gate as the closed-system propagator; see
-    dephasing_sweep.
-    """
+    """Fidelity of the dephasing master equation from (0, 0, 1): one rate
+    of dephasing_sweep, gate included."""
     return float(dephasing_sweep(design, [gamma], steps)[0])
 
 

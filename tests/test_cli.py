@@ -278,6 +278,14 @@ class TestSweep:
         _, _, rows = parse_csv(out)
         assert rows[0, 1] == pytest.approx(0.992416, abs=1e-6)
 
+    def test_lambda0_sq_gate_fails_at_too_few_steps(self):
+        # at B0 = 0.9 T (0.78 of the limit) 1000 steps move the final Bloch
+        # vector by 1.2e-7 from its 2000-step run: exit 4, no F printed
+        code, out, err = invoke(["sweep", "--axis", "lambda0_sq", "--grid", "0,0.01",
+                                 "--steps", "1000", "--b0", "0.9"])
+        assert code == 4
+        assert out == "" and "step-halving gate failed" in err
+
     def test_mc_needs_lambda0_sq_axis(self, monkeypatch):
         # the gamma axis has no ensemble: a config error before propagating,
         # not a table-width traceback
@@ -395,7 +403,7 @@ class TestOneScan:
         (["sweep", "--axis", "gamma", "--grid", "0:1:3", "--steps", "1000"], 1),
         (["sweep", "--axis", "lambda0_sq", "--grid", "0.01,0.02", "--mc",
           "--n-traj", "4", "--steps", "1000"], 1),
-        (["sweep", "--axis", "lambda0_sq", "--grid", "0,0.01,0.02", "--steps", "1000"], 3),
+        (["sweep", "--axis", "lambda0_sq", "--grid", "0,0.01,0.02", "--steps", "1000"], 1),
     ], ids=["design", "simulate", "sweep-gamma", "sweep-mc", "sweep-lambda0_sq"])
     def test_scan_count(self, monkeypatch, argv, scans):
         calls, detect = [], fields.detect_singularities

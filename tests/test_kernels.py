@@ -31,7 +31,7 @@ from spinflip import (FieldTriple, IntegratorError, NoiseParams, SingularityErro
 from spinflip import _kernels as K
 from spinflip.constants import HBAR, MU_B
 from spinflip.invariant import GATE_TOL
-from spinflip.opensys import dephasing_sweep, ensemble_sweep
+from spinflip.opensys import dephasing_sweep, ensemble_sweep, noise_sweep
 
 from oracles import (b1_b2_at, bloch_of, bloch_rhs, lindblad_step_rhs, noise_bloch_rhs,
                      noise_master_rhs, xonly_hprime)
@@ -252,6 +252,22 @@ def test_rk4_final_equals_scan_last_state(args, pref):
             assert np.abs(final - scan[-1]).max() < 1e-14, (steps, channel)
 
 
+@pytest.mark.parametrize("steps", [1, 7, 90, 91, 92, 1821])
+def test_rk4_bloch_batch_rows_equal_scalar_runs(args, steps):
+    # 20 strengths make a block of 91 steps; each row is its own scalar run
+    assert K.BLOCK_BYTES // (8 * 20 * 9) == 91
+    r0 = np.array([0.3, -0.2, 0.9])
+    lam2 = np.linspace(0.0, 2.0 * LAM2, 20)
+    for channel in (None, "as-printed", "x-only"):
+        scan = K.rk4_bloch(*args, GAMMA, lam2, channel, r0, steps)
+        final = K.rk4_bloch(*args, GAMMA, lam2, channel, r0, steps, final=True)
+        assert scan.shape == (steps + 1, 20, 3) and final.shape == (20, 3)
+        for g in (0, 7, 19):
+            one = K.rk4_bloch(*args, GAMMA, float(lam2[g]), channel, r0, steps)
+            assert np.abs(scan[:, g] - one).max() < 1e-14, (steps, channel, g)
+            assert np.abs(final[g] - one[-1]).max() < 1e-14, (steps, channel, g)
+
+
 def test_schrodinger_gate_uses_final_run(design, args, pref):
     # the gate's fine run keeps only its final state; the delta it reports
     # is the one against the full scan's last state
@@ -398,8 +414,9 @@ def test_ensemble_nan_check_on_noncancellable_design(design, monkeypatch):
     lambda d: propagate_schrodinger(d, np.array([1.0, 0.0])),
     lambda d: dephasing_sweep(d, [0.0, 0.5]),
     lambda d: ensemble_sweep(d, [0.1, 0.2], seed=0, n_traj=8, steps=2000),
+    lambda d: noise_sweep(d, [0.1, 0.2], "x-only", 2000),
 ], ids=["propagate_density", "ensemble_average", "propagate_schrodinger",
-        "dephasing_sweep", "ensemble_sweep"])
+        "dephasing_sweep", "ensemble_sweep", "noise_sweep"])
 def test_propagators_check_design_first(design, call, monkeypatch):
     # at B0 = 2 T the other library propagators, too, raise before any
     # kernel runs

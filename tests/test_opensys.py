@@ -8,7 +8,7 @@ from spinflip import (FieldTriple, LindbladParams, NoiseParams, bloch_to_density
 from spinflip.core import IDENTITY2
 from spinflip.fields import fields_xyz_at
 from spinflip.opensys import (INCREMENT_BLOCK, _increment_blocks, dephasing_sweep,
-                              ensemble_sweep)
+                              ensemble_sweep, noise_sweep)
 
 from oracles import (bloch_of, bloch_rhs, lindblad_step_rhs, noise_bloch_rhs,
                      noise_master_rhs, xonly_hprime)
@@ -125,6 +125,26 @@ class TestPropagateMaster:
         dn = propagate_density(design, gamma=gamma, steps=10000)
         assert np.abs(dn.bloch() - bl.r).max() < 1e-8
         check_density_trajectory(dn)
+
+
+class TestNoiseSweep:
+    """The deterministic lambda0^2 axis: one gated batch of the Bloch kernel."""
+
+    @pytest.mark.parametrize("channel", ["as-printed", "x-only"])
+    def test_matches_propagate_bloch(self, design, channel):
+        # each point equals its own one-point run, lambda0^2 = 0 included
+        lambda0s = np.sqrt(np.linspace(0.0, 0.2, 20))
+        got = noise_sweep(design, lambda0s, channel, 2000)
+        want = [propagate_bloch(design, lambda0=l0, channel=channel, steps=2000).final_fidelity
+                for l0 in lambda0s]
+        assert got.shape == (20,)
+        assert np.abs(got - want).max() < 1e-12
+
+    def test_empty_grid_runs_no_kernel(self, design, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a kernel ran")
+        monkeypatch.setattr("spinflip._kernels.rk4_bloch", refuse)
+        assert noise_sweep(design, [], "x-only", 1000).shape == (0,)
 
 
 class TestNoiseMasterRHS:
@@ -380,11 +400,16 @@ class TestParams:
         lambda d: propagate_density(d, lambda0=-0.1, channel="x-only"),
         lambda d: dephasing_sweep(d, [0.1, -0.5]),
         lambda d: ensemble_sweep(d, [0.1, -0.1], seed=0, n_traj=8, steps=1000),
+        lambda d: noise_sweep(d, [0.1, -0.1], "x-only", 1000),
     ], ids=["bloch-gamma", "master-gamma", "density-gamma", "bloch-lambda0",
-            "density-lambda0", "dephasing_sweep", "ensemble_sweep"])
-    def test_propagators_reject_negative_rates(self, design, call):
+            "density-lambda0", "dephasing_sweep", "ensemble_sweep", "noise_sweep"])
+    def test_propagators_reject_negative_rates(self, design, monkeypatch, call):
         # unchecked, a negative gamma gives F = 2.048 and a negative lambda0
-        # a silently noiseless run
+        # a silently noiseless run; the check comes before any kernel
+        def refuse(*args, **kwargs):
+            raise AssertionError("a kernel ran before the check")
+        for name in ("rk4_bloch", "em_final"):
+            monkeypatch.setattr(f"spinflip._kernels.{name}", refuse)
         with pytest.raises(ValueError, match="must be >= 0"):
             call(design)
 
@@ -406,10 +431,15 @@ class TestParams:
         lambda d: propagate_bloch(d, lambda0=np.nan, steps=1000),
         lambda d: propagate_master(d, np.nan, steps=1000),
         lambda d: ensemble_sweep(d, [0.1, np.nan], seed=0, n_traj=4, steps=1000),
+        lambda d: noise_sweep(d, [0.1, np.nan], "as-printed", 1000),
     ], ids=["lindblad-inf", "noise-inf", "bloch-lambda0-nan", "master-gamma-nan",
-            "ensemble_sweep-nan"])
-    def test_non_finite_rates_rejected(self, design, call):
+            "ensemble_sweep-nan", "noise_sweep-nan"])
+    def test_non_finite_rates_rejected(self, design, monkeypatch, call):
         # unchecked, lambda0 = NaN gave the noiseless F and gamma = NaN a NaN F
+        def refuse(*args, **kwargs):
+            raise AssertionError("a kernel ran before the check")
+        for name in ("rk4_bloch", "em_final"):
+            monkeypatch.setattr(f"spinflip._kernels.{name}", refuse)
         with pytest.raises(ValueError, match="must be finite, got"):
             call(design)
 
@@ -441,3 +471,5 @@ class TestParams:
         assert fidelity_from_w(-1.0) == 1.0
         assert fidelity_from_w(1.0) == 0.0
         assert fidelity_from_w(0.0) == pytest.approx(1 / np.sqrt(2))
+        # rounding can carry a full flip just past the pole
+        assert fidelity_from_w(-1.0 - 4e-16) == 1.0

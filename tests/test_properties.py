@@ -12,7 +12,11 @@ refuses the run.
 
 The design depends on t_f and B0 only through B0 t_f, so the B0 limit is
 K / t_f for one material constant K: compute_b0_max(t_f) t_f must equal K
-within the bisection tolerance at any t_f.
+within the bisection tolerance at any t_f.  For the same reason a pulse c
+times longer is the same flip on a time axis stretched by c, with fields
+and rates divided by c; lam^2 = lambda0^2 t_f grows by c as the squared
+fields fall by c^2, so at fixed lambda0^2 the fidelity must not move:
+F(t_f, B0, gamma, lambda0^2) = F(c t_f, B0 / c, gamma / c, lambda0^2).
 """
 
 import numpy as np
@@ -23,6 +27,7 @@ from hypothesis import strategies as st
 from spinflip import (IntegratorError, TrajectoryDesign, bloch_to_density,
                       compute_b0_max, fidelity, gaas, propagate_bloch, propagate_density,
                       propagate_schrodinger, spin_to_bloch)
+from spinflip.opensys import noise_sweep
 
 TOL = 1e-12
 
@@ -77,6 +82,27 @@ def test_spinor_stays_physical(tf, b0, psi0, steps):
     # own RK4 error reaches 1.2e-7 near t_f = 2 ns, B0 = 0.5 T
     bloch = propagate_bloch(design, steps=2 * steps, r0=tuple(spin_to_bloch(psi0)))
     assert np.abs(spin_to_bloch(prop.states[-1]) - bloch.r[-1]).max() < 1e-7
+
+
+@settings(max_examples=25, deadline=None)
+@given(c=st.floats(0.2, 5.0), tf=st.floats(0.2, 2.0), b0=st.floats(0.0, 0.5),
+       gamma=st.floats(0.0, 1.0), lambda0_sq=st.floats(0.0, 0.09),
+       channel=st.sampled_from(["as-printed", "x-only"]), steps=st.integers(1000, 2000))
+def test_fidelity_invariant_under_time_rescaling(c, tf, b0, gamma, lambda0_sq, channel,
+                                                 steps):
+    designs = [TrajectoryDesign.design(tf, b0, gaas()),
+               TrajectoryDesign.design(c * tf, b0 / c, gaas())]
+    lambda0 = float(np.sqrt(lambda0_sq))
+    bloch = [propagate_bloch(d, gamma=g, lambda0=lambda0, channel=channel,
+                             steps=steps).final_fidelity
+             for d, g in zip(designs, (gamma, gamma / c))]
+    assert abs(bloch[0] - bloch[1]) < TOL
+    try:
+        swept = [noise_sweep(d, [lambda0], channel, steps)[0] for d in designs]
+    except IntegratorError:
+        # too few steps near the B0 limit: the step-halving gate refuses it
+        assume(False)
+    assert abs(swept[0] - swept[1]) < TOL
 
 
 @pytest.fixture(scope="module")
