@@ -9,16 +9,14 @@ Im psi) as a 4x4), are real and linear with coefficients that depend on t
 alone, so every RK4 step is a real transfer matrix built from fields
 evaluated on all stage times at once (see :func:`_rk4_linear`).  The one
 Euler-Maruyama kernel, :func:`em_final`, runs a lock-step loop over a (noise
-strength, trajectory) array: a noise-strength grid runs as one ensemble on
-shared increments, which arrive as step-major (steps, n_traj) blocks, one
-contiguous row of increments per step.  It too runs on the real 4-vector
-(Re psi0, Im psi0, Re psi1, Im psi1): each block's real 4x8 step matrices
-[D | S] (drift and noise) come from one field evaluation on its part of the
-step grid, and a step is one elementwise product (dW y) and one batched
-matmul between two state buffers allocated once per call.  The linear step
-needs no renormalization to keep |psi_1| / |psi|, so states are rescaled
-every RENORM_EVERY steps of the global step index and at t_f, and only the
-final fidelities are returned.
+strength, trajectory) array of complex spinors: a noise-strength grid runs
+as one ensemble on shared two-point increments, which arrive as step-major
+uint8 byte rows, 8 steps of every trajectory per row.  A byte selects one
+of 256 products of 8 step matrices, so each row gets a byte table, built
+from two 16-entry nibble tables by elementwise 2x2 arithmetic, and a
+trajectory advances 8 steps by one gather from it and one complex
+multiply-add.  States are rescaled every RENORM_EVERY steps of the global
+step index, and only the final fidelities are returned.
 
 Angle cubics enter as raw coefficient arrays (rad/ns^j); material parameters
 as scalars; the Bloch noise channel by name, or None for no noise.  Error
@@ -52,11 +50,12 @@ NONCANCEL_TOL = 1e-6
 # of the real 4x4 spin matrix, about 1800 of the real 3x3 Bloch matrix.
 # A larger budget raises the peak RSS of the one-point validations; much
 # less, and the per-call numpy overhead, paid while holding the interpreter
-# lock, starts to dominate the Bloch sweeps.
+# lock, starts to dominate the Bloch sweeps.  The Euler-Maruyama byte tables
+# are built BLOCK_BYTES per noise strength at a time: 8 byte rows of 16 KiB.
 BLOCK_BYTES = 1 << 17
-# Euler-Maruyama steps between renormalizations of the states.  The step is
-# linear, so rescaling does not move |psi_1| / |psi| in exact arithmetic;
-# the norms drift only by O(dt) factors per step, far from overflow.
+# Euler-Maruyama steps between renormalizations of the states, whole byte
+# rows.  The step is linear, so rescaling does not move |psi_1| / |psi| in
+# exact arithmetic; the norms drift only by O(dt) factors per step.
 RENORM_EVERY = 256
 
 
@@ -270,57 +269,87 @@ def rk4_bloch(tc, pc, tf, b0, alpha, beta, eta, gamma, lam2, channel, r0, steps,
     return _rk4_linear(gen, r0, tf, steps, final=final)[0]
 
 
-def em_final(tc, pc, tf, b0, alpha, beta, eta, pref, hbar, lams, psi0, dw, steps):
+def _em_matrices(x, y, z, b0, pref, hbar, lam, dt):
+    """em_final's M = D -+ sqrt(dt) S at each step, (steps, 2, 2, G, 2), last
+    axis the bit: rk4_spin's real generators read back as complex 2x2."""
+    a, s = (g[:, 0::2, 0::2, None, None] + 1j * g[:, 1::2, 0::2, None, None]
+            for g in (_spin_generator(x, y, z, pref, hbar),
+                      _spin_generator(np.zeros_like(y), y, z - b0, pref, hbar)))
+    decay = 1.0 - 0.5 * dt * (pref / hbar) ** 2 * ((y * y + (z - b0) ** 2)[:, None] * (lam * lam))
+    return (np.eye(2)[:, :, None, None] * decay[:, None, None, :, None] + dt * a
+            + np.sqrt(dt) * lam[:, None] * np.array([-1.0, 1.0]) * s)
+
+
+def _compose(later, earlier, out=None, tmp=None):
+    """Every product later[..., a] @ earlier[..., b] of two (R, 2, 2, G, n)
+    stacks of complex 2x2 matrices, elementwise, as (R, 2, 2, G, nb na) with
+    index b na + a: the later matrix's index is the low digit."""
+    if out is None:
+        out = np.empty(later.shape[:4] + earlier.shape[-1:] + later.shape[-1:], dtype=complex)
+        tmp = np.empty_like(out)
+    np.multiply(later[:, :, 0, None, :, None], earlier[:, None, 0, ..., None], out=out)
+    np.multiply(later[:, :, 1, None, :, None], earlier[:, None, 1, ..., None], out=tmp)
+    return np.add(out, tmp, out=out).reshape(out.shape[:4] + (-1,))
+
+
+def _table(m):
+    """(R, 2, 2, G, 2^k) products M_{k-1} ... M_0 of the (R, k, 2, 2, G, 2)
+    matrices of R rows of k steps, indexed by their bits, MSB first."""
+    t = m[:, 0]
+    for s in range(1, m.shape[1]):
+        t = _compose(m[:, s], t)
+    return t
+
+
+def _byte_tables(m, rows, tabs, idx):
+    """(table, index row) per byte row of a block's matrices m: 256 entries,
+    len(idx) rows at a time into tabs, or 2^r for a last byte of r steps."""
+    whole, part = divmod(len(m), 8)
+    for row in range(0, whole, len(idx)):
+        r = min(len(idx), whole - row)
+        nib = _table(m[8 * row:8 * (row + r)].reshape((2 * r, 4) + m.shape[1:]))
+        np.copyto(idx[:r], rows[row:row + r])
+        yield from zip(_compose(nib[1::2], nib[::2], tabs[0, :r], tabs[1, :r]), idx[:r])
+    if part:
+        np.right_shift(rows[whole], 8 - part, out=idx[0])
+        yield _table(m[8 * whole:][None])[0], idx[0]
+
+
+def em_final(tc, pc, tf, b0, alpha, beta, eta, pref, hbar, lams, psi0, bits, steps):
     """Final fidelities |psi_1(tf)| of Euler-Maruyama ensembles under the
     x-only noise operator, a (len(lams), n_traj) array: one row per noise
     strength, every trajectory in lock step on the same increments.
 
-    dw yields step-major (c, n_traj) blocks of increments, C-contiguous so
-    that each step reads one contiguous row, whose lengths c add up to steps;
-    the whole (steps, n_traj) array need never exist.  On the real state
-    y = (Re psi0, Im psi0, Re psi1, Im psi1) a step of strength lam is
+    bits yields step-major (c, n_traj) uint8 blocks, ceil(steps / 8) rows in
+    all; a row holds 8 steps, MSB first, bit 1 giving dW = +sqrt(dt), bit 0
+    -sqrt(dt).  A step of strength lam is psi <- (D + dW S) psi with
 
-        y <- D y + S (dW y),  D = (1 - kappa lam^2 dt / 2) I + dt real(-iH/hbar),
-                              S = lam real(-iH'/hbar),
+        D = (1 - kappa lam^2 dt / 2) I - (i dt / hbar) H,   S = -(i lam / hbar) H',
 
-    with H' = H(0, Y, Z') and kappa = (pref/hbar)^2 (Y^2 + Z'^2), since
-    H'^2 = pref^2 (Y^2 + Z'^2) I.  A block's matrices W = [D | S] come from
-    one field evaluation on its part of the step grid k tf / steps, as one
-    (c, G, 4, 8) array.  The state lives in the upper half of one of two
-    (8, G, n_traj) buffers; a step writes dW y into its lower half and one
-    batched matmul of W with it into the upper half of the other.  The step
-    is linear and a positive scale leaves |psi_1| / |psi| alone, so the
-    states are renormalized only every RENORM_EVERY steps of the global step
-    index, and at tf; the result does not depend on how dw is blocked.  Each
-    row equals its one-strength run bit for bit, but trajectory i of an
-    n_traj run may differ in its last bit from a run of that one trajectory,
-    as the BLAS kernel may treat a matrix column by its position.
+    H' = H(0, Y, Z') and kappa = (pref/hbar)^2 (Y^2 + Z'^2), since
+    H'^2 = pref^2 (Y^2 + Z'^2) I.  A byte applies its table entry
+    M_7 ... M_0 of M = D +- sqrt(dt) S: the same 8 steps, reassociated.
+    All arithmetic is elementwise, so each row equals its one-strength run,
+    each trajectory its run alone, and any blocking gives the same bits.
     """
     lam = np.asarray(lams, dtype=float)
     dt = tf / steps
-    start = 0
-    for block in dw:
-        width = block.shape[0]
-        x, y, z = _xyz(np.arange(start, start + width) * dt, tc, pc, tf, b0, alpha, beta, eta)
-        zp = z - b0
-        decay = 1.0 - 0.5 * dt * (pref / hbar) ** 2 * (y * y + zp * zp)[:, None] * (lam * lam)
-        w = np.empty((width, lam.shape[0], 4, 8))
-        w[..., :4] = dt * _spin_generator(x, y, z, pref, hbar)[:, None]
-        w[..., :4] += decay[..., None, None] * np.eye(4)
-        w[..., 4:] = lam[:, None, None] * _spin_generator(np.zeros_like(y), y, zp, pref,
-                                                          hbar)[:, None]
-        if start == 0:
-            bufs = np.empty((2, 8, lam.shape[0], block.shape[1]))
-            bufs[0, :4] = np.ascontiguousarray(psi0, dtype=np.complex128).view(float)[:, None, None]
-            # per strength, (8, n_traj) and (4, n_traj) matrices in the buffers
-            mats = bufs.transpose(0, 2, 1, 3)
-        for k, dwk in enumerate(block, start):
-            state, nxt = bufs[k % 2], bufs[(k + 1) % 2, :4]
-            np.multiply(state[:4], dwk, out=state[4:])
-            np.matmul(w[k - start], mats[k % 2], out=mats[(k + 1) % 2, :, :4])
-            if (k + 1) % RENORM_EVERY == 0:
-                nxt /= np.linalg.norm(nxt, axis=0)
-        start += width
-    final = bufs[steps % 2, :4]
-    final /= np.linalg.norm(final, axis=0)
-    return np.hypot(final[2], final[3])
+    done = 0
+    for block in bits:
+        if done == 0:  # buffers for the whole call
+            shape = (2, lam.size, block.shape[1])
+            psi = np.broadcast_to(np.asarray(psi0, dtype=complex)[:, None, None], shape).copy()
+            entry, mag = np.empty((2,) + shape, dtype=complex), np.empty(shape)
+            idx = np.empty((BLOCK_BYTES // (256 * 4 * 16), shape[2]), dtype=np.intp)
+            tabs = np.empty((2, len(idx), 2, 2, lam.size, 16, 16), dtype=complex)
+        ts = np.arange(8 * done, min(8 * (done + len(block)), steps)) * dt
+        m = _em_matrices(*_xyz(ts, tc, pc, tf, b0, alpha, beta, eta), b0, pref, hbar, lam, dt)
+        for k, (table, index) in enumerate(_byte_tables(m, block, tabs, idx), done + 1):
+            np.take(table, index, axis=-1, out=entry, mode="clip")  # "raise" buffers out
+            np.multiply(entry, psi, out=entry)
+            np.add(entry[:, 0], entry[:, 1], out=psi)
+            if 8 * k % RENORM_EVERY == 0:  # the float view takes the real norms uncast
+                np.hypot(*np.abs(psi, out=mag), out=mag[0])
+                psi.view(float).reshape(shape + (2,))[...] /= mag[0, ..., None]
+        done += len(block)
+    return np.abs(psi[1]) / np.hypot(*np.abs(psi))

@@ -25,8 +25,9 @@ IntegratorError).  ``noise_sweep`` runs a lambda0 grid as one batch of the
 Bloch kernel; ``dephasing_sweep`` needs one unitary run for a gamma grid,
 as the isotropic dephasing factors out of the rotation.  ``ensemble_sweep``
 runs a Monte Carlo lambda0 grid as one lock-step ensemble on one stream of
-two-point increments (+-sqrt(dt), one random bit each), drawn in blocks of
-steps, so memory does not grow with the step count.  Its outputs are weak
+two-point increments (+-sqrt(dt), one random bit each), which stay bytes,
+8 steps each, drawn in blocks, so memory does not grow with the step count,
+and select 8-step matrix products from per-byte tables.  Its outputs are weak
 estimates, a mean population and its standard error: a single trajectory
 is not a sample path of the stochastic Schrodinger equation.
 """
@@ -48,9 +49,9 @@ from .invariant import MIN_GATED_STEPS, check_steps, gate
 from .trajectory import TrajectoryDesign
 
 CHANNELS = ("as-printed", "x-only")
-# Steps of increments per block of a Monte Carlo run (one (256, n_traj)
-# float block), and per generator call: a call draws the sign bits of 8192
-# steps, 1 KiB per trajectory, so memory does not grow with the step count.
+# Steps of increments per block of a Monte Carlo run, a (32, n_traj) block of
+# byte rows, and per generator call, 1 KiB of sign bits per trajectory: memory
+# does not grow with the step count.
 INCREMENT_BLOCK = 256
 INCREMENT_CHUNK = 8192
 _PSI_UP = np.array([1.0, 0.0], dtype=complex)
@@ -161,7 +162,7 @@ def _gated_finals(design: TrajectoryDesign, lam2, channel, steps: int) -> np.nda
 
 def dephasing_sweep(design: TrajectoryDesign, gammas, steps: int = 10000) -> np.ndarray:
     """Fidelity of the dephasing master equation from (0, 0, 1) at every
-    rate in gammas, from one gated unitary run.
+    rate in gammas, from one gated unitary run, or none for no rates.
 
     The -4 gamma decay is isotropic and commutes with the rotation, so
     w(tf; gamma) = e^{-4 gamma tf} w(tf; 0).  The gate runs at gamma = 0;
@@ -169,6 +170,8 @@ def dephasing_sweep(design: TrajectoryDesign, gammas, steps: int = 10000) -> np.
     gate is at least as strict at every rate.
     """
     gammas = np.array([LindbladParams(float(g)).gamma for g in gammas])
+    if not gammas.size:
+        return gammas
     w = _gated_finals(design, 0.0, None, steps)[2]
     return fidelity_from_w(np.exp(-4.0 * gammas * design.tf) * w)
 
@@ -218,42 +221,30 @@ def propagate_density(design: TrajectoryDesign, gamma: float = 0.0,
     return DensityTrajectory(times=traj.times, rho=bloch_to_density(traj.r))
 
 
-def _increment_blocks(seed: int, n_traj: int, steps: int, dt: float,
-                      width: int = INCREMENT_BLOCK):
+def _increment_blocks(seed: int, n_traj: int, steps: int):
     """Two-point weak increments dW = +-sqrt(dt), each sign one random bit,
-    as step-major (c, n_traj) blocks of `width` steps (a multiple of 8), cut
-    also at every INCREMENT_CHUNK steps.
+    as step-major (c, n_traj) uint8 blocks of byte rows: row j holds steps
+    8j to 8j + 7 of every trajectory, most significant bit first, bit 1
+    giving +sqrt(dt).  A block holds INCREMENT_BLOCK steps, or the rest of
+    an INCREMENT_CHUNK.
 
     They match the first three moments of Normal(0, dt), which is all the
     weak order 1 of the Euler-Maruyama step needs: the simplified weak Euler
     scheme (Kloeden & Platen, Numerical Solution of SDEs, 1992, sec. 14.1).
     Trajectory i has a private generator, spawned from
     np.random.SeedSequence(seed), so that the streams of different
-    trajectories and different seeds are independent.  Its increments are
-    the bits of one rng.bytes(ceil(steps / 8)) draw, most significant bit
-    first, bit 1 giving +sqrt(dt): every chunk but the last draws 1 KiB, a
-    whole number of the generator's 32-bit words, so the chunked draws equal
-    that one draw.
+    trajectories and different seeds are independent.  Its bytes are those
+    of one rng.bytes(ceil(steps / 8)) draw: every chunk but the last draws
+    1 KiB, a whole number of the generator's 32-bit words, so the chunked
+    draws equal that one draw.
     """
-    if width <= 0 or width % 8:
-        raise ValueError(f"width must be a positive multiple of 8, got {width}")
     rngs = [np.random.default_rng(c) for c in np.random.SeedSequence(seed).spawn(n_traj)]
-    scale = np.sqrt(dt)
     for chunk in range(0, steps, INCREMENT_CHUNK):
-        n = min(INCREMENT_CHUNK, steps - chunk)
-        raw = np.empty((n_traj, -(-n // 8)), dtype=np.uint8)
+        raw = np.empty((n_traj, -(-min(INCREMENT_CHUNK, steps - chunk) // 8)), dtype=np.uint8)
         for row, rng in zip(raw, rngs):
             row[:] = np.frombuffer(rng.bytes(row.size), dtype=np.uint8)
-        for start in range(0, n, width):
-            c = min(width, n - start)
-            # the transposed bytes unpack along axis 0 into step-major,
-            # C-contiguous bits, and 2 scale b - scale is exactly +-scale;
-            # a lookup table would first cast the bits to a (c, n_traj)
-            # integer index array
-            block = np.unpackbits(raw[:, start // 8:(start + c + 7) // 8].T, axis=0,
-                                  count=c) * (2.0 * scale)
-            block -= scale
-            yield block
+        rows, width = np.ascontiguousarray(raw.T), INCREMENT_BLOCK // 8
+        yield from (rows[start:start + width] for start in range(0, len(rows), width))
 
 
 @dataclass(frozen=True)
@@ -276,9 +267,9 @@ def _em_fidelities(design: TrajectoryDesign, lambda0s, seed: int, n_traj: int,
     lams = [NoiseParams(float(l0), "x-only", seed, n_traj).lambda0 * np.sqrt(design.tf)
             for l0 in lambda0s]
     require_cancellable(design)
-    dw = _increment_blocks(seed, n_traj, steps, design.tf / steps)
-    return _finite(K.em_final(*design.kernel_args(), 0.5 * design.mat.g * MU_B, HBAR,
-                              lams, _PSI_UP, dw, steps), "ensemble")
+    return _finite(K.em_final(*design.kernel_args(), 0.5 * design.mat.g * MU_B, HBAR, lams,
+                              _PSI_UP, _increment_blocks(seed, n_traj, steps), steps),
+                   "ensemble")
 
 
 def ensemble_average(design: TrajectoryDesign, noise: NoiseParams,
@@ -304,8 +295,8 @@ def ensemble_sweep(design: TrajectoryDesign, lambda0s, seed: int, n_traj: int,
     F = sqrt(P) and se_P / (2 F) (delta method) from the population_mean P
     and population_se of ensemble_average(design, NoiseParams(lambda0s[g],
     "x-only", seed, n_traj), steps), bit for bit: P estimates rho_11 without
-    bias.  Memory does not grow with steps: the increments arrive in blocks
-    of INCREMENT_BLOCK steps.
+    bias.  Memory does not grow with steps: the increments arrive as byte
+    rows, in blocks of INCREMENT_BLOCK steps.
     """
     stats = [_mean_se(row * row)
              for row in _em_fidelities(design, lambda0s, seed, n_traj, steps)]

@@ -241,16 +241,15 @@ class TestSweep:
         assert abs(rows[0, 1] - master) < 3 * rows[0, 2]
 
     def test_mc_table_rows_pinned(self):
-        # rows of the real [D | S] Euler-Maruyama step, reduced to
-        # sqrt(mean population) and its delta-method standard error; they
-        # hold for the BLAS kernel that does its batched matmul
+        # rows of the byte-table Euler-Maruyama step, reduced to
+        # sqrt(mean population) and its delta-method standard error
         code, out, _ = invoke(["sweep", "--axis", "lambda0_sq", "--grid", "0.013,0.035",
                                "--mc", "--n-traj", "32", "--steps", "2000",
                                "--seed", "1234"])
         assert code == 0
         assert out.splitlines()[-2:] == [
-            "0.012999999999999999,0.99264069626505558,0.00142272336863277",
-            "0.035000000000000003,0.98075685762471387,0.003688907386732691"]
+            "0.012999999999999999,0.99264069626505569,0.0014227233686327655",
+            "0.035000000000000003,0.98075685762471387,0.0036889073867326615"]
 
     def test_mc_memory_does_not_grow_with_steps(self):
         def peak(steps):

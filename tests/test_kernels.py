@@ -9,11 +9,12 @@ over the reference right-hand sides in ``tests/oracles.py`` and
 :func:`spinflip.build_heff`, at step counts below one scan block and across
 a block boundary that is not a block multiple; the final-only path must
 equal the scan's last state within 1e-14.  The Euler-Maruyama kernel,
-its increments handed over in blocks, must stay within 1e-12 of a
-step-by-step loop over :func:`spinflip.build_heff` and
-``oracles.xonly_hprime``, each row of its lock-step noise-strength grid
-must equal a one-strength run bit for bit, and so must two blockings of the
-same increments.
+its increment bytes handed over in the program's blocks, must stay within
+1e-12 of a step-by-step loop over :func:`spinflip.build_heff` and
+``oracles.xonly_hprime`` on the +-sqrt(dt) increments decoded from the
+same bytes.  Each row of its lock-step noise-strength grid must equal a
+one-strength run bit for bit, and so must two blockings of the same bytes
+and each trajectory against a run of that trajectory alone.
 """
 
 import ast
@@ -31,7 +32,8 @@ from spinflip import (FieldTriple, IntegratorError, NoiseParams, SingularityErro
 from spinflip import _kernels as K
 from spinflip.constants import HBAR, MU_B
 from spinflip.invariant import GATE_TOL
-from spinflip.opensys import dephasing_sweep, ensemble_sweep, noise_sweep
+from spinflip.opensys import (_increment_blocks, dephasing_sweep, ensemble_sweep,
+                              noise_sweep)
 
 from oracles import (b1_b2_at, bloch_of, bloch_rhs, lindblad_step_rhs, noise_bloch_rhs,
                      noise_master_rhs, xonly_hprime)
@@ -310,53 +312,79 @@ def em_reference(design, mat, fields, lam, psi0, dw):
     return out
 
 
+def byte_rows(seed, n_traj, steps):
+    """The program's increment bytes, as one step-major (ceil(steps / 8), n_traj) array."""
+    return np.concatenate(list(_increment_blocks(seed, n_traj, steps)))
+
+
+def increments(rows, steps, dt):
+    """The +-sqrt(dt) increments of byte rows, one row per trajectory:
+    most significant bit first, bit 1 giving +sqrt(dt)."""
+    bits = np.unpackbits(rows.T, axis=1, count=steps)
+    return np.where(bits == 1, np.sqrt(dt), -np.sqrt(dt))
+
+
 def test_em_final_matches(args, design, mat, pref, fields):
-    # a noise-strength grid as one lock-step ensemble on shared increments
+    # a noise-strength grid as one lock-step ensemble on shared increments,
+    # in the program's blocks: a partial last byte (1, 7, 9, 300, 8500
+    # steps), a narrower last block (300) and the 8192-step chunk edge (8500)
     psi0 = np.array([0.6, 0.8j])
-    lams, steps = (0.0, 0.2, 0.45), 300
-    dw = np.random.default_rng(1).normal(0.0, np.sqrt(design.tf / steps), (8, steps))
-    fid = K.em_final(*args, pref, HBAR, lams, psi0, np.split(dw.T, (128, 256), axis=0),
-                     steps)
-    assert fid.shape == (3, 8)
-    for row, lam in zip(fid, lams):
-        ref = em_reference(design, mat, fields, lam, psi0, dw)
-        assert np.abs(row - np.abs(ref[:, -1, 1])).max() < TOL, lam
+    lams = (0.0, 0.2, 0.45)
+    for steps in (1, 7, 9, 300, 8500):
+        dw = increments(byte_rows(1, 4, steps), steps, design.tf / steps)
+        fid = K.em_final(*args, pref, HBAR, lams, psi0, _increment_blocks(1, 4, steps), steps)
+        assert fid.shape == (3, 4)
+        for row, lam in zip(fid, lams):
+            ref = em_reference(design, mat, fields, lam, psi0, dw)
+            assert np.abs(row - np.abs(ref[:, -1, 1])).max() < TOL, (steps, lam)
 
 
 def test_em_final_rows_equal_one_strength_runs(args, design, pref):
     # the lock-step grid and one run per lam, on the same uneven blocks
     psi0 = np.array([0.6, 0.8j])
     lams, steps = (0.0, 0.2, 0.45), 300
-    dw = np.random.default_rng(2).normal(0.0, np.sqrt(design.tf / steps), (8, steps))
-    fid = K.em_final(*args, pref, HBAR, lams, psi0, np.split(dw.T, (100, 250), axis=0),
-                     steps)
+    rows = byte_rows(2, 8, steps)
+    fid = K.em_final(*args, pref, HBAR, lams, psi0, np.split(rows, (12, 31)), steps)
     for row, lam in zip(fid, lams):
-        ref = K.em_final(*args, pref, HBAR, [lam], psi0,
-                         np.split(dw.T, (100, 250), axis=0), steps)
+        ref = K.em_final(*args, pref, HBAR, [lam], psi0, np.split(rows, (12, 31)), steps)
         assert np.array_equal(row, ref[0]), lam
 
 
 def test_em_final_independent_of_blocking(args, design, pref):
-    # the states are renormalized on the global step index, so blocks of 256
-    # and uneven blocks give the same bits
+    # the states are renormalized on the global step index, so blocks of 32
+    # byte rows and uneven blocks that end on whole bytes give the same bits
     psi0 = np.array([0.6, 0.8j])
     lams, steps = (0.0, 0.2, 0.45), 3000
-    dw = np.random.default_rng(3).normal(0.0, np.sqrt(design.tf / steps), (8, steps))
-    even = K.em_final(*args, pref, HBAR, lams, psi0,
-                      np.split(dw.T, range(256, steps, 256), axis=0), steps)
-    uneven = K.em_final(*args, pref, HBAR, lams, psi0,
-                        np.split(dw.T, (100, 1000, 2999), axis=0), steps)
+    rows = byte_rows(3, 8, steps)
+    even = K.em_final(*args, pref, HBAR, lams, psi0, np.split(rows, range(32, 375, 32)), steps)
+    uneven = K.em_final(*args, pref, HBAR, lams, psi0, np.split(rows, (12, 125, 374)), steps)
     assert np.array_equal(even, uneven)
 
 
+def test_em_final_trajectory_independent_of_ensemble(args, design, pref):
+    # the arithmetic is elementwise, so a trajectory's result does not
+    # depend on its column or on the other trajectories: trajectory 0 of a
+    # 64-trajectory ensemble is the one-trajectory run on the same seed, and
+    # columns at other positions equal their own runs
+    noise = dict(lambda0=0.3, channel="x-only", seed=99)
+    many = ensemble_average(design, NoiseParams(**noise, n_traj=64), 2000).fidelities
+    one = ensemble_average(design, NoiseParams(**noise, n_traj=1), 2000).fidelities
+    assert many[0] == one[0]
+    psi0, lams, rows = np.array([0.6, 0.8j]), (0.0, 0.2, 0.45), byte_rows(4, 64, 2000)
+    fid = K.em_final(*args, pref, HBAR, lams, psi0, [rows], 2000)
+    for i in (5, 37, 63):
+        alone = K.em_final(*args, pref, HBAR, lams, psi0, [rows[:, i:i + 1]], 2000)
+        assert np.array_equal(fid[:, i:i + 1], alone), i
+
+
 def test_seeded_ensemble_values_pinned(design):
-    # values of the real [D | S] Euler-Maruyama step; they hold for the BLAS
-    # kernel that does its batched matmul, as the RK4 scan's results do
+    # values of the byte-table Euler-Maruyama step: elementwise arithmetic,
+    # no BLAS call
     res = ensemble_average(design, NoiseParams(lambda0=float(np.sqrt(0.02)),
                                                channel="x-only", seed=1234, n_traj=32),
                            steps=2000)
-    assert res.fidelity_mean == 0.9887136790268388
-    assert res.fidelity_se == 0.002192028467659601
+    assert res.fidelity_mean == 0.9887136790268389
+    assert res.fidelity_se == 0.0021920284676595755
 
 
 def test_nan_poisoning_on_noncancellable(design):

@@ -145,6 +145,7 @@ class TestNoiseSweep:
             raise AssertionError("a kernel ran")
         monkeypatch.setattr("spinflip._kernels.rk4_bloch", refuse)
         assert noise_sweep(design, [], "x-only", 1000).shape == (0,)
+        assert dephasing_sweep(design, []).shape == (0,)
 
 
 class TestNoiseMasterRHS:
@@ -268,17 +269,14 @@ class TestSSE:
         assert not np.array_equal(a.fidelities, b.fidelities)
 
     def test_one_trajectory_pinned(self, design):
-        # value of the real [D | S] Euler-Maruyama step for the BLAS kernel
-        # that does its batched matmul; trajectory 0 of a larger ensemble on
-        # the same seed may differ from it in the last bit
+        # value of the byte-table Euler-Maruyama step
         res = ensemble_average(design, NoiseParams(0.3, "x-only", 99, 1), 10000)
-        assert res.fidelities[0] == 0.9887402961083613
+        assert res.fidelities[0] == 0.988740296108361
 
     def test_wiener_increment_statistics(self):
         dt = 1e-4
-        dw = next(_increment_blocks(seed=123, n_traj=100, steps=10000, dt=dt,
-                                    width=10000))
-        flat = dw.ravel()
+        rows = np.concatenate(list(_increment_blocks(seed=123, n_traj=100, steps=10000)))
+        flat = np.where(np.unpackbits(rows) == 1, np.sqrt(dt), -np.sqrt(dt))
         n = flat.size
         se_mean = np.sqrt(dt / n)
         assert abs(flat.mean()) < 3 * se_mean
@@ -286,19 +284,17 @@ class TestSSE:
         assert abs(flat.var() - dt) < 3 * se_var
 
     def test_increment_blocks_equal_one_bytes_draw(self):
-        # oracle: the bits of each spawned generator's one rng.bytes draw,
-        # as +-sqrt(dt); 8500 steps cross the 8192-step chunk edge, are not
-        # a multiple of 8 and leave a narrower last block
-        seed, n_traj, steps, dt = 42, 5, 8500, 1e-4
+        # oracle: each spawned generator's one rng.bytes draw; 8500 steps
+        # cross the 8192-step chunk edge, are not a multiple of 8 and leave
+        # a narrower last block
+        seed, n_traj, steps = 42, 5, 8500
         rngs = [np.random.default_rng(c)
                 for c in np.random.SeedSequence(seed).spawn(n_traj)]
-        bits = np.array([np.unpackbits(np.frombuffer(rng.bytes(-(-steps // 8)), np.uint8),
-                                       count=steps) for rng in rngs])
-        ref = np.where(bits == 1, np.sqrt(dt), -np.sqrt(dt)).T
-        blocks = list(_increment_blocks(seed, n_traj, steps, dt))
-        assert [b.shape for b in blocks] == [(INCREMENT_BLOCK, n_traj)] * 33 + [(52, n_traj)]
-        # step-major and C-contiguous: the kernel reads one row per step
-        assert all(b.flags.c_contiguous for b in blocks)
+        ref = np.array([np.frombuffer(rng.bytes(-(-steps // 8)), np.uint8) for rng in rngs]).T
+        blocks = list(_increment_blocks(seed, n_traj, steps))
+        assert [b.shape for b in blocks] == [(INCREMENT_BLOCK // 8, n_traj)] * 33 + [(7, n_traj)]
+        # step-major byte rows, C-contiguous: the kernel reads one row per 8 steps
+        assert all(b.dtype == np.uint8 and b.flags.c_contiguous for b in blocks)
         assert np.array_equal(np.concatenate(blocks), ref)
 
     def test_per_trajectory_generators(self):
@@ -307,8 +303,8 @@ class TestSSE:
         # 64 one-bit steps make a chance match of two trajectories unlikely.
         sets = []
         for seed in (1232, 1234, 1235):
-            dw, = _increment_blocks(seed=seed, n_traj=256, steps=64, dt=0.1)
-            again, = _increment_blocks(seed=seed, n_traj=256, steps=64, dt=0.1)
+            dw, = _increment_blocks(seed=seed, n_traj=256, steps=64)
+            again, = _increment_blocks(seed=seed, n_traj=256, steps=64)
             assert np.array_equal(dw, again)
             sets.append({col.tobytes() for col in dw.T})
         assert all(len(s) == 256 for s in sets)

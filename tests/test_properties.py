@@ -17,6 +17,9 @@ times longer is the same flip on a time axis stretched by c, with fields
 and rates divided by c; lam^2 = lambda0^2 t_f grows by c as the squared
 fields fall by c^2, so at fixed lambda0^2 the fidelity must not move:
 F(t_f, B0, gamma, lambda0^2) = F(c t_f, B0 / c, gamma / c, lambda0^2).
+The Euler-Maruyama step scales the same way, as dt and lam sqrt(dt) grow by
+c and the fields fall by c, so on the same seed the Monte Carlo sweep's F
+and standard error must not move either.
 """
 
 import numpy as np
@@ -27,7 +30,7 @@ from hypothesis import strategies as st
 from spinflip import (IntegratorError, TrajectoryDesign, bloch_to_density,
                       compute_b0_max, fidelity, gaas, propagate_bloch, propagate_density,
                       propagate_schrodinger, spin_to_bloch)
-from spinflip.opensys import noise_sweep
+from spinflip.opensys import ensemble_sweep, noise_sweep
 
 TOL = 1e-12
 
@@ -103,6 +106,19 @@ def test_fidelity_invariant_under_time_rescaling(c, tf, b0, gamma, lambda0_sq, c
         # too few steps near the B0 limit: the step-halving gate refuses it
         assume(False)
     assert abs(swept[0] - swept[1]) < TOL
+
+
+@settings(max_examples=20, deadline=None)
+@given(c=st.floats(0.2, 5.0), tf=st.floats(0.2, 2.0), b0=st.floats(0.0, 0.5),
+       lambda0_sq=st.floats(0.0, 0.09), seed=st.integers(0, 2**32 - 1),
+       steps=st.integers(1000, 2000))
+def test_monte_carlo_invariant_under_time_rescaling(c, tf, b0, lambda0_sq, seed, steps):
+    lambda0 = float(np.sqrt(lambda0_sq))
+    (f, se), (f_c, se_c) = (
+        ensemble_sweep(TrajectoryDesign.design(t, b, gaas()), [lambda0], seed, 16, steps)[0]
+        for t, b in ((tf, b0), (c * tf, b0 / c)))
+    assert abs(f - f_c) < TOL
+    assert abs(se - se_c) < TOL
 
 
 @pytest.fixture(scope="module")
