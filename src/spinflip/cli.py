@@ -20,7 +20,6 @@ import os
 import sys
 
 import numpy as np
-import yaml
 
 from . import __version__
 from .constants import MaterialParams
@@ -89,6 +88,8 @@ def _read_mapping(kind: str, path: str) -> dict:
     """The YAML mapping in the file at path; an empty (or other false)
     document is an empty mapping.  An unreadable file, bad YAML or any other
     document is a ConfigError."""
+    import yaml  # only --config reads YAML; importing it costs every other run
+
     try:
         with open(path) as fh:
             doc = yaml.safe_load(fh) or {}

@@ -50,8 +50,9 @@ from .trajectory import TrajectoryDesign
 
 CHANNELS = ("as-printed", "x-only")
 # Steps of increments per block of a Monte Carlo run, a (32, n_traj) block of
-# byte rows, and per generator call, 1 KiB of sign bits per trajectory: memory
-# does not grow with the step count.
+# byte rows, and per generator call, 1 KiB of sign bits per trajectory: 128
+# whole PCG64 words, so the chunked draws equal one rng.bytes draw (see
+# _increment_blocks).  Memory does not grow with the step count.
 INCREMENT_BLOCK = 256
 INCREMENT_CHUNK = 8192
 _PSI_UP = np.array([1.0, 0.0], dtype=complex)
@@ -233,17 +234,29 @@ def _increment_blocks(seed: int, n_traj: int, steps: int):
     scheme (Kloeden & Platen, Numerical Solution of SDEs, 1992, sec. 14.1).
     Trajectory i has a private generator, spawned from
     np.random.SeedSequence(seed), so that the streams of different
-    trajectories and different seeds are independent.  Its bytes are those
-    of one rng.bytes(ceil(steps / 8)) draw: every chunk but the last draws
-    1 KiB, a whole number of the generator's 32-bit words, so the chunked
-    draws equal that one draw.
+    trajectories and different seeds are independent.
+
+    The generator is the PCG64 bit generator that default_rng(child) wraps,
+    read with random_raw, and its bytes are those of one
+    default_rng(child).bytes(ceil(steps / 8)) draw: Generator.bytes takes
+    full-range uint32 draws, written little-endian, and PCG64 serves those
+    as the low then the high half of each 64-bit output, so the
+    little-endian bytes of the 64-bit words are the same stream.  Every
+    chunk but the last is 128 whole words, so no buffered half-word crosses
+    a chunk edge; the last may end inside a word, and nothing is drawn
+    after it.
     """
-    rngs = [np.random.default_rng(c) for c in np.random.SeedSequence(seed).spawn(n_traj)]
+    gens = [np.random.PCG64(c) for c in np.random.SeedSequence(seed).spawn(n_traj)]
+    words = np.empty((n_traj, INCREMENT_CHUNK // 64), dtype="<u8")
+    width = INCREMENT_BLOCK // 8
     for chunk in range(0, steps, INCREMENT_CHUNK):
-        raw = np.empty((n_traj, -(-min(INCREMENT_CHUNK, steps - chunk) // 8)), dtype=np.uint8)
-        for row, rng in zip(raw, rngs):
-            row[:] = np.frombuffer(rng.bytes(row.size), dtype=np.uint8)
-        rows, width = np.ascontiguousarray(raw.T), INCREMENT_BLOCK // 8
+        nbytes = -(-min(INCREMENT_CHUNK, steps - chunk) // 8)
+        nwords = -(-nbytes // 8)
+        for row, gen in zip(words, gens):
+            row[:nwords] = gen.random_raw(nwords)
+        # a copy, always: for one trajectory the transpose is already
+        # contiguous, and words is refilled for the next chunk
+        rows = words.view(np.uint8)[:, :nbytes].T.copy()
         yield from (rows[start:start + width] for start in range(0, len(rows), width))
 
 

@@ -614,6 +614,15 @@ class TestEntryPoints:
         assert proc.returncode == 0
         assert proc.stdout.splitlines()[-1].startswith("1,")
 
+    def test_import_does_not_load_yaml(self):
+        # only --config reads YAML; a fresh interpreter, as this module
+        # imports yaml itself
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys, spinflip.cli; print('yaml' in sys.modules)"],
+            capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
+
     def test_version_flag(self):
         code, out, _ = invoke(["--version"])
         assert code == 0

@@ -297,6 +297,15 @@ class TestSSE:
         assert all(b.dtype == np.uint8 and b.flags.c_contiguous for b in blocks)
         assert np.array_equal(np.concatenate(blocks), ref)
 
+    @pytest.mark.parametrize("n_traj", [1, 3])
+    @pytest.mark.parametrize("steps", [1, 7, 8, 63, 64, 65, 8191, 8192, 8193, 16449])
+    def test_increment_blocks_bytes_oracle_edges(self, steps, n_traj):
+        # the same oracle at a single byte, ends inside a 64-bit word, both
+        # sides of the 8192-step chunk edge and a partial second chunk
+        rngs = [np.random.default_rng(c) for c in np.random.SeedSequence(7).spawn(n_traj)]
+        ref = np.array([np.frombuffer(rng.bytes(-(-steps // 8)), np.uint8) for rng in rngs]).T
+        assert np.array_equal(np.concatenate(list(_increment_blocks(7, n_traj, steps))), ref)
+
     def test_per_trajectory_generators(self):
         # seed ^ i seeding made 1232, 1234 and 1235 share one set of 256
         # trajectories in a different order; spawned streams share none.
