@@ -3,11 +3,13 @@
 Everything here is plain numpy.  The drive fields have one kernel,
 :func:`b1_b2`, over an array of times, guard-window points included; the
 only scalar evaluation on math functions is :func:`_denominator`, the probe
-of the singularity bisection.  The two RK4 equations, Bloch (3x3, with
-dephasing and either source-noise channel) and Schrodinger (run on (Re psi,
-Im psi) as a 4x4), are real and linear with coefficients that depend on t
-alone, so every RK4 step is a real transfer matrix built from fields
-evaluated on all stage times at once (see :func:`_rk4_linear`).  The one
+of the singularity bisection.  The two RK4 equations, Bloch (real 3x3, with
+dephasing and either source-noise channel) and Schrodinger (complex 2x2),
+are linear with coefficients that depend on t alone, so every RK4 step is a
+transfer matrix built from fields evaluated on a block's node grid at once
+(see :func:`_rk4_linear`).  Matrices are stored as component stacks
+(d, d, n, ...) and multiplied by one elementwise einsum, :func:`_mul`; no
+kernel calls BLAS, so its bits do not depend on the OpenBLAS core.  The one
 Euler-Maruyama kernel, :func:`em_final`, runs a lock-step loop over a (noise
 strength, trajectory) array of complex spinors: a noise-strength grid runs
 as one ensemble on shared two-point increments, which arrive as step-major
@@ -44,14 +46,15 @@ DEN_GUARD = 1e-6
 LHOP_STEP = 1e-6
 NONCANCEL_TOL = 1e-6
 
-# Size in bytes of one (steps, d, d) array of the RK4 transfer-matrix scan;
-# a block holds as many steps as fit.  A block keeps at most about eight such
-# arrays alive, so memory stays near 1 MB whatever the step count: 1024 steps
-# of the real 4x4 spin matrix, about 1800 of the real 3x3 Bloch matrix.
-# A larger budget raises the peak RSS of the one-point validations; much
-# less, and the per-call numpy overhead, paid while holding the interpreter
-# lock, starts to dominate the Bloch sweeps.  The Euler-Maruyama byte tables
-# are built BLOCK_BYTES per noise strength at a time: 8 byte rows of 16 KiB.
+# Size in bytes of the largest array of an RK4 block: its generator on the
+# (d, d, 2L+1, *batch) node grid.  The L-step arrays are half of it, so a
+# block keeps a few hundred KB alive whatever the step count: 909 steps of
+# the real 3x3 Bloch matrix, 1023 of the complex 2x2 spin matrix, 45 of a
+# 20-strength Bloch batch (_block_steps).  A larger budget raises the peak
+# RSS of the one-point validations; much less, and the per-call numpy
+# overhead, paid while holding the interpreter lock, starts to dominate the
+# Bloch sweeps.  The Euler-Maruyama byte tables are built BLOCK_BYTES per
+# noise strength at a time: 8 byte rows of 16 KiB.
 BLOCK_BYTES = 1 << 17
 # Euler-Maruyama steps between renormalizations of the states, whole byte
 # rows.  The step is linear, so rescaling does not move |psi_1| / |psi| in
@@ -130,97 +133,91 @@ def denominator_grid(ts, tc, pc, alpha, beta):
     return alpha * np.cos(th) / np.sin(th) - beta * np.sin(poly3(pc, ts))
 
 
+def _mul(a, b):
+    """Products of two (d, d, ...) component stacks, elementwise over the stack."""
+    return np.einsum("ik...,kj...->ij...", a, b)
+
+
+def _block_steps(y):
+    """Steps per RK4 block for the (d, *batch) state y: as many as keep the
+    block's (d, d, 2L+1, *batch) generator nodes within BLOCK_BYTES."""
+    return max(1, (BLOCK_BYTES // (y.itemsize * y.size * len(y)) - 1) // 2)
+
+
 def _rk4_linear(gen, y0, tf, steps, normalize=False, final=False):
     """Fixed-step RK4 for the linear system y' = A(t) y on [0, tf].
 
-    gen(t) returns A at an array of times, shape (len(t), d, d).  A does not
-    depend on y, so the RK4 step k is y -> M_k y with
+    A does not depend on y, so the RK4 step k is y -> M_k y with
 
         M = I + dt/6 (A1 + 2 K2 + 2 K3 + K4),
         K2 = A2 (I + dt/2 A1),  K3 = A2 (I + dt/2 K2),  K4 = A4 (I + dt K3),
 
-    A1, A2, A4 taken at k dt, k dt + dt/2 and k dt + dt; A and y are real.
-    y0 is (*batch, d), batch () or (G,), and gen(t) is (len(t), *batch, d, d).
-    Steps run in blocks of BLOCK_BYTES per (steps, *batch, d, d) array, on one
-    field evaluation each.  Inside a block the prefix products M_j ... M_0
-    come from a Hillis-Steele scan (log2 of the block length batched
-    matmuls); the block's last state seeds the next block.
+    A1, A2, A4 taken at k dt, k dt + dt/2 and k dt + dt.  y0 is (*batch, d),
+    batch () or (G,); A is real or complex.  Matrices are component stacks:
+    gen(t) returns A at n times as (d, d, n, *batch), and each product is one
+    _mul over a stack.  A block of L = _block_steps(y) steps evaluates gen
+    once, on its 2L+1 nodes j dt/2 (step k's A4 is step k+1's A1).  Inside a
+    block the prefix products M_j ... M_0 come from a Hillis-Steele scan
+    (log2 L rounds); the block's last state seeds the next block.
 
     With normalize (batch () only), every state is divided by its norm, as a
     loop that renormalizes after each step does, and the largest one-step
     |norm - 1| (the ratio of successive norms) is returned as the drift, else
     0.0, with the (steps + 1, *batch, d) trajectory.  With final, a block's
-    product is formed pairwise (half the scan's matmuls), and the final state
+    product is formed pairwise (half the scan's products), and the final state
     alone is returned, with a NaN drift; normalize divides only it by its norm.
     """
-    y = np.asarray(y0, dtype=float)
-    d = y.shape[-1]
-    traj = None if final else np.empty((steps + 1,) + y.shape)
-    eye = np.eye(d)
+    y = np.moveaxis(y0, -1, 0)
+    traj = None if final else np.empty((steps + 1,) + y0.shape, dtype=y.dtype)
     dt = tf / steps
     drift = math.nan if final else 0.0
-    block = max(1, BLOCK_BYTES // (y.itemsize * y.size * d))
+    block = _block_steps(y)
     for start in range(0, steps, block):
-        t = np.arange(start, min(start + block, steps)) * dt
+        stop = min(start + block, steps)
         with np.errstate(over="ignore", invalid="ignore"):
-            # m gathers A1 + 2 K2 + 2 K3 + K4 term by term, so that at most
-            # about eight (len(t), d, d) arrays are alive at once
-            a1, a2 = gen(t), gen(t + 0.5 * dt)
-            k = a2 + 0.5 * dt * (a2 @ a1)
+            a = gen(np.arange(2 * start, 2 * stop + 1) * (0.5 * dt))
+            a1, a2, a4 = a[:, :, :-1:2], a[:, :, 1::2], a[:, :, 2::2]
+            k = a2 + 0.5 * dt * _mul(a2, a1)
             m = a1 + 2.0 * k
-            k = a2 + 0.5 * dt * (a2 @ k)
+            k = a2 + 0.5 * dt * _mul(a2, k)
             m += 2.0 * k
-            del a1, a2
-            a4 = gen(t + dt)
-            m += a4 + dt * (a4 @ k)
-            m = eye + dt / 6.0 * m
+            m += a4 + dt * _mul(a4, k)
+            del a, a1, a2, a4
+            m *= dt / 6.0
+            m[np.diag_indices(len(m))] += 1.0
             if final:  # later steps on the left; an odd last one folds into the one before
-                while len(m) > 1:
-                    if len(m) % 2:
-                        m[-2] = m[-1] @ m[-2]
-                        m = m[:-1]
-                    m = m[1::2] @ m[::2]
-                y = (m[0] @ y[..., None])[..., 0]
+                while m.shape[2] > 1:
+                    if m.shape[2] % 2:
+                        m[:, :, -2] = _mul(m[:, :, -1], m[:, :, -2])
+                        m = m[:, :, :-1]
+                    m = _mul(m[:, :, 1::2], m[:, :, ::2])
+                y = _mul(m[:, :, 0], y[:, None])[:, 0]
                 continue
             span = 1
-            while span < len(t):
-                m[span:] = m[span:] @ m[:-span]
+            while span < stop - start:
+                m[:, :, span:] = _mul(m[:, :, span:], m[:, :, :-span])
                 span *= 2
-            ys = (m @ y[..., None])[..., 0]
+            ys = _mul(m, y[:, None, None])[:, 0]
         if normalize:
-            norms = np.linalg.norm(ys, axis=1)
+            norms = np.linalg.norm(ys, axis=0)
             ratios = norms / np.concatenate(([1.0], norms[:-1]))
             drift = max(drift, float(np.abs(ratios - 1.0).max()))
-            ys = ys / norms[:, None]
-        traj[start + 1:start + 1 + len(t)] = ys
-        y = ys[-1]
-    if final:
-        return (y / np.linalg.norm(y) if normalize else y), drift
+            ys = ys / norms
+        traj[start + 1:stop + 1] = np.moveaxis(ys, 0, -1)
+        y = ys[:, -1]
+    if final:  # norm reduces along an axis; with none it would call BLAS dot
+        return np.moveaxis(y / np.linalg.norm(y, axis=0) if normalize else y, 0, -1), drift
     traj[0] = y0
     return traj, drift
 
 
 def _spin_generator(x, y, z, pref, hbar):
-    """A = -(i/hbar) pref [[Z, X+iY], [X-iY, -Z]] as a real 4x4 per entry of
-    the field arrays: [[Re A, -Im A], [Im A, Re A]] on the interleaved
-    (Re psi0, Im psi0, Re psi1, Im psi1), the real view of a complex state.
-
-    With (u, v, w) = -(pref/hbar) (X, Y, Z), A = [[i w, -v + i u], [v + i u, -i w]].
-    """
+    """A = -(i/hbar) pref [[Z, X+iY], [X-iY, -Z]] per entry of the field arrays,
+    a complex (2, 2, *fields) stack: [[i w, -v + i u], [v + i u, -i w]] with
+    (u, v, w) = -(pref/hbar) (X, Y, Z)."""
     c = -1.0 / hbar
     u, v, w = (c * (pref * np.asarray(f, dtype=float)) for f in (x, y, z))
-    o = np.zeros_like(w)
-    return np.stack([o, -w, -v, -u,
-                     w, o, u, -v,
-                     v, -u, o, w,
-                     u, v, -w, o], axis=-1).reshape(w.shape + (4, 4))
-
-
-def _spin_rk4(gen, psi0, tf, steps, final=False):
-    """Renormalized RK4 of the real spin generator gen; complex trajectory."""
-    y0 = np.ascontiguousarray(psi0, dtype=np.complex128).view(float)
-    traj, drift = _rk4_linear(gen, y0, tf, steps, normalize=True, final=final)
-    return traj.view(np.complex128), drift
+    return np.array([[1j * w, -v + 1j * u], [v + 1j * u, -1j * w]])
 
 
 def rk4_spin(tc, pc, tf, b0, alpha, beta, eta, pref, hbar, psi0, steps, final=False):
@@ -232,7 +229,8 @@ def rk4_spin(tc, pc, tf, b0, alpha, beta, eta, pref, hbar, psi0, steps, final=Fa
     """
     def gen(t):
         return _spin_generator(*_xyz(t, tc, pc, tf, b0, alpha, beta, eta), pref, hbar)
-    return _spin_rk4(gen, psi0, tf, steps, final)
+    return _rk4_linear(gen, np.asarray(psi0, dtype=complex), tf, steps,
+                       normalize=True, final=final)
 
 
 def rk4_bloch(tc, pc, tf, b0, alpha, beta, eta, gamma, lam2, channel, r0, steps, final=False):
@@ -247,10 +245,10 @@ def rk4_bloch(tc, pc, tf, b0, alpha, beta, eta, gamma, lam2, channel, r0, steps,
     def gen(t):
         x, y, z = (f.reshape((-1,) + (1,) * np.ndim(lam2))  # to broadcast against lam2
                    for f in _xyz(t, tc, pc, tf, b0, alpha, beta, eta))
-        a = np.zeros((len(t),) + np.shape(lam2) + (3, 3))
-        a[..., 0, 1], a[..., 0, 2] = eta * z, -eta * y
-        a[..., 1, 0], a[..., 1, 2] = -eta * z, eta * x
-        a[..., 2, 0], a[..., 2, 1] = eta * y, -eta * x
+        a = np.empty((3, 3, len(t)) + np.shape(lam2))
+        a[0, 1], a[0, 2] = eta * z, -eta * y
+        a[1, 0], a[1, 2] = -eta * z, eta * x
+        a[2, 0], a[2, 1] = eta * y, -eta * x
         rates = (0.0,) * 3
         if channel is not None:
             zp = z - b0
@@ -260,19 +258,19 @@ def rk4_bloch(tc, pc, tf, b0, alpha, beta, eta, gamma, lam2, channel, r0, steps,
                          ke * (x * x + y * y))
             else:
                 rates = ke * (y * y + zp * zp), ke * zp * zp, ke * y * y
-                a[..., 1, 2] += ke * y * zp
-                a[..., 2, 1] += ke * y * zp
+                a[1, 2] += ke * y * zp
+                a[2, 1] += ke * y * zp
         for i, rate in enumerate(rates):
-            a[..., i, i] = -4.0 * gamma - rate
+            a[i, i] = -4.0 * gamma - rate
         return a
-    r0 = np.broadcast_to(r0, np.shape(lam2) + (3,))
+    r0 = np.broadcast_to(np.asarray(r0, dtype=float), np.shape(lam2) + (3,))
     return _rk4_linear(gen, r0, tf, steps, final=final)[0]
 
 
 def _em_matrices(x, y, z, b0, pref, hbar, lam, dt):
     """em_final's M = D -+ sqrt(dt) S at each step, (steps, 2, 2, G, 2), last
-    axis the bit: rk4_spin's real generators read back as complex 2x2."""
-    a, s = (g[:, 0::2, 0::2, None, None] + 1j * g[:, 1::2, 0::2, None, None]
+    axis the bit, from rk4_spin's complex generators."""
+    a, s = (np.moveaxis(g, 2, 0)[..., None, None]
             for g in (_spin_generator(x, y, z, pref, hbar),
                       _spin_generator(np.zeros_like(y), y, z - b0, pref, hbar)))
     decay = 1.0 - 0.5 * dt * (pref / hbar) ** 2 * ((y * y + (z - b0) ** 2)[:, None] * (lam * lam))

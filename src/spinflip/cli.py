@@ -22,6 +22,7 @@ import sys
 import numpy as np
 
 from . import __version__
+from ._kernels import poly3
 from .constants import MaterialParams
 from .core import initial_state, spin_to_bloch
 from .errors import (ConfigError, DegenerateReferenceError, IntegratorError,
@@ -203,9 +204,11 @@ def cmd_design(config: dict, args) -> int:
         return EXIT_SINGULARITY
     table = OutputTable(columns=["t_ns", "theta_rad", "phi_rad", "B1_T", "B2_T",
                                  "Ex_V_per_cm", "Ey_V_per_cm"], meta=_meta(config))
-    for s in sample_fields(design, config["control"]["samples"], report):
-        table.add_row(s.t, design.theta(s.t), design.phi(s.t), s.b1, s.b2,
-                      s.ex, s.ey)
+    rows = sample_fields(design, config["control"]["samples"], report)
+    ts = np.array([s.t for s in rows])
+    thetas, phis = (poly3(c, ts).tolist() for c in design.kernel_args()[:2])
+    for s, th, ph in zip(rows, thetas, phis):
+        table.add_row(s.t, th, ph, s.b1, s.b2, s.ex, s.ey)
     _write(table, config, args.out)
     return 0
 
@@ -228,11 +231,8 @@ def cmd_simulate(config: dict, args) -> int:
     table = OutputTable(columns=["t_ns", "u", "v", "w", "P_up", "P_down"], meta=meta)
     idx = np.unique(np.round(np.linspace(0, steps, config["control"]["samples"]))
                     .astype(int))
-    times = traj.times
-    for i in idx:
-        u, v, w = traj.r[i]
-        table.add_row(float(times[i]), float(u), float(v), float(w),
-                      (1.0 + w) / 2.0, (1.0 - w) / 2.0)
+    for t, (u, v, w) in zip(traj.times[idx].tolist(), traj.r[idx].tolist()):
+        table.add_row(t, u, v, w, (1.0 + w) / 2.0, (1.0 - w) / 2.0)
     _write(table, config, args.out)
     return 0
 

@@ -185,7 +185,8 @@ def propagate_constant(fields: FieldTriple, design_or_mat, psi0: np.ndarray,
     """RK4 under a time-independent field triple (e.g. no drive: (0, 0, B0)).
 
     steps must be >= 1, the fields finite, tf finite and positive and psi0
-    of unit norm within 1e-9, else ValueError.
+    of unit norm within 1e-9, else ValueError.  Renormalizes each step (drift
+    recorded); no step-halving gate runs, so gate_delta is NaN.
     """
     check_steps(steps, 1)
     if not np.isfinite(np.asarray(fields, dtype=float)).all():
@@ -194,11 +195,12 @@ def propagate_constant(fields: FieldTriple, design_or_mat, psi0: np.ndarray,
         raise ValueError(f"tf must be finite and positive, got {tf}")
     psi0 = _unit_state(psi0)
     mat = getattr(design_or_mat, "mat", design_or_mat)
-    a = K._spin_generator(*fields, 0.5 * mat.g * MU_B, HBAR)
-    traj, _ = K._spin_rk4(lambda t: np.broadcast_to(a, (len(t), 4, 4)), psi0, tf, steps)
+    a = K._spin_generator(*fields, 0.5 * mat.g * MU_B, HBAR)[:, :, None]
+    traj, drift = K._rk4_linear(lambda t: np.broadcast_to(a, (2, 2, len(t))), psi0, tf,
+                                steps, normalize=True)
     times = np.linspace(0.0, tf, steps + 1)
     return Propagation(times=times, states=traj, steps=steps, order=4,
-                       max_norm_drift=0.0, gate_delta=0.0)
+                       max_norm_drift=drift, gate_delta=np.nan)
 
 
 def fidelity(prop: Propagation) -> float:

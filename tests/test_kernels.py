@@ -8,7 +8,8 @@ within 1e-12 of a step-by-step RK4 loop written here
 over the reference right-hand sides in ``tests/oracles.py`` and
 :func:`spinflip.build_heff`, at step counts below one scan block and across
 a block boundary that is not a block multiple; the final-only path must
-equal the scan's last state within 1e-14.  The Euler-Maruyama kernel,
+equal the scan's last state within 1e-14, and no RK4 bit may move when
+numpy loads another OpenBLAS core.  The Euler-Maruyama kernel,
 its increment bytes handed over in the program's blocks, must stay within
 1e-12 of a step-by-step loop over :func:`spinflip.build_heff` and
 ``oracles.xonly_hprime`` on the +-sqrt(dt) increments decoded from the
@@ -18,7 +19,12 @@ and each trajectory against a run of that trajectory alone.
 """
 
 import ast
+import hashlib
 import math
+import os
+import subprocess
+import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -233,13 +239,19 @@ def test_rk4_spin_matches(args, design, mat, pref, fields):
         assert drift == pytest.approx(ref_drift, abs=TOL)
 
 
-# one step, odd counts, a scan block +- 1 (1820 Bloch, 1024 spin steps) and
+# steps per scan block: one Bloch run, one spin run, and a batch of 20 strengths
+BLOCK_BLOCH, BLOCK_SPIN, BLOCK_BATCH20 = (
+    K._block_steps(np.empty(shape, dtype)) for shape, dtype in
+    ((3, float), (2, complex), ((3, 20), float)))
+
+# one step, odd counts, a scan block +- 1 for the Bloch and the spin runs,
+# the edges of an earlier block rule (1820 Bloch, 1024 spin steps) and
 # several blocks
-FINAL_STEPS = (1, 3, 7, 1023, 1024, 1025, 1819, 1820, 1821, 5001)
+FINAL_STEPS = sorted({1, 3, 7, 1023, 1024, 1025, 1819, 1820, 1821, 5001}
+                     | {b + e for b in (BLOCK_BLOCH, BLOCK_SPIN) for e in (-1, 0, 1)})
 
 
 def test_rk4_final_equals_scan_last_state(args, pref):
-    assert K.BLOCK_BYTES // 8 // 9 == 1820 and K.BLOCK_BYTES // 8 // 16 == 1024
     psi0 = np.array([0.6, 0.8j])
     r0 = np.array([0.3, -0.2, 0.9])
     for steps in FINAL_STEPS:
@@ -254,10 +266,11 @@ def test_rk4_final_equals_scan_last_state(args, pref):
             assert np.abs(final - scan[-1]).max() < 1e-14, (steps, channel)
 
 
-@pytest.mark.parametrize("steps", [1, 7, 90, 91, 92, 1821])
+@pytest.mark.parametrize("steps", [1, 7, 90, 91, 92, 1821]
+                         + [BLOCK_BATCH20 + e for e in (-1, 0, 1)])
 def test_rk4_bloch_batch_rows_equal_scalar_runs(args, steps):
-    # 20 strengths make a block of 91 steps; each row is its own scalar run
-    assert K.BLOCK_BYTES // (8 * 20 * 9) == 91
+    # a scan block of 20 strengths +- 1, and the edges of an earlier block
+    # rule (91 steps); each row is its own scalar run
     r0 = np.array([0.3, -0.2, 0.9])
     lam2 = np.linspace(0.0, 2.0 * LAM2, 20)
     for channel in (None, "as-printed", "x-only"):
@@ -289,6 +302,78 @@ def test_rk4_spin_const_matches(mat):
                                normalize=True)
         got = propagate_constant(f, mat, psi0, 1.0, steps).states
         assert np.abs(got - ref).max() < TOL, steps
+
+
+def test_propagate_constant_reports_its_drift(mat):
+    # the drift is the kernel's own, and no gate runs
+    f = FieldTriple(0.01, -0.02, 0.15)
+    h = build_heff(f, mat)
+    psi0 = np.array([0.6, 0.8j])
+    for steps in STEP_COUNTS:
+        _, ref_drift = rk4_reference(lambda t, psi: -1j / HBAR * h @ psi, psi0, 1.0, steps,
+                                     normalize=True)
+        prop = propagate_constant(f, mat, psi0, 1.0, steps)
+        assert prop.max_norm_drift > 0.0
+        assert prop.max_norm_drift == pytest.approx(ref_drift, abs=TOL)
+        assert math.isnan(prop.gate_delta)
+
+
+def kernel_digest(tc, pc, tf, b0, al, be, eta, pref, hbar):
+    """sha256 over the scan and final-only runs of rk4_bloch (20 x-only noise
+    strengths) and rk4_spin, 2000 steps each."""
+    lam2 = np.linspace(0.0, 2.0 * LAM2, 20)
+    r0, psi0 = np.array([0.3, -0.2, 0.9]), np.array([0.6, 0.8j])
+    h = hashlib.sha256()
+    for final in (False, True):
+        h.update(K.rk4_bloch(tc, pc, tf, b0, al, be, eta, GAMMA, lam2, "x-only", r0, 2000,
+                             final=final).tobytes())
+        h.update(K.rk4_spin(tc, pc, tf, b0, al, be, eta, pref, hbar, psi0, 2000,
+                            final=final)[0].tobytes())
+    return h.hexdigest()
+
+
+def test_rk4_bits_independent_of_openblas_core(args, pref):
+    # the kernels call no BLAS, so forcing another OpenBLAS core cannot move a
+    # bit; the arguments travel as float.hex so that the child does not
+    # solve the design again
+    values = [float(v) for v in (*args[0], *args[1], *args[2:], pref, HBAR)]
+    code = ("import sys; from test_kernels import kernel_digest; import numpy as np; "
+            "v = [float.fromhex(h) for h in sys.argv[1:]]; "
+            "print(kernel_digest(np.array(v[:4]), np.array(v[4:8]), *v[8:]))")
+    paths = [str(Path(K.__file__).parents[1]), str(Path(__file__).parent)]
+    env = dict(os.environ, OPENBLAS_CORETYPE="Prescott",
+               PYTHONPATH=os.pathsep.join(filter(None, paths + [os.environ.get("PYTHONPATH")])))
+    child = subprocess.run([sys.executable, "-c", code, *map(float.hex, values)],
+                           env=env, capture_output=True, text=True, timeout=120)
+    assert child.returncode == 0, child.stderr
+    assert child.stdout.strip() == kernel_digest(np.array(values[:4]), np.array(values[4:8]),
+                                                 *values[8:])
+
+
+def test_kernels_call_no_blas():
+    # one RK4 path, on einsum products: no matrix-product operator or call
+    tree = ast.parse(Path(K.__file__).read_text())
+    for node in ast.walk(tree):
+        assert not isinstance(node, ast.MatMult), ast.dump(node)
+        if isinstance(node, ast.Call):
+            f = node.func
+            name = f.attr if isinstance(f, ast.Attribute) else getattr(f, "id", None)
+            assert name not in ("matmul", "dot", "tensordot"), (node.lineno, name)
+
+
+def test_gated_bloch_memory_does_not_grow_with_steps(design):
+    def peak(steps):
+        tracemalloc.start()
+        try:
+            dephasing_sweep(design, [0.1], steps)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    dephasing_sweep(design, [0.1], 1000)
+    grown = peak(40000) - peak(10000)
+    # keeping the fine run's trajectory would add 1.4 MiB, a transfer matrix
+    # per fine step 4.1 MiB
+    assert grown < 1 << 20, grown
 
 
 def em_reference(design, mat, fields, lam, psi0, dw):
