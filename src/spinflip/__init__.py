@@ -19,10 +19,10 @@ from .invariant import (InvariantSpec, PerturbedEvolution, Propagation,
 from .lowdin import (BlockPartition, FourLevelModel, build_full_hamiltonian,
                      closed_form_elements, lowdin_reduce, orbital_adiabaticity,
                      partition, validity_check, xi_factors)
-from .opensys import (BlochTrajectory, DensityTrajectory, EnsembleResult,
-                      LindbladParams, NoiseParams, ensemble_average,
-                      fidelity_from_w, perturbative_bound, propagate_bloch,
-                      propagate_density, propagate_master)
+from .opensys import (BlochTrajectory, DensityTrajectory, LindbladParams,
+                      NoiseParams, ensemble_sweep, fidelity_from_w,
+                      perturbative_bound, propagate_bloch, propagate_density,
+                      propagate_master)
 from .trajectory import (CubicPolynomial, TrajectoryDesign, eval_angles,
                          solve_phi, solve_theta)
 

@@ -243,11 +243,6 @@ def require_cancellable(design: TrajectoryDesign,
             raise SingularityError(ts_bad, res)
 
 
-def design_is_realizable(design: TrajectoryDesign, grid: int = 1001) -> bool:
-    """True when the only denominator zero is the cancellable one at tf/2."""
-    return detect_singularities(design, grid).realizable
-
-
 def compute_b0_max(tf: float, mat: MaterialParams, b0_hi: float | None = None,
                    grid: int = 1001, tol: float = 1e-3) -> float:
     """Largest B0 for which the design keeps a single (removable) singularity.
@@ -264,7 +259,7 @@ def compute_b0_max(tf: float, mat: MaterialParams, b0_hi: float | None = None,
         raise ValueError(f"tol must be finite and positive, got {tol}")
 
     def single(b0: float) -> bool:
-        return design_is_realizable(TrajectoryDesign.design(tf, b0, mat), grid)
+        return detect_singularities(TrajectoryDesign.design(tf, b0, mat), grid).realizable
 
     hi, doublings = (10.0, 16) if b0_hi is None else (b0_hi, 0)
     lo = min(1e-3, 0.1 * hi)

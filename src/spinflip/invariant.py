@@ -57,7 +57,6 @@ class Propagation:
     times: np.ndarray
     states: np.ndarray          # (n+1, 2) complex amplitudes
     steps: int
-    order: int
     max_norm_drift: float
     gate_delta: float
 
@@ -176,7 +175,7 @@ def propagate_schrodinger(design: TrajectoryDesign, psi0: np.ndarray,
     fine, _ = K.rk4_spin(*args, psi0, 2 * steps, final=True)
     delta = gate(traj[-1], fine)
     times = np.linspace(0.0, design.tf, steps + 1)
-    return Propagation(times=times, states=traj, steps=steps, order=4,
+    return Propagation(times=times, states=traj, steps=steps,
                        max_norm_drift=float(drift), gate_delta=delta)
 
 
@@ -199,7 +198,7 @@ def propagate_constant(fields: FieldTriple, design_or_mat, psi0: np.ndarray,
     traj, drift = K._rk4_linear(lambda t: np.broadcast_to(a, (2, 2, len(t))), psi0, tf,
                                 steps, normalize=True)
     times = np.linspace(0.0, tf, steps + 1)
-    return Propagation(times=times, states=traj, steps=steps, order=4,
+    return Propagation(times=times, states=traj, steps=steps,
                        max_norm_drift=drift, gate_delta=np.nan)
 
 

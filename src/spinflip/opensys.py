@@ -23,13 +23,14 @@ Each sweep axis is one batched evaluation; the deterministic ones are gated
 (final-only Bloch runs at steps and 2 steps agree within GATE_TOL, else
 IntegratorError).  ``noise_sweep`` runs a lambda0 grid as one batch of the
 Bloch kernel; ``dephasing_sweep`` needs one unitary run for a gamma grid,
-as the isotropic dephasing factors out of the rotation.  ``ensemble_sweep``
-runs a Monte Carlo lambda0 grid as one lock-step ensemble on one stream of
-two-point increments (+-sqrt(dt), one random bit each), which stay bytes,
-8 steps each, drawn in blocks, so memory does not grow with the step count,
-and select 8-step matrix products from per-byte tables.  Its outputs are weak
-estimates, a mean population and its standard error: a single trajectory
-is not a sample path of the stochastic Schrodinger equation.
+as the isotropic dephasing factors out of the rotation.  ``ensemble_sweep``,
+the one Monte Carlo estimator, runs a lambda0 grid as one lock-step ensemble
+on one stream of two-point increments (+-sqrt(dt), one random bit each),
+which stay bytes, 8 steps each, drawn in blocks, so memory does not grow with
+the step count, and select 8-step matrix products from per-byte tables.  Its
+outputs are weak estimates, F = sqrt(P) of the mean population P and its
+standard error: a single trajectory is not a sample path of the stochastic
+Schrodinger equation.
 """
 
 from __future__ import annotations
@@ -260,22 +261,10 @@ def _increment_blocks(seed: int, n_traj: int, steps: int):
         yield from (rows[start:start + width] for start in range(0, len(rows), width))
 
 
-@dataclass(frozen=True)
-class EnsembleResult:
-    fidelities: np.ndarray      # per-trajectory |psi_down(tf)|
-    fidelity_mean: float
-    fidelity_se: float
-    # mean of |psi_down(tf)|^2 and its standard error: the unravelling gives
-    # rho = E|psi><psi|, so this estimates rho_11 of the master equation,
-    # which the mean fidelity (by Jensen, at most sqrt(rho_11)) does not
-    population_mean: float
-    population_se: float
-
-
 def _em_fidelities(design: TrajectoryDesign, lambda0s, seed: int, n_traj: int,
                    steps: int) -> np.ndarray:
-    """Per-trajectory final fidelities, one row per lambda0, from one
-    lock-step ensemble on one stream of increments."""
+    """Per-trajectory final fidelities |psi_down(t_f)|, one row per lambda0,
+    from one lock-step ensemble on one stream of increments."""
     check_steps(steps, 1)
     lams = [NoiseParams(float(l0), "x-only", seed, n_traj).lambda0 * np.sqrt(design.tf)
             for l0 in lambda0s]
@@ -285,43 +274,28 @@ def _em_fidelities(design: TrajectoryDesign, lambda0s, seed: int, n_traj: int,
                    "ensemble")
 
 
-def ensemble_average(design: TrajectoryDesign, noise: NoiseParams,
-                     steps: int = 10000) -> EnsembleResult:
-    """Monte Carlo ensemble of stochastic Schrodinger trajectories under the
-    x-only noise operator, read at t_f.
-
-    The mean population |psi_down|^2 converges (weakly, order dt) to rho_11
-    of the x-only master equation; the mean fidelity is the trajectory
-    average of |psi_down|, at most sqrt(rho_11).  The spreads yield their
-    standard errors.  One seeded trajectory is the ensemble of n_traj = 1.
-    """
-    fid = _em_fidelities(design, [noise.lambda0], noise.seed, noise.n_traj, steps)[0]
-    return EnsembleResult(fid, *_mean_se(fid), *_mean_se(fid * fid))
-
-
 def ensemble_sweep(design: TrajectoryDesign, lambda0s, seed: int, n_traj: int,
                    steps: int = 10000) -> list[tuple[float, float]]:
     """Monte Carlo fidelity and its standard error at every lambda0 in
-    lambda0s: one lock-step ensemble of len(lambda0s) x n_traj trajectories
-    on one stream of increments, read at t_f only.
+    lambda0s: one lock-step ensemble of len(lambda0s) x n_traj stochastic
+    Schrodinger trajectories under the x-only noise operator, on one stream
+    of increments, read at t_f only.
 
-    F = sqrt(P) and se_P / (2 F) (delta method) from the population_mean P
-    and population_se of ensemble_average(design, NoiseParams(lambda0s[g],
-    "x-only", seed, n_traj), steps), bit for bit: P estimates rho_11 without
-    bias.  Memory does not grow with steps: the increments arrive as byte
-    rows, in blocks of INCREMENT_BLOCK steps.
+    The unravelling gives rho = E|psi><psi|, so the mean population P of
+    |psi_down(t_f)|^2 converges (weakly, order dt) to rho_11 of the x-only
+    master equation; the mean of |psi_down| would not (by Jensen it is at
+    most sqrt(rho_11)).  Each point is F = sqrt(P) and se_P / (2 F) (delta
+    method), se_P the sample standard deviation over sqrt(n_traj); one
+    trajectory has SE 0.  Memory does not grow with steps: the increments
+    arrive as byte rows, in blocks of INCREMENT_BLOCK steps.
     """
-    stats = [_mean_se(row * row)
-             for row in _em_fidelities(design, lambda0s, seed, n_traj, steps)]
+    fid = _em_fidelities(design, lambda0s, seed, n_traj, steps)
+    p = fid * fid
+    mean = p.mean(axis=1)
+    se = p.std(ddof=1, axis=1) / np.sqrt(n_traj) if n_traj > 1 else np.zeros_like(mean)
     # P = 0 only when every trajectory ends at 0, with no spread
-    return [(float(np.sqrt(p)), se / (2.0 * np.sqrt(p)) if p > 0.0 else 0.0)
-            for p, se in stats]
-
-
-def _mean_se(values: np.ndarray) -> tuple[float, float]:
-    """Mean of per-trajectory values and its standard error."""
-    n = values.shape[0]
-    return float(values.mean()), float(values.std(ddof=1) / np.sqrt(n)) if n > 1 else 0.0
+    return [(math.sqrt(m), s / (2.0 * math.sqrt(m)) if m > 0.0 else 0.0)
+            for m, s in zip(mean.tolist(), se.tolist())]
 
 
 def perturbative_bound(gamma: float, tf: float) -> float:

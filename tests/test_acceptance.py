@@ -22,9 +22,9 @@ from contextlib import redirect_stderr, redirect_stdout
 import numpy as np
 import pytest
 
-from spinflip import (InvariantSpec, NoiseParams, TrajectoryDesign,
+from spinflip import (InvariantSpec, TrajectoryDesign,
                       build_heff, chi_eigenstates, commutator, compute_b0_max,
-                      detect_singularities, effective_fields, ensemble_average,
+                      detect_singularities, effective_fields, ensemble_sweep,
                       fidelity, fields_xyz_at, invariance_residual,
                       invariant_matrix, lr_phase, perturbed_initial_evolution,
                       propagate_bloch, propagate_density, propagate_master,
@@ -257,14 +257,13 @@ def test_07b_noise_curve_ordering(design, design_short):
 def test_07c_monte_carlo_vs_master(design):
     t0 = time.perf_counter()
     lam0 = float(np.sqrt(0.02))
-    res = ensemble_average(design, NoiseParams(lambda0=lam0, channel="x-only",
-                                               seed=1234, n_traj=1000), 10000)
+    (f, se), = ensemble_sweep(design, [lam0], seed=1234, n_traj=1000, steps=10000)
     master = propagate_density(design, lambda0=lam0, channel="x-only",
                                steps=10000).final_fidelity
     elapsed = time.perf_counter() - t0
-    assert abs(res.fidelity_mean - master) < 3 * res.fidelity_se
+    assert abs(f - master) < 3 * se
     assert elapsed < 120.0
-    report("7c", f"MC (n=1000) F = {res.fidelity_mean:.5f} +- {res.fidelity_se:.5f} "
+    report("7c", f"MC (n=1000) F = {f:.5f} +- {se:.5f} "
                  f"vs master {master:.5f}: within 3 SE", elapsed)
 
 

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 import yaml
 
-from spinflip import NoiseParams, ensemble_average, propagate_bloch, propagate_density
+from spinflip import ensemble_sweep, propagate_bloch, propagate_density
 from spinflip import cli, fields
 from spinflip.cli import main
 
@@ -223,15 +223,14 @@ class TestSweep:
         assert code == 0
         _, _, rows = parse_csv(out)
         for (value, f, se), l2 in zip(rows, grid):
-            res = ensemble_average(design, NoiseParams(float(np.sqrt(l2)), "x-only",
-                                                       seed=17, n_traj=32), steps=2000)
             assert value == l2
-            assert f == np.sqrt(res.population_mean)
-            assert se == res.population_se / (2.0 * f)
+            assert [(f, se)] == ensemble_sweep(design, [float(np.sqrt(l2))], seed=17,
+                                               n_traj=32, steps=2000)
 
     def test_mc_table_matches_master(self, design):
         # the F column estimates sqrt(rho_11) of the x-only master equation;
-        # the mean of |psi_down| over the same trajectories sits 3.3 SE below
+        # the mean of |psi_down| over the same trajectories sits 3.22 of its
+        # own SE below
         code, out, _ = invoke(["sweep", "--axis", "lambda0_sq", "--grid", "0.2", "--mc",
                                "--n-traj", "2000", "--steps", "2000", "--seed", "5"])
         assert code == 0
@@ -250,6 +249,16 @@ class TestSweep:
         assert out.splitlines()[-2:] == [
             "0.012999999999999999,0.99264069626505569,0.0014227233686327655",
             "0.035000000000000003,0.98075685762471387,0.0036889073867326615"]
+
+    def test_mc_one_trajectory_has_zero_se(self):
+        # an ensemble of one has no spread to estimate: SE 0, and no
+        # degrees-of-freedom warning (warnings are errors here)
+        code, out, _ = invoke(["sweep", "--axis", "lambda0_sq", "--grid", "0.02", "--mc",
+                               "--n-traj", "1", "--steps", "2000"])
+        assert code == 0
+        _, _, rows = parse_csv(out)
+        assert rows.shape == (1, 3)
+        assert rows[0, 2] == 0.0 and 0.0 < rows[0, 1] <= 1.0
 
     def test_mc_memory_does_not_grow_with_steps(self):
         def peak(steps):

@@ -7,7 +7,7 @@ from spinflip import (IntegratorError, SingularityError, TrajectoryDesign,
                       verify_cancellation)
 from spinflip.constants import MEV_PER_E_CM_TO_V_PER_CM, MU_B, MaterialParams, gaas
 from spinflip.fields import (CANCEL_REL_TOL, E_EDGE_FRAC, E_STEP_FRAC,
-                             cancellation_scale, design_is_realizable)
+                             cancellation_scale)
 from spinflip.trajectory import CubicPolynomial, eval_angles
 
 from oracles import b1_b2_at
@@ -300,8 +300,8 @@ class TestB0Max:
         assert compute_b0_max(1.0, mat, b0_hi=5.0, tol=1e-300) == pytest.approx(1.159, abs=5e-3)
 
     def test_realizable_predicate(self, mat):
-        assert design_is_realizable(TrajectoryDesign.design(1.0, 0.15, mat))
-        assert not design_is_realizable(TrajectoryDesign.design(1.0, 5.0, mat))
+        assert detect_singularities(TrajectoryDesign.design(1.0, 0.15, mat)).realizable
+        assert not detect_singularities(TrajectoryDesign.design(1.0, 5.0, mat)).realizable
 
 
 class TestSampling:

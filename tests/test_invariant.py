@@ -255,7 +255,7 @@ class TestFidelity:
     def _prop_ending_in(self, psi_f):
         states = np.array([[1.0 + 0j, 0.0], psi_f])
         return Propagation(times=np.array([0.0, 1.0]), states=states,
-                           steps=1, order=4, max_norm_drift=0.0, gate_delta=0.0)
+                           steps=1, max_norm_drift=0.0, gate_delta=0.0)
 
     def test_extreme_values(self):
         assert fidelity(self._prop_ending_in([0.0, 1.0])) == 1.0

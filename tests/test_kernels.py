@@ -30,16 +30,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from spinflip import (FieldTriple, IntegratorError, NoiseParams, SingularityError,
-                      TrajectoryDesign, build_heff, detect_singularities,
-                      effective_fields, ensemble_average, fields_xyz,
+from spinflip import (FieldTriple, IntegratorError, SingularityError, TrajectoryDesign,
+                      build_heff, detect_singularities, effective_fields, fields_xyz,
                       fields_xyz_at, propagate_bloch,
                       propagate_constant, propagate_density, propagate_schrodinger)
 from spinflip import _kernels as K
 from spinflip.constants import HBAR, MU_B
 from spinflip.invariant import GATE_TOL
-from spinflip.opensys import (_increment_blocks, dephasing_sweep, ensemble_sweep,
-                              noise_sweep)
+from spinflip.opensys import (_em_fidelities, _increment_blocks, dephasing_sweep,
+                              ensemble_sweep, noise_sweep)
 
 from oracles import (b1_b2_at, bloch_of, bloch_rhs, lindblad_step_rhs, noise_bloch_rhs,
                      noise_master_rhs, xonly_hprime)
@@ -451,9 +450,8 @@ def test_em_final_trajectory_independent_of_ensemble(args, design, pref):
     # depend on its column or on the other trajectories: trajectory 0 of a
     # 64-trajectory ensemble is the one-trajectory run on the same seed, and
     # columns at other positions equal their own runs
-    noise = dict(lambda0=0.3, channel="x-only", seed=99)
-    many = ensemble_average(design, NoiseParams(**noise, n_traj=64), 2000).fidelities
-    one = ensemble_average(design, NoiseParams(**noise, n_traj=1), 2000).fidelities
+    many = _em_fidelities(design, [0.3], 99, 64, 2000)[0]
+    one = _em_fidelities(design, [0.3], 99, 1, 2000)[0]
     assert many[0] == one[0]
     psi0, lams, rows = np.array([0.6, 0.8j]), (0.0, 0.2, 0.45), byte_rows(4, 64, 2000)
     fid = K.em_final(*args, pref, HBAR, lams, psi0, [rows], 2000)
@@ -465,11 +463,9 @@ def test_em_final_trajectory_independent_of_ensemble(args, design, pref):
 def test_seeded_ensemble_values_pinned(design):
     # values of the byte-table Euler-Maruyama step: elementwise arithmetic,
     # no BLAS call
-    res = ensemble_average(design, NoiseParams(lambda0=float(np.sqrt(0.02)),
-                                               channel="x-only", seed=1234, n_traj=32),
-                           steps=2000)
-    assert res.fidelity_mean == 0.9887136790268389
-    assert res.fidelity_se == 0.0021920284676595755
+    res = ensemble_sweep(design, [float(np.sqrt(0.02))], seed=1234, n_traj=32, steps=2000)
+    assert res == [(0.9887890036543089, 0.002162214042663886)]
+    assert all(type(x) is float for x in res[0])
 
 
 def test_nan_poisoning_on_noncancellable(design):
@@ -517,18 +513,16 @@ def test_ensemble_nan_check_on_noncancellable_design(design, monkeypatch):
                             0.0, 0.0)[0])
     monkeypatch.setattr("spinflip.opensys.require_cancellable", lambda d: None)
     with pytest.raises(IntegratorError, match="non-finite"):
-        ensemble_average(bad, NoiseParams(0.1, "x-only", seed=0, n_traj=4), steps)
+        ensemble_sweep(bad, [0.1], seed=0, n_traj=4, steps=steps)
 
 
 @pytest.mark.parametrize("call", [
     lambda d: propagate_density(d, lambda0=0.1, channel="x-only"),
-    lambda d: ensemble_average(d, NoiseParams(lambda0=0.1, channel="x-only", n_traj=8),
-                               steps=2000),
     lambda d: propagate_schrodinger(d, np.array([1.0, 0.0])),
     lambda d: dephasing_sweep(d, [0.0, 0.5]),
     lambda d: ensemble_sweep(d, [0.1, 0.2], seed=0, n_traj=8, steps=2000),
     lambda d: noise_sweep(d, [0.1, 0.2], "x-only", 2000),
-], ids=["propagate_density", "ensemble_average", "propagate_schrodinger",
+], ids=["propagate_density", "propagate_schrodinger",
         "dephasing_sweep", "ensemble_sweep", "noise_sweep"])
 def test_propagators_check_design_first(design, call, monkeypatch):
     # at B0 = 2 T the other library propagators, too, raise before any

@@ -2,13 +2,13 @@ import numpy as np
 import pytest
 
 from spinflip import (FieldTriple, LindbladParams, NoiseParams, bloch_to_density,
-                      build_heff, ensemble_average, fidelity, fidelity_from_w,
+                      build_heff, ensemble_sweep, fidelity, fidelity_from_w,
                       perturbative_bound, propagate_bloch, propagate_density,
                       propagate_master, propagate_schrodinger)
 from spinflip.core import IDENTITY2
 from spinflip.fields import fields_xyz_at
-from spinflip.opensys import (INCREMENT_BLOCK, _increment_blocks, dephasing_sweep,
-                              ensemble_sweep, noise_sweep)
+from spinflip.opensys import (INCREMENT_BLOCK, _em_fidelities, _increment_blocks,
+                              dephasing_sweep, noise_sweep)
 
 from oracles import (bloch_of, bloch_rhs, lindblad_step_rhs, noise_bloch_rhs,
                      noise_master_rhs, xonly_hprime)
@@ -251,27 +251,24 @@ class TestNoiseBlochRHS:
 class TestSSE:
     # one seeded trajectory is the ensemble of n_traj = 1
     def test_lambda_zero_matches_schrodinger(self, design):
-        res = ensemble_average(design, NoiseParams(0.0, "x-only", 5, 1), 10000)
-        f = res.fidelities[0]
+        f = _em_fidelities(design, [0.0], 5, 1, 10000)[0, 0]
         rk = propagate_schrodinger(design, UP, 10000)
         assert abs(f - fidelity(rk)) < 5e-3
         assert f > 1.0 - 1e-6
 
     def test_deterministic_for_fixed_seed(self, design):
-        n = NoiseParams(0.3, "x-only", 99, 16)
-        a = ensemble_average(design, n, 10000)
-        b = ensemble_average(design, n, 10000)
-        assert np.array_equal(a.fidelities, b.fidelities)
+        a = _em_fidelities(design, [0.3], 99, 16, 10000)
+        b = _em_fidelities(design, [0.3], 99, 16, 10000)
+        assert np.array_equal(a, b)
 
     def test_seed_changes_trajectory(self, design):
-        a = ensemble_average(design, NoiseParams(0.3, "x-only", 1, 16), 10000)
-        b = ensemble_average(design, NoiseParams(0.3, "x-only", 2, 16), 10000)
-        assert not np.array_equal(a.fidelities, b.fidelities)
+        a = _em_fidelities(design, [0.3], 1, 16, 10000)
+        b = _em_fidelities(design, [0.3], 2, 16, 10000)
+        assert not np.array_equal(a, b)
 
     def test_one_trajectory_pinned(self, design):
         # value of the byte-table Euler-Maruyama step
-        res = ensemble_average(design, NoiseParams(0.3, "x-only", 99, 1), 10000)
-        assert res.fidelities[0] == 0.988740296108361
+        assert _em_fidelities(design, [0.3], 99, 1, 10000)[0, 0] == 0.988740296108361
 
     def test_wiener_increment_statistics(self):
         dt = 1e-4
@@ -322,36 +319,31 @@ class TestSSE:
 
 class TestEnsemble:
     def test_zero_noise_zero_variance(self, design):
-        res = ensemble_average(design, NoiseParams(lambda0=0.0, seed=3, n_traj=16),
-                               10000)
-        assert res.fidelities.std() == 0.0
-        assert res.fidelity_se == 0.0
+        (_, se), = ensemble_sweep(design, [0.0], seed=3, n_traj=16, steps=10000)
+        assert se == 0.0
 
     def test_matches_deterministic_master(self, design):
         lam0 = np.sqrt(0.02)
-        res = ensemble_average(design, NoiseParams(lambda0=lam0, seed=7,
-                                                   n_traj=400), 10000)
+        (f, se), = ensemble_sweep(design, [lam0], seed=7, n_traj=400, steps=10000)
         master = propagate_density(design, lambda0=lam0, channel="x-only",
                                    steps=10000).final_fidelity
-        assert abs(res.fidelity_mean - master) < 3 * res.fidelity_se
+        assert abs(f - master) < 3 * se
 
     @pytest.mark.parametrize("lam0_sq", [0.02, 0.2])
     def test_population_matches_master_rho11(self, design, lam0_sq):
         # rho = E|psi><psi|, so the mean population estimates rho_11 without
         # bias; at 0.2 the mean fidelity of these same trajectories sits
-        # 3.3 SE below sqrt(rho_11) (Jensen), the population 0.3 SE above
+        # 3.22 of its SE below sqrt(rho_11) (Jensen), the population 0.44 SE
+        # above
         lam0 = float(np.sqrt(lam0_sq))
-        res = ensemble_average(design, NoiseParams(lambda0=lam0, seed=5,
-                                                   n_traj=2000), 2000)
+        p = _em_fidelities(design, [lam0], 5, 2000, 2000)[0] ** 2
         rho11 = propagate_density(design, lambda0=lam0, channel="x-only",
                                   steps=10000).rho[-1, 1, 1].real
-        assert res.population_mean == np.mean(res.fidelities ** 2)
-        assert abs(res.population_mean - rho11) < 3 * res.population_se
+        assert abs(p.mean() - rho11) < 3 * p.std(ddof=1) / np.sqrt(p.size)
 
     def test_standard_error_scaling(self, design):
         lam0 = np.sqrt(0.02)
-        ses = [ensemble_average(design, NoiseParams(lambda0=lam0, seed=11,
-                                                    n_traj=n), 10000).fidelity_se
+        ses = [ensemble_sweep(design, [lam0], seed=11, n_traj=n, steps=10000)[0][1]
                for n in (100, 400, 1600)]
         # 1/sqrt(n): each quadrupling halves the SE, within sampling slack
         assert ses[0] / ses[1] == pytest.approx(2.0, rel=0.35)
@@ -421,10 +413,8 @@ class TestParams:
     @pytest.mark.parametrize("call", [
         lambda d: propagate_bloch(d, steps=0),
         lambda d: propagate_density(d, steps=0),
-        lambda d: ensemble_average(d, NoiseParams(lambda0=0.1, n_traj=4), steps=0),
         lambda d: ensemble_sweep(d, [0.1], seed=0, n_traj=4, steps=0),
-    ], ids=["propagate_bloch", "propagate_density", "ensemble_average",
-            "ensemble_sweep"])
+    ], ids=["propagate_bloch", "propagate_density", "ensemble_sweep"])
     def test_propagators_reject_zero_steps(self, design, call):
         # unchecked, a step count of 0 divided t_f by zero
         with pytest.raises(ValueError, match="steps must be >= 1"):
