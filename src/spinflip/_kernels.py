@@ -14,11 +14,14 @@ Euler-Maruyama kernel, :func:`em_final`, runs a lock-step loop over a (noise
 strength, trajectory) array of complex spinors: a noise-strength grid runs
 as one ensemble on shared two-point increments, which arrive as step-major
 uint8 byte rows, 8 steps of every trajectory per row.  A byte selects one
-of 256 products of 8 step matrices, so each row gets a byte table, built
-from two 16-entry nibble tables by elementwise 2x2 arithmetic, and a
-trajectory advances 8 steps by one gather from it and one complex
-multiply-add.  States are rescaled every RENORM_EVERY steps of the global
-step index, and only the final fidelities are returned.
+of 256 products of 8 step matrices, so each row gets a byte table, the
+16 x 16 products of two 16-entry nibble tables, and a trajectory advances
+8 steps by one gather from it and one complex multiply-add.  A block's step
+matrices come as one stack with the (nibble, strength) batch as its
+innermost axis, so a nibble table is built by elementwise 2x2 arithmetic
+along that long axis, and a last byte of p < 8 steps gets its 2^p-entry
+table the same way.  States are rescaled every RENORM_EVERY steps of the
+global step index, and only the final fidelities are returned.
 
 Angle cubics enter as raw coefficient arrays (rad/ns^j); material parameters
 as scalars; the Bloch noise channel by name, or None for no noise.  Error
@@ -37,6 +40,7 @@ Numerical guards (times in units of tf):
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -54,7 +58,8 @@ NONCANCEL_TOL = 1e-6
 # RSS of the one-point validations; much less, and the per-call numpy
 # overhead, paid while holding the interpreter lock, starts to dominate the
 # Bloch sweeps.  The Euler-Maruyama byte tables are built BLOCK_BYTES per
-# noise strength at a time: 8 byte rows of 16 KiB.
+# noise strength at a time: 8 byte rows of 16 KiB, from the nibble tables of
+# those 8 rows alone (16 KiB per strength), so the temporaries stay small.
 BLOCK_BYTES = 1 << 17
 # Euler-Maruyama steps between renormalizations of the states, whole byte
 # rows.  The step is linear, so rescaling does not move |psi_1| / |psi| in
@@ -268,49 +273,56 @@ def rk4_bloch(tc, pc, tf, b0, alpha, beta, eta, gamma, lam2, channel, r0, steps,
 
 
 def _em_matrices(x, y, z, b0, pref, hbar, lam, dt):
-    """em_final's M = D -+ sqrt(dt) S at each step, (steps, 2, 2, G, 2), last
-    axis the bit, from rk4_spin's complex generators."""
-    a, s = (np.moveaxis(g, 2, 0)[..., None, None]
+    """em_final's M = D -+ sqrt(dt) S from rk4_spin's complex generators, for
+    (k, n) field arrays (step k of n groups of steps): a (k, 2, 2, 2, n G)
+    stack of row, column and bit, with the group-major batch innermost."""
+    a, s = (np.moveaxis(g, 2, 0)[:, :, :, None, :, None]
             for g in (_spin_generator(x, y, z, pref, hbar),
                       _spin_generator(np.zeros_like(y), y, z - b0, pref, hbar)))
-    decay = 1.0 - 0.5 * dt * (pref / hbar) ** 2 * ((y * y + (z - b0) ** 2)[:, None] * (lam * lam))
-    return (np.eye(2)[:, :, None, None] * decay[:, None, None, :, None] + dt * a
-            + np.sqrt(dt) * lam[:, None] * np.array([-1.0, 1.0]) * s)
+    decay = 1.0 - 0.5 * dt * (pref / hbar) ** 2 * ((y * y + (z - b0) ** 2)[..., None] * (lam * lam))
+    m = (np.eye(2)[:, :, None, None, None] * decay[:, None, None, None] + dt * a
+         + (np.sqrt(dt) * lam * np.array([-1.0, 1.0])[:, None])[:, None] * s)
+    return m.reshape(m.shape[:4] + (m.shape[4] * m.shape[5],))
 
 
-def _compose(later, earlier, out=None, tmp=None):
-    """Every product later[..., a] @ earlier[..., b] of two (R, 2, 2, G, n)
-    stacks of complex 2x2 matrices, elementwise, as (R, 2, 2, G, nb na) with
-    index b na + a: the later matrix's index is the low digit."""
-    if out is None:
-        out = np.empty(later.shape[:4] + earlier.shape[-1:] + later.shape[-1:], dtype=complex)
-        tmp = np.empty_like(out)
+def _products(m):
+    """(2, 2, 2^k, N) products M_{k-1} ... M_0 of a (k, 2, 2, 2, N) stack of
+    k steps' matrices, indexed by their bits, MSB first: elementwise complex
+    2x2 arithmetic along the long batch axis N."""
+    t = m[0]
+    for later in m[1:]:  # the later step's bit is the low digit
+        out = later[:, 0, None, None] * t[None, 0, :, :, None]
+        out += later[:, 1, None, None] * t[None, 1, :, :, None]
+        t = out.reshape(2, 2, -1, m.shape[-1])
+    return t
+
+
+def _compose(later, earlier, out, tmp):
+    """Every product later[..., a] @ earlier[..., b] of two (R, 2, 2, G, 16)
+    stacks of complex 2x2 matrices, elementwise, into out as (R, 2, 2, G, 256)
+    with index 16 b + a: the later matrix's index is the low digit."""
     np.multiply(later[:, :, 0, None, :, None], earlier[:, None, 0, ..., None], out=out)
     np.multiply(later[:, :, 1, None, :, None], earlier[:, None, 1, ..., None], out=tmp)
     return np.add(out, tmp, out=out).reshape(out.shape[:4] + (-1,))
 
 
-def _table(m):
-    """(R, 2, 2, G, 2^k) products M_{k-1} ... M_0 of the (R, k, 2, 2, G, 2)
-    matrices of R rows of k steps, indexed by their bits, MSB first."""
-    t = m[:, 0]
-    for s in range(1, m.shape[1]):
-        t = _compose(m[:, s], t)
-    return t
-
-
-def _byte_tables(m, rows, tabs, idx):
-    """(table, index row) per byte row of a block's matrices m: 256 entries,
-    len(idx) rows at a time into tabs, or 2^r for a last byte of r steps."""
-    whole, part = divmod(len(m), 8)
+def _byte_tables(mats, fields, rows, tabs, idx):
+    """(table, index row) per byte row of a block, from its field arrays and
+    mats(x, y, z), _em_matrices of (k, n) fields: 256 entries per whole byte,
+    len(idx) rows at a time into tabs, from their two nibble tables; then 2^p
+    for a last byte of p steps."""
+    whole, part = divmod(len(fields[0]), 8)
+    g = tabs.shape[4]
+    m = mats(*(f[:8 * whole].reshape(-1, 4).T for f in fields))
     for row in range(0, whole, len(idx)):
         r = min(len(idx), whole - row)
-        nib = _table(m[8 * row:8 * (row + r)].reshape((2 * r, 4) + m.shape[1:]))
+        nib = _products(m[..., 2 * g * row:2 * g * (row + r)]).reshape(2, 2, 16, r, 2, g)
+        nib = np.ascontiguousarray(nib.transpose(3, 4, 0, 1, 5, 2))  # (r, nibble, 2, 2, G, 16)
         np.copyto(idx[:r], rows[row:row + r])
-        yield from zip(_compose(nib[1::2], nib[::2], tabs[0, :r], tabs[1, :r]), idx[:r])
+        yield from zip(_compose(nib[:, 1], nib[:, 0], tabs[0, :r], tabs[1, :r]), idx[:r])
     if part:
         np.right_shift(rows[whole], 8 - part, out=idx[0])
-        yield _table(m[8 * whole:][None])[0], idx[0]
+        yield np.moveaxis(_products(mats(*(f[8 * whole:, None] for f in fields))), 2, -1), idx[0]
 
 
 def em_final(tc, pc, tf, b0, alpha, beta, eta, pref, hbar, lams, psi0, bits, steps):
@@ -332,6 +344,7 @@ def em_final(tc, pc, tf, b0, alpha, beta, eta, pref, hbar, lams, psi0, bits, ste
     """
     lam = np.asarray(lams, dtype=float)
     dt = tf / steps
+    mats = functools.partial(_em_matrices, b0=b0, pref=pref, hbar=hbar, lam=lam, dt=dt)
     done = 0
     for block in bits:
         if done == 0:  # buffers for the whole call
@@ -341,8 +354,8 @@ def em_final(tc, pc, tf, b0, alpha, beta, eta, pref, hbar, lams, psi0, bits, ste
             idx = np.empty((BLOCK_BYTES // (256 * 4 * 16), shape[2]), dtype=np.intp)
             tabs = np.empty((2, len(idx), 2, 2, lam.size, 16, 16), dtype=complex)
         ts = np.arange(8 * done, min(8 * (done + len(block)), steps)) * dt
-        m = _em_matrices(*_xyz(ts, tc, pc, tf, b0, alpha, beta, eta), b0, pref, hbar, lam, dt)
-        for k, (table, index) in enumerate(_byte_tables(m, block, tabs, idx), done + 1):
+        fields = _xyz(ts, tc, pc, tf, b0, alpha, beta, eta)
+        for k, (table, index) in enumerate(_byte_tables(mats, fields, block, tabs, idx), done + 1):
             np.take(table, index, axis=-1, out=entry, mode="clip")  # "raise" buffers out
             np.multiply(entry, psi, out=entry)
             np.add(entry[:, 0], entry[:, 1], out=psi)

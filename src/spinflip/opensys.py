@@ -56,6 +56,12 @@ CHANNELS = ("as-printed", "x-only")
 # _increment_blocks).  Memory does not grow with the step count.
 INCREMENT_BLOCK = 256
 INCREMENT_CHUNK = 8192
+# numpy's SeedSequence: pool size and the constants of its hash mix
+_POOL = 4
+_MASK32 = 0xFFFFFFFF
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 _PSI_UP = np.array([1.0, 0.0], dtype=complex)
 
 
@@ -93,6 +99,8 @@ class NoiseParams:
             raise ValueError(f"channel must be one of {CHANNELS}, got {self.channel!r}")
         if not _is_integer(self.n_traj) or self.n_traj < 1:
             raise ValueError(f"n_traj must be an integer >= 1, got {self.n_traj!r}")
+        if self.n_traj > 1 << 32:  # trajectory i's spawn key must be one 32-bit word
+            raise ValueError(f"n_traj must be at most 2**32, got {self.n_traj}")
         if not _is_integer(self.seed) or self.seed < 0:
             raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
 
@@ -223,19 +231,75 @@ def propagate_density(design: TrajectoryDesign, gamma: float = 0.0,
     return DensityTrajectory(times=traj.times, rho=bloch_to_density(traj.r))
 
 
+def _hasher(const: int, mult: int):
+    """numpy SeedSequence's hashmix on uint32 arrays, with its running hash
+    constant: xor with the constant, step the constant by mult (mod 2**32),
+    multiply by it, xorshift by 16."""
+    def hashmix(value):
+        nonlocal const
+        value = value ^ const
+        const = const * mult & _MASK32
+        value = value * const
+        return value ^ value >> 16
+    return hashmix
+
+
+def _mix(x, y):
+    value = x * _MIX_MULT_L - y * _MIX_MULT_R
+    return value ^ value >> 16
+
+
+def _child_states(seed: int, n_traj: int) -> np.ndarray:
+    """SeedSequence(seed).spawn(n_traj)[i].generate_state(4, np.uint64) for
+    every child i, as one (n_traj, 4) uint64 array, from one vectorized
+    uint32 pass of numpy's documented SeedSequence hash mix (pool of 4 words).
+
+    Child i's entropy is the seed's 32-bit words, least significant first,
+    padded with zeros to the pool size, then its spawn key (i,).  The hash
+    constants do not depend on the data, so every child runs the same
+    sequence of operations, elementwise on a column of the (words, n_traj)
+    array.  The key is one word only for i < 2**32, so n_traj must be at
+    most 2**32.
+    """
+    words, rest = [], int(seed)
+    while rest or not words:  # a seed of 0 is one word
+        words.append(rest & _MASK32)
+        rest >>= 32
+    entropy = np.empty((max(len(words), _POOL) + 1, n_traj), dtype=np.uint32)
+    entropy[:-1] = np.array(words + [0] * (_POOL - len(words)), dtype=np.uint32)[:, None]
+    entropy[-1] = np.arange(n_traj, dtype=np.uint32)
+    hashmix = _hasher(_INIT_A, _MULT_A)
+    pool = [hashmix(word) for word in entropy[:_POOL]]
+    for src in range(_POOL):
+        for dst in range(_POOL):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[_POOL:]:
+        for dst in range(_POOL):
+            pool[dst] = _mix(pool[dst], hashmix(word))
+    hashmix = _hasher(_INIT_B, _MULT_B)  # generate_state: 8 words from the pool, cycled
+    state = np.stack([hashmix(pool[i % _POOL]) for i in range(8)], axis=1)
+    return state.astype("<u4").view("<u8").astype(np.uint64)
+
+
 def _increment_blocks(seed: int, n_traj: int, steps: int):
     """Two-point weak increments dW = +-sqrt(dt), each sign one random bit,
     as step-major (c, n_traj) uint8 blocks of byte rows: row j holds steps
     8j to 8j + 7 of every trajectory, most significant bit first, bit 1
     giving +sqrt(dt).  A block holds INCREMENT_BLOCK steps, or the rest of
-    an INCREMENT_CHUNK.
+    an INCREMENT_CHUNK.  seed and n_traj are checked as NoiseParams checks
+    them: n_traj must be at most 2**32 (ValueError).
 
     They match the first three moments of Normal(0, dt), which is all the
     weak order 1 of the Euler-Maruyama step needs: the simplified weak Euler
     scheme (Kloeden & Platen, Numerical Solution of SDEs, 1992, sec. 14.1).
     Trajectory i has a private generator, spawned from
     np.random.SeedSequence(seed), so that the streams of different
-    trajectories and different seeds are independent.
+    trajectories and different seeds are independent.  No SeedSequence is
+    built: the children's seeding states, generate_state(4, np.uint64) of
+    each spawned child, come from one vectorized pass over all trajectories
+    (_child_states), and each reaches PCG64 through a minimal ISeedSequence
+    that returns it, so every stream is the one PCG64(child) gives.
 
     The generator is the PCG64 bit generator that default_rng(child) wraps,
     read with random_raw, and its bytes are those of one
@@ -247,7 +311,19 @@ def _increment_blocks(seed: int, n_traj: int, steps: int):
     a chunk edge; the last may end inside a word, and nothing is drawn
     after it.
     """
-    gens = [np.random.PCG64(c) for c in np.random.SeedSequence(seed).spawn(n_traj)]
+    NoiseParams(0.0, "x-only", seed, n_traj)  # before any state or buffer
+    from numpy.random.bit_generator import ISeedSequence
+
+    class State(ISeedSequence):
+        """A child's seeding state; PCG64 asks for generate_state(4, np.uint64)."""
+
+        def __init__(self, words):
+            self.words = words
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            return self.words
+
+    gens = [np.random.PCG64(State(words)) for words in _child_states(seed, n_traj)]
     words = np.empty((n_traj, INCREMENT_CHUNK // 64), dtype="<u8")
     width = INCREMENT_BLOCK // 8
     for chunk in range(0, steps, INCREMENT_CHUNK):
@@ -264,10 +340,14 @@ def _increment_blocks(seed: int, n_traj: int, steps: int):
 def _em_fidelities(design: TrajectoryDesign, lambda0s, seed: int, n_traj: int,
                    steps: int) -> np.ndarray:
     """Per-trajectory final fidelities |psi_down(t_f)|, one row per lambda0,
-    from one lock-step ensemble on one stream of increments."""
+    from one lock-step ensemble on one stream of increments; no rows, and no
+    increments drawn, for no lambda0.  steps, seed and n_traj are checked
+    first, whatever the grid."""
     check_steps(steps, 1)
-    lams = [NoiseParams(float(l0), "x-only", seed, n_traj).lambda0 * np.sqrt(design.tf)
-            for l0 in lambda0s]
+    NoiseParams(0.0, "x-only", seed, n_traj)
+    lams = [NoiseParams(float(l0), "x-only").lambda0 * np.sqrt(design.tf) for l0 in lambda0s]
+    if not lams:
+        return np.empty((0, n_traj))
     require_cancellable(design)
     return _finite(K.em_final(*design.kernel_args(), 0.5 * design.mat.g * MU_B, HBAR, lams,
                               _PSI_UP, _increment_blocks(seed, n_traj, steps), steps),

@@ -495,6 +495,8 @@ class TestConfigHandling:
          "noise: channel must be one of ('as-printed', 'x-only'), got 'z-only'"),
         (["sweep", "--axis", "lambda0_sq", "--grid", "0.01", "--mc", "--n-traj", "0"],
          None, "noise: n_traj must be an integer >= 1, got 0"),
+        (["sweep", "--axis", "lambda0_sq", "--grid", "0.01", "--mc", "--n-traj", str(2**32 + 1)],
+         None, "noise: n_traj must be at most 2**32, got 4294967297"),
         (["simulate", "--steps", "999"], None, "integrator steps must be >= 1000"),
         (["design"], {"control": {"tf_ns": 0}}, "tf_ns must be positive, got 0"),
         (["design", "--samples", "1"], None, "samples must be >= 2, got 1"),
@@ -504,7 +506,7 @@ class TestConfigHandling:
         (["design"], {"material": {"beta_over_alpha": 0}},
          "material: hbar_beta must be nonzero"),
     ], ids=["gamma-negative", "lambda0-negative", "channel-unknown", "n_traj-zero",
-            "steps-999", "tf_ns-zero", "samples-1", "format-xml", "hbar_alpha-zero",
+            "n_traj-above-2**32", "steps-999", "tf_ns-zero", "samples-1", "format-xml", "hbar_alpha-zero",
             "beta_over_alpha-zero"])
     def test_config_values_rejected(self, tmp_path, argv, doc, message):
         # every value check on the merged config: exit 2 before any output
@@ -628,6 +630,16 @@ class TestEntryPoints:
         # imports yaml itself
         proc = subprocess.run(
             [sys.executable, "-c", "import sys, spinflip.cli; print('yaml' in sys.modules)"],
+            capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
+
+    def test_import_does_not_load_numpy_random(self):
+        # only the Monte Carlo increments draw random numbers; loading
+        # numpy.random at import would add to every command's start-up
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, spinflip.cli; print('numpy.random' in sys.modules)"],
             capture_output=True, text=True, timeout=300)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "False"

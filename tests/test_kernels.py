@@ -15,10 +15,13 @@ its increment bytes handed over in the program's blocks, must stay within
 ``oracles.xonly_hprime`` on the +-sqrt(dt) increments decoded from the
 same bytes.  Each row of its lock-step noise-strength grid must equal a
 one-strength run bit for bit, and so must two blockings of the same bytes
-and each trajectory against a run of that trajectory alone.
+and each trajectory against a run of that trajectory alone.  Every entry of
+its byte tables must equal the sequential product of its steps' matrices
+within 1e-14 relative.
 """
 
 import ast
+import functools
 import hashlib
 import math
 import os
@@ -421,6 +424,36 @@ def test_em_final_matches(args, design, mat, pref, fields):
         for row, lam in zip(fid, lams):
             ref = em_reference(design, mat, fields, lam, psi0, dw)
             assert np.abs(row - np.abs(ref[:, -1, 1])).max() < TOL, (steps, lam)
+
+
+def test_byte_tables_equal_sequential_products():
+    # every entry of every byte row's table, the 256 of a whole byte (9 rows:
+    # a batch of len(idx) = 8 rows and one more) and the 2^p of a last byte of
+    # p = 1..7 steps, is M_{k-1} ... M_0 of its steps' matrices, MSB first
+    rng = np.random.default_rng(5)
+    lam = np.array([0.0, 0.7, 2.0])
+    mats = functools.partial(K._em_matrices, b0=0.15, pref=1.0, hbar=1.0, lam=lam, dt=0.05)
+    idx = np.empty((K.BLOCK_BYTES // (256 * 4 * 16), 256), dtype=np.intp)
+    tabs = np.empty((2, len(idx), 2, 2, lam.size, 16, 16), dtype=complex)
+    for part in range(8):
+        steps = 72 + part
+        fields = tuple(rng.normal(size=steps) for _ in range(3))
+        rows = np.tile(np.arange(256, dtype=np.uint8), (-(-steps // 8), 1))
+        got = [(t.copy(), i.copy()) for t, i in K._byte_tables(mats, fields, rows, tabs, idx)]
+        assert len(got) == len(rows)
+        # (steps, bit, G, 2, 2): each step's matrices alone
+        step = mats(*(f[:, None] for f in fields)).transpose(0, 3, 4, 1, 2)
+        for j, (table, index) in enumerate(got):
+            k = min(8, steps - 8 * j)
+            assert table.shape == (2, 2, lam.size, 2 ** k)
+            assert np.array_equal(index, np.arange(256) >> (8 - k))
+            bits = np.arange(2 ** k)[:, None] >> np.arange(k - 1, -1, -1) & 1
+            ref = step[8 * j, bits[:, 0]]
+            for s in range(1, k):
+                ref = step[8 * j + s, bits[:, s]] @ ref
+            ref = ref.transpose(2, 3, 1, 0)
+            err = np.abs(table - ref).max(axis=(0, 1))
+            assert (err <= 1e-14 * np.abs(ref).max(axis=(0, 1))).all(), (part, j)
 
 
 def test_em_final_rows_equal_one_strength_runs(args, design, pref):

@@ -7,8 +7,9 @@ from spinflip import (FieldTriple, LindbladParams, NoiseParams, bloch_to_density
                       propagate_master, propagate_schrodinger)
 from spinflip.core import IDENTITY2
 from spinflip.fields import fields_xyz_at
-from spinflip.opensys import (INCREMENT_BLOCK, _em_fidelities, _increment_blocks,
-                              dephasing_sweep, noise_sweep)
+from spinflip import opensys
+from spinflip.opensys import (INCREMENT_BLOCK, _child_states, _em_fidelities,
+                              _increment_blocks, dephasing_sweep, noise_sweep)
 
 from oracles import (bloch_of, bloch_rhs, lindblad_step_rhs, noise_bloch_rhs,
                      noise_master_rhs, xonly_hprime)
@@ -303,6 +304,24 @@ class TestSSE:
         ref = np.array([np.frombuffer(rng.bytes(-(-steps // 8)), np.uint8) for rng in rngs]).T
         assert np.array_equal(np.concatenate(list(_increment_blocks(7, n_traj, steps))), ref)
 
+    @pytest.mark.parametrize("n_traj", [1, 1000])
+    @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 + 5])
+    def test_child_states_equal_spawned_seed_sequences(self, seed, n_traj):
+        # oracle: numpy's own SeedSequence children, one at a time; seeds of
+        # one, two and three 32-bit words
+        ref = [c.generate_state(4, np.uint64) for c in np.random.SeedSequence(seed).spawn(n_traj)]
+        got = _child_states(seed, n_traj)
+        assert got.dtype == np.uint64 and got.shape == (n_traj, 4)
+        assert np.array_equal(got, ref)
+
+    def test_n_traj_beyond_one_word_spawn_keys_rejected(self):
+        # the states assume child indices below 2**32; rejected before any
+        # state is computed or any buffer allocated
+        with pytest.raises(ValueError, match=r"at most 2\*\*32"):
+            next(_increment_blocks(0, 2**32 + 1, 8))
+        with pytest.raises(ValueError, match=r"at most 2\*\*32"):
+            NoiseParams(0.1, "x-only", 0, 2**32 + 1)
+
     def test_per_trajectory_generators(self):
         # seed ^ i seeding made 1232, 1234 and 1235 share one set of 256
         # trajectories in a different order; spawned streams share none.
@@ -348,6 +367,20 @@ class TestEnsemble:
         # 1/sqrt(n): each quadrupling halves the SE, within sampling slack
         assert ses[0] / ses[1] == pytest.approx(2.0, rel=0.35)
         assert ses[1] / ses[2] == pytest.approx(2.0, rel=0.35)
+
+
+    def test_empty_grid_draws_nothing(self, design, monkeypatch):
+        # as noise_sweep and dephasing_sweep: an empty grid runs no kernel
+        def refuse(*args, **kwargs):
+            raise AssertionError("increments drawn")
+        monkeypatch.setattr(opensys, "_increment_blocks", refuse)
+        assert ensemble_sweep(design, [], seed=3, n_traj=16, steps=1000) == []
+
+    @pytest.mark.parametrize("seed, n_traj, steps, name",
+                             [(3, 0, 1000, "n_traj"), (-1, 16, 1000, "seed"), (3, 16, 0, "steps")])
+    def test_empty_grid_still_validated(self, design, seed, n_traj, steps, name):
+        with pytest.raises(ValueError, match=name):
+            ensemble_sweep(design, [], seed, n_traj, steps)
 
 
 class TestPerturbativeBound:
