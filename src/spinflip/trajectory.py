@@ -7,9 +7,9 @@ field-synthesis singularity there:
 
     phid(t_f/2) = (beta/alpha) thetad(t_f/2) - eta B0.
 
-Both angles are cubics; the linear systems are solved in normalized time
-s = t/t_f for conditioning and the coefficients rescaled to physical ns
-powers afterwards.
+Both angles are cubics with closed-form coefficients in normalized time
+s = t/t_f, rescaled to physical ns powers afterwards.  No linear system is
+solved, so the design does not depend on the LAPACK build or core.
 """
 
 from __future__ import annotations
@@ -57,35 +57,20 @@ def solve_theta(tf: float) -> CubicPolynomial:
     """
     if not tf > 0.0:
         raise ValueError(f"tf must be positive, got {tf}")
-    # conditions in s = t/tf: value at 0 and 1, slope at 0 and 1
-    a = np.array([
-        [1.0, 0.0, 0.0, 0.0],
-        [1.0, 1.0, 1.0, 1.0],
-        [0.0, 1.0, 0.0, 0.0],
-        [0.0, 1.0, 2.0, 3.0],
-    ])
-    rhs = np.array([0.0, np.pi, 0.0, 0.0])
-    c = np.linalg.solve(a, rhs)
-    return CubicPolynomial(_rescale(c, tf), tf)
+    # theta(s) = pi (3 s^2 - 2 s^3)
+    return CubicPolynomial(_rescale(np.array([0.0, 0.0, 3 * np.pi, -2 * np.pi]), tf), tf)
 
 
-def solve_phi(tf: float, b0: float, mat: MaterialParams,
-              theta: CubicPolynomial | None = None) -> CubicPolynomial:
+def solve_phi(tf: float, b0: float, mat: MaterialParams) -> CubicPolynomial:
     """Unique cubic with phi(0)=phi(tf)=pi/2, phi(tf/2)=0 and the midpoint
     slope required by numerator cancellation at tf/2."""
     if not tf > 0.0:
         raise ValueError(f"tf must be positive, got {tf}")
-    if theta is None:
-        theta = solve_theta(tf)
-    slope = (mat.beta / mat.alpha) * theta.deriv(tf / 2.0) - mat.eta * b0
-    a = np.array([
-        [1.0, 0.0, 0.0, 0.0],
-        [1.0, 1.0, 1.0, 1.0],
-        [1.0, 0.5, 0.25, 0.125],
-        [0.0, 1.0, 1.0, 0.75],
-    ])
-    rhs = np.array([np.pi / 2, np.pi / 2, 0.0, slope * tf])
-    c = np.linalg.solve(a, rhs)
+    slope = (mat.beta / mat.alpha) * solve_theta(tf).deriv(tf / 2.0) - mat.eta * b0
+    # with S the midpoint slope in s: phi(s) = pi/2 - (2S + 2pi) s
+    # + (6S + 2pi) s^2 - 4S s^3
+    s = slope * tf
+    c = np.array([np.pi / 2, -2 * s - 2 * np.pi, 6 * s + 2 * np.pi, -4 * s])
     return CubicPolynomial(_rescale(c, tf), tf)
 
 
@@ -101,9 +86,8 @@ class TrajectoryDesign:
 
     @classmethod
     def design(cls, tf: float, b0: float, mat: MaterialParams) -> "TrajectoryDesign":
-        theta = solve_theta(tf)
-        phi = solve_phi(tf, b0, mat, theta)
-        return cls(theta=theta, phi=phi, tf=tf, b0=b0, mat=mat)
+        return cls(theta=solve_theta(tf), phi=solve_phi(tf, b0, mat),
+                   tf=tf, b0=b0, mat=mat)
 
     def kernel_args(self) -> tuple:
         """(theta coeffs, phi coeffs, tf, B0, alpha, beta, eta): the design

@@ -1,7 +1,9 @@
-"""Reference drive fields, open-system right-hand sides and the CSV number
-format, for the tests.
+"""Reference design cubics, drive fields, open-system right-hand sides and
+the CSV number format, for the tests.
 
-The field kernel in :mod:`spinflip._kernels` works on arrays of times, and
+The design cubics are solved here from their eight boundary conditions as
+two 4x4 linear systems; the program writes them in closed form.  The field
+kernel in :mod:`spinflip._kernels` works on arrays of times, and
 the propagators in :mod:`spinflip.opensys` run on transfer matrices built
 there; these references state the same formulas directly, one instant at a
 time, on floats, the density matrix or the Bloch vector.  They stay
@@ -14,6 +16,32 @@ import numpy as np
 
 from spinflip.constants import HBAR, MU_B, MaterialParams
 from spinflip.core import FieldTriple, bloch_to_density, build_heff
+
+
+def angle_cubics(tf, b0, mat: MaterialParams):
+    """(theta, phi) coefficients c0..c3 in physical ns powers, each solved
+    by np.linalg.solve from its boundary conditions in s = t/tf.
+
+    theta: value 0 and pi at s = 0, 1, slope 0 at both.  phi: value pi/2 at
+    s = 0, 1, value 0 at s = 1/2, and at s = 1/2 the slope tf times
+    (beta/alpha) thetad(tf/2) - eta B0.
+    """
+    th = np.linalg.solve(np.array([
+        [1.0, 0.0, 0.0, 0.0],
+        [1.0, 1.0, 1.0, 1.0],
+        [0.0, 1.0, 0.0, 0.0],
+        [0.0, 1.0, 2.0, 3.0],
+    ]), np.array([0.0, np.pi, 0.0, 0.0]))
+    thd_mid = (th[1] + th[2] + 0.75 * th[3]) / tf
+    slope = (mat.beta / mat.alpha) * thd_mid - mat.eta * b0
+    ph = np.linalg.solve(np.array([
+        [1.0, 0.0, 0.0, 0.0],
+        [1.0, 1.0, 1.0, 1.0],
+        [1.0, 0.5, 0.25, 0.125],
+        [0.0, 1.0, 1.0, 0.75],
+    ]), np.array([np.pi / 2, np.pi / 2, 0.0, slope * tf]))
+    powers = tf ** np.arange(4)
+    return th / powers, ph / powers
 
 
 def b1_b2_at(t, tc, pc, tf, b0, alpha, beta, eta, xi_x, xi_y):

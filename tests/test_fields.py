@@ -214,17 +214,18 @@ class TestDetectSingularities:
 
     @pytest.mark.parametrize("b0, times, cancellable, residuals", [
         (0.15, (0.5,), (True,), (2.6020852139652106e-18,)),
-        (1.05, (0.5,), (True,), (3.223241597133939e-17,)),
+        (1.05, (0.5,), (True,), (6.678685382510707e-17,)),
         (2.0,
          (0.4289396575626252, 0.454416707323465, 0.5, 0.5451963837792266,
           0.5703557963927979),
          (False, False, True, False, False),
-         (0.0110670215446924, 0.005195034555315852, 1.9081958235744878e-17,
-          0.008437431548651427, 0.007056729793157503)),
+         (0.011067021544692595, 0.005195034555315741, 6.678685382510707e-17,
+          0.008437431548651411, 0.007056729793157461)),
     ])
     def test_report_pinned(self, mat, b0, times, cancellable, residuals):
-        # recorded from the per-point denominator loop; the vectorized scan
-        # and the scalar bisection probe must reproduce it exactly
+        # recorded on the closed-form design cubics, which no LAPACK core
+        # can move; the vectorized scan and the scalar bisection probe must
+        # reproduce it exactly
         rep = detect_singularities(TrajectoryDesign.design(1.0, b0, mat))
         assert rep.times == times
         assert rep.cancellable == cancellable

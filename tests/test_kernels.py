@@ -9,7 +9,8 @@ over the reference right-hand sides in ``tests/oracles.py`` and
 :func:`spinflip.build_heff`, at step counts below one scan block and across
 a block boundary that is not a block multiple; the final-only path must
 equal the scan's last state within 1e-14, and no RK4 bit may move when
-numpy loads another OpenBLAS core.  The Euler-Maruyama kernel,
+numpy loads another OpenBLAS core, nor may a bit of the design's cubics or
+of a design table.  The Euler-Maruyama kernel,
 its increment bytes handed over in the program's blocks, must stay within
 1e-12 of a step-by-step loop over :func:`spinflip.build_heff` and
 ``oracles.xonly_hprime`` on the +-sqrt(dt) increments decoded from the
@@ -23,11 +24,13 @@ within 1e-14 relative.
 import ast
 import functools
 import hashlib
+import io
 import math
 import os
 import subprocess
 import sys
 import tracemalloc
+from contextlib import redirect_stdout
 from pathlib import Path
 
 import numpy as np
@@ -35,9 +38,10 @@ import pytest
 
 from spinflip import (FieldTriple, IntegratorError, SingularityError, TrajectoryDesign,
                       build_heff, detect_singularities, effective_fields, fields_xyz,
-                      fields_xyz_at, propagate_bloch,
+                      fields_xyz_at, gaas, propagate_bloch,
                       propagate_constant, propagate_density, propagate_schrodinger)
 from spinflip import _kernels as K
+from spinflip.cli import main
 from spinflip.constants import HBAR, MU_B
 from spinflip.invariant import GATE_TOL
 from spinflip.opensys import (_em_fidelities, _increment_blocks, dephasing_sweep,
@@ -334,22 +338,46 @@ def kernel_digest(tc, pc, tf, b0, al, be, eta, pref, hbar):
     return h.hexdigest()
 
 
+def under_prescott(code, *argv):
+    """stdout of ``python -c code *argv`` with numpy on the Prescott OpenBLAS
+    core, and this package and the tests importable."""
+    paths = [str(Path(K.__file__).parents[1]), str(Path(__file__).parent)]
+    env = dict(os.environ, OPENBLAS_CORETYPE="Prescott",
+               PYTHONPATH=os.pathsep.join(filter(None, paths + [os.environ.get("PYTHONPATH")])))
+    child = subprocess.run([sys.executable, "-c", code, *argv],
+                           env=env, capture_output=True, text=True, timeout=120)
+    assert child.returncode == 0, child.stderr
+    return child.stdout.strip()
+
+
 def test_rk4_bits_independent_of_openblas_core(args, pref):
     # the kernels call no BLAS, so forcing another OpenBLAS core cannot move a
     # bit; the arguments travel as float.hex so that the child does not
-    # solve the design again
+    # design again
     values = [float(v) for v in (*args[0], *args[1], *args[2:], pref, HBAR)]
     code = ("import sys; from test_kernels import kernel_digest; import numpy as np; "
             "v = [float.fromhex(h) for h in sys.argv[1:]]; "
             "print(kernel_digest(np.array(v[:4]), np.array(v[4:8]), *v[8:]))")
-    paths = [str(Path(K.__file__).parents[1]), str(Path(__file__).parent)]
-    env = dict(os.environ, OPENBLAS_CORETYPE="Prescott",
-               PYTHONPATH=os.pathsep.join(filter(None, paths + [os.environ.get("PYTHONPATH")])))
-    child = subprocess.run([sys.executable, "-c", code, *map(float.hex, values)],
-                           env=env, capture_output=True, text=True, timeout=120)
-    assert child.returncode == 0, child.stderr
-    assert child.stdout.strip() == kernel_digest(np.array(values[:4]), np.array(values[4:8]),
-                                                 *values[8:])
+    assert under_prescott(code, *map(float.hex, values)) == kernel_digest(
+        np.array(values[:4]), np.array(values[4:8]), *values[8:])
+
+
+def design_digest():
+    """float.hex of the 8 cubic coefficients at tf = 1 and B0 = 0.15, 1.05 and
+    2.0 T, then the sha256 of the ``design --b0 1.05`` table."""
+    words = [float.hex(float(c)) for b0 in (0.15, 1.05, 2.0)
+             for d in [TrajectoryDesign.design(1.0, b0, gaas())]
+             for c in (*d.theta.coeffs, *d.phi.coeffs)]
+    out = io.StringIO()
+    with redirect_stdout(out):
+        assert main(["design", "--b0", "1.05"]) == 0
+    return " ".join(words + [hashlib.sha256(out.getvalue().encode()).hexdigest()])
+
+
+def test_design_bits_independent_of_openblas_core():
+    # the cubics are closed forms, and the design table calls no LAPACK
+    code = "from test_kernels import design_digest; print(design_digest())"
+    assert under_prescott(code) == design_digest()
 
 
 def test_kernels_call_no_blas():

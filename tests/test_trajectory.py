@@ -4,7 +4,11 @@ import pytest
 from spinflip import TrajectoryDesign, eval_angles, gaas, solve_phi, solve_theta
 from spinflip.constants import MaterialParams
 
+from oracles import angle_cubics
+
 TFS = [0.1, 0.5, 1.0, 5.0]
+# TestConditioning's second material
+OTHER = MaterialParams(hbar_alpha=1e-6, hbar_beta=3e-6, g=2.0)
 
 
 class TestSolveTheta:
@@ -99,12 +103,22 @@ class TestEvalAngles:
 
 class TestConditioning:
     def test_small_tf_still_exact(self):
-        # normalized-time solve keeps tiny tf well conditioned
+        # the closed forms in s = t/tf stay exact at tiny tf
         mat = gaas()
         design = TrajectoryDesign.design(1e-3, 0.15, mat)
         assert np.abs(design.boundary_residuals()).max() < 1e-9
 
     def test_other_material(self):
-        mat = MaterialParams(hbar_alpha=1e-6, hbar_beta=3e-6, g=2.0)
-        design = TrajectoryDesign.design(0.7, 0.4, mat)
+        design = TrajectoryDesign.design(0.7, 0.4, OTHER)
         assert np.abs(design.boundary_residuals()).max() < 1e-9
+
+
+@pytest.mark.parametrize("material", [gaas(), OTHER], ids=["gaas", "other"])
+@pytest.mark.parametrize("b0_tf", [0.0, 0.15, 1.05, 2.0])
+@pytest.mark.parametrize("tf", [1e-3, 0.1, 1.0, 5.0])
+def test_closed_forms_match_boundary_solves(tf, b0_tf, material):
+    # each cubic within 1e-14 of its largest coefficient of the LAPACK solve
+    # of its four boundary conditions
+    design = TrajectoryDesign.design(tf, b0_tf / tf, material)
+    for got, want in zip((design.theta, design.phi), angle_cubics(tf, b0_tf / tf, material)):
+        assert np.abs(got.coeff_array() - want).max() <= 1e-14 * np.abs(want).max()
