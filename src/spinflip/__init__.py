@@ -9,8 +9,8 @@ from .errors import (ConfigError, DegenerateReferenceError, IntegratorError,
                      SingularityError)
 from .fields import (FieldSample, SingularityReport, compute_b0_max,
                      detect_singularities, effective_fields, electric_fields,
-                     fields_xyz, fields_xyz_at, require_cancellable,
-                     sample_fields, verify_cancellation)
+                     fields_xyz_at, require_cancellable, sample_fields,
+                     verify_cancellation)
 from .invariant import (InvariantSpec, PerturbedEvolution, Propagation,
                         chi_eigenstates, fidelity, invariance_residual,
                         invariant_matrix, lr_phase,
@@ -19,10 +19,9 @@ from .invariant import (InvariantSpec, PerturbedEvolution, Propagation,
 from .lowdin import (BlockPartition, FourLevelModel, build_full_hamiltonian,
                      closed_form_elements, lowdin_reduce, orbital_adiabaticity,
                      partition, validity_check, xi_factors)
-from .opensys import (BlochTrajectory, DensityTrajectory, LindbladParams,
-                      NoiseParams, ensemble_sweep, fidelity_from_w,
-                      perturbative_bound, propagate_bloch, propagate_density,
-                      propagate_master)
+from .opensys import (BlochTrajectory, DensityTrajectory, ensemble_sweep,
+                      fidelity_from_w, perturbative_bound, propagate_bloch,
+                      propagate_density, propagate_master)
 from .trajectory import (CubicPolynomial, TrajectoryDesign, eval_angles,
                          solve_phi, solve_theta)
 

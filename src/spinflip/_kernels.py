@@ -167,15 +167,16 @@ def _rk4_linear(gen, y0, tf, steps, normalize=False, final=False):
 
     With normalize (batch () only), every state is divided by its norm, as a
     loop that renormalizes after each step does, and the largest one-step
-    |norm - 1| (the ratio of successive norms) is returned as the drift, else
-    0.0, with the (steps + 1, *batch, d) trajectory.  With final, a block's
-    product is formed pairwise (half the scan's products), and the final state
-    alone is returned, with a NaN drift; normalize divides only it by its norm.
+    |norm - 1| (the ratio of successive norms) is returned as the drift with
+    the (steps + 1, *batch, d) trajectory.  With final, a block's product is
+    formed pairwise (half the scan's products), and the final state alone is
+    returned; normalize divides only it by its norm.  A drift that was not
+    measured, with final or without normalize, is NaN.
     """
     y = np.moveaxis(y0, -1, 0)
     traj = None if final else np.empty((steps + 1,) + y0.shape, dtype=y.dtype)
     dt = tf / steps
-    drift = math.nan if final else 0.0
+    drift = 0.0 if normalize and not final else math.nan
     block = _block_steps(y)
     for start in range(0, steps, block):
         stop = min(start + block, steps)
@@ -244,8 +245,9 @@ def rk4_bloch(tc, pc, tf, b0, alpha, beta, eta, gamma, lam2, channel, r0, steps,
     "as-printed" keeps the diagonal of it with a = (X, Y, Z'); "x-only" is
     the full matrix with a = (0, Y, Z'), the Bloch form of the double
     commutator with the x-only noise operator.  Returns the (steps+1, 3)
-    trajectory from r0, or with final its (3,) final state alone.  A (G,)
-    lam2 is G noise strengths in one batch: (steps+1, G, 3) or (G, 3).
+    trajectory from r0, or with final its (3,) final state alone, and a NaN
+    drift, as rk4_spin returns (states, drift).  A (G,) lam2 is G noise
+    strengths in one batch: (steps+1, G, 3) or (G, 3).
     """
     def gen(t):
         x, y, z = (f.reshape((-1,) + (1,) * np.ndim(lam2))  # to broadcast against lam2
@@ -269,7 +271,7 @@ def rk4_bloch(tc, pc, tf, b0, alpha, beta, eta, gamma, lam2, channel, r0, steps,
             a[i, i] = -4.0 * gamma - rate
         return a
     r0 = np.broadcast_to(np.asarray(r0, dtype=float), np.shape(lam2) + (3,))
-    return _rk4_linear(gen, r0, tf, steps, final=final)[0]
+    return _rk4_linear(gen, r0, tf, steps, final=final)
 
 
 def _em_matrices(x, y, z, b0, pref, hbar, lam, dt):

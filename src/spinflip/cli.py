@@ -32,8 +32,8 @@ from .invariant import MIN_GATED_STEPS
 from .lowdin import (FourLevelModel, build_full_hamiltonian, lowdin_reduce,
                      orbital_adiabaticity, partition, validity_check,
                      xi_factors)
-from .opensys import (LindbladParams, NoiseParams, dephasing_sweep, ensemble_sweep,
-                      noise_sweep, perturbative_bound, propagate_bloch)
+from .opensys import (check_ensemble, check_noise, check_rate, dephasing_sweep,
+                      ensemble_sweep, noise_sweep, perturbative_bound, propagate_bloch)
 from .tables import OutputTable, config_hash
 from .trajectory import TrajectoryDesign
 
@@ -113,9 +113,9 @@ def load_config(path: str | None, overrides: dict | None = None) -> dict:
     _validate(config)
     noise = config["noise"]
     _build("material", material_from, config)
-    _build("decoherence", LindbladParams, config["decoherence"]["gamma_per_ns"])
-    _build("noise", NoiseParams, noise["lambda0"], noise["channel"], noise["seed"],
-           noise["n_traj"])
+    _build("decoherence", check_rate, "gamma", config["decoherence"]["gamma_per_ns"])
+    _build("noise", check_noise, noise["lambda0"], noise["channel"])
+    _build("noise", check_ensemble, noise["seed"], noise["n_traj"])
     return config
 
 
@@ -128,7 +128,7 @@ def _build(section: str, make, *args):
 
 
 def _validate(config: dict) -> None:
-    """The checks that no parameter object makes."""
+    """The checks that neither a parameter object nor an opensys check makes."""
     ctl = config["control"]
     if ctl["tf_ns"] <= 0.0:
         raise ConfigError(f"tf_ns must be positive, got {ctl['tf_ns']}")
@@ -150,9 +150,8 @@ def material_from(config: dict) -> MaterialParams:
 
 
 def design_from(config: dict) -> TrajectoryDesign:
-    return TrajectoryDesign.design(config["control"]["tf_ns"],
-                                   config["control"]["b0_T"],
-                                   material_from(config))
+    return _build("control", TrajectoryDesign.design, config["control"]["tf_ns"],
+                  config["control"]["b0_T"], material_from(config))
 
 
 def _meta(config: dict) -> dict:

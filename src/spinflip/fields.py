@@ -86,15 +86,6 @@ def effective_fields(design: TrajectoryDesign, t: float) -> tuple[float, float]:
     return _at(design, t, K.b1_b2, design.mat.xi_x, design.mat.xi_y)
 
 
-def fields_xyz(b1: float, b2: float, b0: float, mat: MaterialParams) -> FieldTriple:
-    """Map drive fields to the Hamiltonian triple:
-    X = B2 (1+xi_y), Y = (alpha/beta)(1+xi_x) B1, Z = B0 + (1+xi_x) B1."""
-    fx = 1.0 + mat.xi_x
-    fy = 1.0 + mat.xi_y
-    return FieldTriple(X=b2 * fy, Y=(mat.alpha / mat.beta) * fx * b1,
-                       Z=b0 + fx * b1)
-
-
 def fields_xyz_at(design: TrajectoryDesign, t: float) -> FieldTriple:
     """Hamiltonian field triple along the design, with the checks of
     effective_fields.

@@ -52,10 +52,10 @@ class InvariantSpec:
 
 @dataclass(frozen=True)
 class Propagation:
-    """Time grid, per-node states, and integrator metadata."""
+    """Time grid, states, and integrator metadata."""
 
     times: np.ndarray
-    states: np.ndarray          # (n+1, 2) complex amplitudes
+    states: np.ndarray          # (n+1, *batch, d) per node, or the final (*batch, d) alone
     steps: int
     max_norm_drift: float
     gate_delta: float
@@ -159,6 +159,22 @@ def _unit_state(psi0: np.ndarray) -> np.ndarray:
     return psi0
 
 
+def run_gated(design: TrajectoryDesign, kernel, args: tuple, steps: int,
+              scan: bool = False) -> Propagation:
+    """Run kernel(*design.kernel_args(), *args, n, final=...), which returns
+    (states, drift), at n = steps (the whole trajectory with scan, else the
+    final state) and final-only at 2 steps, and gate the pair: the one gated
+    path.  steps >= MIN_GATED_STEPS and the singularity scan come first."""
+    check_steps(steps, MIN_GATED_STEPS)
+    require_cancellable(design)
+    kargs = (*design.kernel_args(), *args)
+    states, drift = kernel(*kargs, steps, final=not scan)
+    fine, _ = kernel(*kargs, 2 * steps, final=True)
+    delta = gate(states[-1] if scan else states, fine)
+    return Propagation(times=np.linspace(0.0, design.tf, steps + 1), states=states,
+                       steps=steps, max_norm_drift=float(drift), gate_delta=delta)
+
+
 def propagate_schrodinger(design: TrajectoryDesign, psi0: np.ndarray,
                           steps: int = 10000) -> Propagation:
     """RK4 integration of i hbar dpsi/dt = H_eff(t) psi under the design.
@@ -167,16 +183,8 @@ def propagate_schrodinger(design: TrajectoryDesign, psi0: np.ndarray,
     move the final state by less than 1e-8, else IntegratorError.  A design
     above the B0 limit raises SingularityError before propagating.
     """
-    check_steps(steps, MIN_GATED_STEPS)
-    psi0 = _unit_state(psi0)
-    require_cancellable(design)
-    args = (*design.kernel_args(), 0.5 * design.mat.g * MU_B, HBAR)
-    traj, drift = K.rk4_spin(*args, psi0, steps)
-    fine, _ = K.rk4_spin(*args, psi0, 2 * steps, final=True)
-    delta = gate(traj[-1], fine)
-    times = np.linspace(0.0, design.tf, steps + 1)
-    return Propagation(times=times, states=traj, steps=steps,
-                       max_norm_drift=float(drift), gate_delta=delta)
+    return run_gated(design, K.rk4_spin,
+                     (0.5 * design.mat.g * MU_B, HBAR, _unit_state(psi0)), steps, scan=True)
 
 
 def propagate_constant(fields: FieldTriple, design_or_mat, psi0: np.ndarray,

@@ -19,11 +19,13 @@ at constant trace.
 
 Noise strength: lam = lambda0 sqrt(t_f); lambda0^2 is the sweep axis.
 
-Each sweep axis is one batched evaluation; the deterministic ones are gated
-(final-only Bloch runs at steps and 2 steps agree within GATE_TOL, else
-IntegratorError).  ``noise_sweep`` runs a lambda0 grid as one batch of the
-Bloch kernel; ``dephasing_sweep`` needs one unitary run for a gamma grid,
-as the isotropic dephasing factors out of the rotation.  ``ensemble_sweep``,
+Arguments go through ``check_rate``, ``check_noise`` and ``check_ensemble``,
+as the CLI's config does.  Each sweep axis is one batched evaluation; the
+deterministic ones are gated by ``invariant.run_gated`` (final-only Bloch
+runs at steps and 2 steps agree within GATE_TOL, else IntegratorError).
+``noise_sweep`` runs a lambda0 grid as one batch of the Bloch kernel;
+``dephasing_sweep`` needs one unitary run for a gamma grid, as the
+isotropic dephasing factors out of the rotation.  ``ensemble_sweep``,
 the one Monte Carlo estimator, runs a lambda0 grid as one lock-step ensemble
 on one stream of two-point increments (+-sqrt(dt), one random bit each),
 which stay bytes, 8 steps each, drawn in blocks, so memory does not grow with
@@ -46,7 +48,7 @@ from .constants import HBAR, MU_B
 from .core import bloch_to_density, density_to_bloch
 from .errors import IntegratorError
 from .fields import require_cancellable
-from .invariant import MIN_GATED_STEPS, check_steps, gate
+from .invariant import check_steps, run_gated
 from .trajectory import TrajectoryDesign
 
 CHANNELS = ("as-printed", "x-only")
@@ -69,40 +71,30 @@ def _is_integer(value) -> bool:
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
-def _check_rate(name: str, value: float) -> None:
-    if not 0.0 <= value < math.inf:  # NaN fails too
+def check_rate(name: str, value: float) -> float:
+    """value, unless it is negative or not finite (ValueError; NaN too)."""
+    if not 0.0 <= value < math.inf:
         raise ValueError(f"{name} must be {'>= 0' if value < 0.0 else 'finite'}, got {value}")
+    return value
 
 
-@dataclass(frozen=True)
-class LindbladParams:
-    """Isotropic dephasing rate (1/ns)."""
-
-    gamma: float
-
-    def __post_init__(self):
-        _check_rate("gamma", self.gamma)
+def check_noise(lambda0: float, channel: str) -> float:
+    """lambda0, unless check_rate rejects it or channel is not in CHANNELS."""
+    check_rate("lambda0", lambda0)
+    if channel not in CHANNELS:
+        raise ValueError(f"channel must be one of {CHANNELS}, got {channel!r}")
+    return lambda0
 
 
-@dataclass(frozen=True)
-class NoiseParams:
-    """Source-noise strength, channel selection, and ensemble bookkeeping."""
-
-    lambda0: float
-    channel: str = "as-printed"
-    seed: int = 0
-    n_traj: int = 1
-
-    def __post_init__(self):
-        _check_rate("lambda0", self.lambda0)
-        if self.channel not in CHANNELS:
-            raise ValueError(f"channel must be one of {CHANNELS}, got {self.channel!r}")
-        if not _is_integer(self.n_traj) or self.n_traj < 1:
-            raise ValueError(f"n_traj must be an integer >= 1, got {self.n_traj!r}")
-        if self.n_traj > 1 << 32:  # trajectory i's spawn key must be one 32-bit word
-            raise ValueError(f"n_traj must be at most 2**32, got {self.n_traj}")
-        if not _is_integer(self.seed) or self.seed < 0:
-            raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
+def check_ensemble(seed: int, n_traj: int) -> None:
+    """ValueError unless n_traj is an integer in [1, 2**32] and seed a
+    non-negative integer, checked in that order."""
+    if not _is_integer(n_traj) or n_traj < 1:
+        raise ValueError(f"n_traj must be an integer >= 1, got {n_traj!r}")
+    if n_traj > 1 << 32:  # trajectory i's spawn key must be one 32-bit word
+        raise ValueError(f"n_traj must be at most 2**32, got {n_traj}")
+    if not _is_integer(seed) or seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
 
 
 @dataclass(frozen=True)
@@ -149,25 +141,13 @@ def propagate_bloch(design: TrajectoryDesign, gamma: float = 0.0,
     if not np.linalg.norm(r0) <= 1.0 + 1e-12:  # a non-finite r0 fails too
         raise ValueError(f"r0 must be finite with |r0| <= 1, got {r0.tolist()}")
     check_steps(steps, 1)
-    LindbladParams(gamma)
-    NoiseParams(lambda0, channel)
+    check_rate("gamma", gamma)
+    check_noise(lambda0, channel)
     require_cancellable(design)
-    traj = K.rk4_bloch(*design.kernel_args(), gamma, lambda0**2 * design.tf,
-                       channel if lambda0 > 0.0 else None, r0, steps)
+    traj, _ = K.rk4_bloch(*design.kernel_args(), gamma, lambda0**2 * design.tf,
+                          channel if lambda0 > 0.0 else None, r0, steps)
     return BlochTrajectory(times=np.linspace(0.0, design.tf, steps + 1),
                            r=_finite(traj, "Bloch"))
-
-
-def _gated_finals(design: TrajectoryDesign, lam2, channel, steps: int) -> np.ndarray:
-    """Final Bloch vectors from (0, 0, 1) at gamma = 0 under the noise term
-    lam2 = lambda0^2 t_f (scalar, or (G,) run as one batch), after one scan,
-    gated: final-only runs at steps and 2 steps, GATE_TOL on every vector."""
-    check_steps(steps, MIN_GATED_STEPS)
-    require_cancellable(design)
-    args = (*design.kernel_args(), 0.0, lam2, channel, (0.0, 0.0, 1.0))
-    coarse = K.rk4_bloch(*args, steps, final=True)
-    gate(coarse, K.rk4_bloch(*args, 2 * steps, final=True))
-    return coarse
 
 
 def dephasing_sweep(design: TrajectoryDesign, gammas, steps: int = 10000) -> np.ndarray:
@@ -179,20 +159,21 @@ def dephasing_sweep(design: TrajectoryDesign, gammas, steps: int = 10000) -> np.
     its delta at gamma is e^{-4 gamma tf} times that one, so the single
     gate is at least as strict at every rate.
     """
-    gammas = np.array([LindbladParams(float(g)).gamma for g in gammas])
+    gammas = np.array([check_rate("gamma", float(g)) for g in gammas])
     if not gammas.size:
         return gammas
-    w = _gated_finals(design, 0.0, None, steps)[2]
+    w = run_gated(design, K.rk4_bloch, (0.0, 0.0, None, (0.0, 0.0, 1.0)), steps).states[2]
     return fidelity_from_w(np.exp(-4.0 * gammas * design.tf) * w)
 
 
 def noise_sweep(design: TrajectoryDesign, lambda0s, channel: str, steps: int) -> np.ndarray:
     """Fidelity of the source-noise master equation from (0, 0, 1), with no
     dephasing, at every lambda0: one gated batch over lambda0^2 t_f, or none."""
-    lam0 = np.array([NoiseParams(float(l0), channel).lambda0 for l0 in lambda0s])
+    lam0 = np.array([check_noise(float(l0), channel) for l0 in lambda0s])
     if not lam0.size:
         return lam0
-    return fidelity_from_w(_gated_finals(design, lam0 ** 2 * design.tf, channel, steps)[:, 2])
+    args = (0.0, lam0 ** 2 * design.tf, channel, (0.0, 0.0, 1.0))
+    return fidelity_from_w(run_gated(design, K.rk4_bloch, args, steps).states[:, 2])
 
 
 def propagate_master(design: TrajectoryDesign, gamma: float, steps: int = 10000) -> float:
@@ -287,8 +268,8 @@ def _increment_blocks(seed: int, n_traj: int, steps: int):
     as step-major (c, n_traj) uint8 blocks of byte rows: row j holds steps
     8j to 8j + 7 of every trajectory, most significant bit first, bit 1
     giving +sqrt(dt).  A block holds INCREMENT_BLOCK steps, or the rest of
-    an INCREMENT_CHUNK.  seed and n_traj are checked as NoiseParams checks
-    them: n_traj must be at most 2**32 (ValueError).
+    an INCREMENT_CHUNK.  seed and n_traj go through check_ensemble first:
+    n_traj must be at most 2**32 (ValueError).
 
     They match the first three moments of Normal(0, dt), which is all the
     weak order 1 of the Euler-Maruyama step needs: the simplified weak Euler
@@ -311,7 +292,7 @@ def _increment_blocks(seed: int, n_traj: int, steps: int):
     a chunk edge; the last may end inside a word, and nothing is drawn
     after it.
     """
-    NoiseParams(0.0, "x-only", seed, n_traj)  # before any state or buffer
+    check_ensemble(seed, n_traj)  # before any state or buffer
     from numpy.random.bit_generator import ISeedSequence
 
     class State(ISeedSequence):
@@ -344,8 +325,8 @@ def _em_fidelities(design: TrajectoryDesign, lambda0s, seed: int, n_traj: int,
     increments drawn, for no lambda0.  steps, seed and n_traj are checked
     first, whatever the grid."""
     check_steps(steps, 1)
-    NoiseParams(0.0, "x-only", seed, n_traj)
-    lams = [NoiseParams(float(l0), "x-only").lambda0 * np.sqrt(design.tf) for l0 in lambda0s]
+    check_ensemble(seed, n_traj)
+    lams = [check_noise(float(l0), "x-only") * np.sqrt(design.tf) for l0 in lambda0s]
     if not lams:
         return np.empty((0, n_traj))
     require_cancellable(design)

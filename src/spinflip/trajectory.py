@@ -46,8 +46,15 @@ class CubicPolynomial:
 
 
 def _rescale(c_norm: np.ndarray, tf: float) -> tuple[float, float, float, float]:
-    # coefficients of p(s), s = t/tf  ->  coefficients of p(t)
-    return tuple(c_norm[j] / tf**j for j in range(4))
+    """Coefficients of p(s), s = t/tf, as coefficients of p(t); ValueError
+    when one is not finite (tf so small that tf^3 underflows or c / tf^3
+    overflows)."""
+    with np.errstate(all="ignore"):
+        c = tuple(c_norm[j] / tf**j for j in range(4))
+    if not np.isfinite(c).all():
+        raise ValueError(f"tf={tf} ns is too small: the cubic's coefficients in ns "
+                         f"powers are not finite")
+    return c
 
 
 def solve_theta(tf: float) -> CubicPolynomial:

@@ -1,5 +1,5 @@
-"""Reference design cubics, drive fields, open-system right-hand sides and
-the CSV number format, for the tests.
+"""Reference design cubics, drive fields, the drive-to-Hamiltonian field
+map, open-system right-hand sides and the CSV number format, for the tests.
 
 The design cubics are solved here from their eight boundary conditions as
 two 4x4 linear systems; the program writes them in closed form.  The field
@@ -78,6 +78,15 @@ def b1_b2_at(t, tc, pc, tf, b0, alpha, beta, eta, xi_x, xi_y):
             return np.nan, np.nan
         return (n1p - n1m) / (eta * fx * dd), (n2p - n2m) / (eta * fy * dd)
     return n1 / (eta * fx * d0), n2 / (eta * fy * d0)
+
+
+def fields_xyz(b1: float, b2: float, b0: float, mat: MaterialParams) -> FieldTriple:
+    """Map drive fields to the Hamiltonian triple:
+    X = B2 (1+xi_y), Y = (alpha/beta)(1+xi_x) B1, Z = B0 + (1+xi_x) B1."""
+    fx = 1.0 + mat.xi_x
+    fy = 1.0 + mat.xi_y
+    return FieldTriple(X=b2 * fy, Y=(mat.alpha / mat.beta) * fx * b1,
+                       Z=b0 + fx * b1)
 
 
 def bloch_of(mat: np.ndarray) -> np.ndarray:

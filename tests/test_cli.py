@@ -499,6 +499,9 @@ class TestConfigHandling:
          None, "noise: n_traj must be at most 2**32, got 4294967297"),
         (["simulate", "--steps", "999"], None, "integrator steps must be >= 1000"),
         (["design"], {"control": {"tf_ns": 0}}, "tf_ns must be positive, got 0"),
+        (["design", "--tf", "1e-110"], None, "control: tf=1e-110 ns is too small"),
+        (["simulate", "--tf", "1e-110", "--steps", "1000"], None,
+         "control: tf=1e-110 ns is too small"),
         (["design", "--samples", "1"], None, "samples must be >= 2, got 1"),
         (["design"], {"output": {"format": "xml"}}, "format must be csv or json, got 'xml'"),
         (["design"], {"material": {"hbar_alpha_meV_cm": 0}},
@@ -506,7 +509,8 @@ class TestConfigHandling:
         (["design"], {"material": {"beta_over_alpha": 0}},
          "material: hbar_beta must be nonzero"),
     ], ids=["gamma-negative", "lambda0-negative", "channel-unknown", "n_traj-zero",
-            "n_traj-above-2**32", "steps-999", "tf_ns-zero", "samples-1", "format-xml", "hbar_alpha-zero",
+            "n_traj-above-2**32", "steps-999", "tf_ns-zero", "tf_ns-tiny-design",
+            "tf_ns-tiny-simulate", "samples-1", "format-xml", "hbar_alpha-zero",
             "beta_over_alpha-zero"])
     def test_config_values_rejected(self, tmp_path, argv, doc, message):
         # every value check on the merged config: exit 2 before any output

@@ -3,14 +3,14 @@ import pytest
 
 from spinflip import (IntegratorError, SingularityError, TrajectoryDesign,
                       compute_b0_max, detect_singularities, effective_fields,
-                      electric_fields, fields_xyz, fields_xyz_at, sample_fields,
+                      electric_fields, fields_xyz_at, sample_fields,
                       verify_cancellation)
 from spinflip.constants import MEV_PER_E_CM_TO_V_PER_CM, MU_B, MaterialParams, gaas
 from spinflip.fields import (CANCEL_REL_TOL, E_EDGE_FRAC, E_STEP_FRAC,
                              cancellation_scale)
 from spinflip.trajectory import CubicPolynomial, eval_angles
 
-from oracles import b1_b2_at
+from oracles import b1_b2_at, fields_xyz
 
 
 def electric_reference(design, samples):

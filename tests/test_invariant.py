@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -9,7 +11,8 @@ from spinflip import (FieldTriple, InvariantSpec, IntegratorError, Propagation,
                       propagate_schrodinger, fields_xyz_at)
 from spinflip import _kernels as K
 from spinflip.constants import HBAR, MU_B
-from spinflip.invariant import gate
+from spinflip.invariant import gate, run_gated
+from spinflip.opensys import dephasing_sweep, noise_sweep
 from spinflip.trajectory import TrajectoryDesign, eval_angles
 
 UP = np.array([1.0, 0.0], dtype=complex)
@@ -323,3 +326,43 @@ class TestGate:
     def test_fails_past_tolerance_or_non_finite(self, fine):
         with pytest.raises(IntegratorError, match="step-halving gate failed"):
             gate(np.array([0.0, 1.0]), np.array(fine))
+
+    @pytest.mark.parametrize("call, kernel, coarse_final", [
+        (lambda d: propagate_schrodinger(d, UP, 1000), "rk4_spin", False),
+        (lambda d: dephasing_sweep(d, [0.0, 0.5], 1000), "rk4_bloch", True),
+        (lambda d: noise_sweep(d, [0.1, 0.2], "x-only", 1000), "rk4_bloch", True),
+    ], ids=["propagate_schrodinger", "dephasing_sweep", "noise_sweep"])
+    def test_every_gated_path_fails_its_gate(self, mat, monkeypatch, call, kernel,
+                                             coarse_final):
+        # at 1 ns and 1.1 T (0.95 B0_max) 1000 steps are too few: the final
+        # states at 1000 and 2000 steps differ by 8.1e-8 (spinor), 3.9e-7
+        # (unitary Bloch run) and 1.6e-7 (x-only batch).  Each path makes
+        # exactly the gated pair of kernel calls, the fine one final-only.
+        calls, original = [], getattr(K, kernel)
+
+        def spy(*args, final=False):
+            calls.append((args[-1], final))
+            return original(*args, final=final)
+        monkeypatch.setattr(K, kernel, spy)
+        with pytest.raises(IntegratorError, match="step-halving gate failed"):
+            call(TrajectoryDesign.design(1.0, 1.1, mat))
+        assert calls == [(1000, coarse_final), (2000, True)]
+
+    @pytest.mark.parametrize("scan", [True, False], ids=["spin-scan", "bloch-batch-final"])
+    def test_run_gated_records_the_pair(self, design, scan):
+        # the delta is max |coarse - fine| of two direct kernel runs, bit for
+        # bit; the states and the drift are the coarse run's
+        if scan:
+            kernel, args = K.rk4_spin, (0.5 * design.mat.g * MU_B, HBAR, UP)
+        else:
+            kernel, args = K.rk4_bloch, (0.0, np.array([0.0, 0.02]), "x-only", (0.0, 0.0, 1.0))
+        prop = run_gated(design, kernel, args, 1000, scan=scan)
+        coarse, drift = kernel(*design.kernel_args(), *args, 1000, final=not scan)
+        fine, _ = kernel(*design.kernel_args(), *args, 2000, final=True)
+        assert prop.gate_delta == np.abs((coarse[-1] if scan else coarse) - fine).max()
+        assert np.array_equal(prop.states, coarse) and prop.steps == 1000
+        assert np.array_equal(prop.times, np.linspace(0.0, design.tf, 1001))
+        if scan:
+            assert prop.max_norm_drift == drift > 0.0
+        else:  # the Bloch kernel does not normalize, so it measures no drift
+            assert math.isnan(prop.max_norm_drift)

@@ -1,15 +1,16 @@
 import numpy as np
 import pytest
 
-from spinflip import (FieldTriple, LindbladParams, NoiseParams, bloch_to_density,
-                      build_heff, ensemble_sweep, fidelity, fidelity_from_w,
+from spinflip import (FieldTriple, bloch_to_density, build_heff, ensemble_sweep,
+                      fidelity, fidelity_from_w,
                       perturbative_bound, propagate_bloch, propagate_density,
                       propagate_master, propagate_schrodinger)
 from spinflip.core import IDENTITY2
 from spinflip.fields import fields_xyz_at
 from spinflip import opensys
 from spinflip.opensys import (INCREMENT_BLOCK, _child_states, _em_fidelities,
-                              _increment_blocks, dephasing_sweep, noise_sweep)
+                              _increment_blocks, check_ensemble, check_noise, check_rate,
+                              dephasing_sweep, noise_sweep)
 
 from oracles import (bloch_of, bloch_rhs, lindblad_step_rhs, noise_bloch_rhs,
                      noise_master_rhs, xonly_hprime)
@@ -320,7 +321,7 @@ class TestSSE:
         with pytest.raises(ValueError, match=r"at most 2\*\*32"):
             next(_increment_blocks(0, 2**32 + 1, 8))
         with pytest.raises(ValueError, match=r"at most 2\*\*32"):
-            NoiseParams(0.1, "x-only", 0, 2**32 + 1)
+            check_ensemble(0, 2**32 + 1)
 
     def test_per_trajectory_generators(self):
         # seed ^ i seeding made 1232, 1234 and 1235 share one set of 256
@@ -396,31 +397,31 @@ class TestPerturbativeBound:
 class TestParams:
     def test_gamma_validation(self):
         with pytest.raises(ValueError):
-            LindbladParams(gamma=-0.1)
-        assert LindbladParams(gamma=0.0).gamma == 0.0
+            check_rate("gamma", -0.1)
+        assert check_rate("gamma", 0.0) == 0.0
 
     def test_noise_validation(self):
         with pytest.raises(ValueError):
-            NoiseParams(lambda0=-1.0)
+            check_noise(-1.0, "as-printed")
         with pytest.raises(ValueError):
-            NoiseParams(lambda0=0.1, channel="plaid")
+            check_noise(0.1, "plaid")
         with pytest.raises(ValueError):
-            NoiseParams(lambda0=0.1, n_traj=0)
+            check_ensemble(0, 0)
 
     @pytest.mark.parametrize("seed", [-3, 1.5, "x", True])
     def test_seed_must_be_non_negative_integer(self, seed):
         # a bad seed used to pass here and fail deep inside numpy's SeedSequence
         with pytest.raises(ValueError, match="seed must be a non-negative integer"):
-            NoiseParams(0.1, "x-only", seed=seed)
+            check_ensemble(seed, 1)
 
     @pytest.mark.parametrize("n_traj", [4.5, "x", True])
     def test_n_traj_must_be_integer(self, n_traj):
         # a float n_traj used to pass here and fail inside SeedSequence.spawn
         with pytest.raises(ValueError, match="n_traj must be an integer"):
-            NoiseParams(0.1, "x-only", 0, n_traj)
+            check_ensemble(0, n_traj)
 
     def test_numpy_integer_seed_accepted(self):
-        assert NoiseParams(0.1, "x-only", seed=np.int64(7)).seed == 7
+        check_ensemble(np.int64(7), 1)
 
     @pytest.mark.parametrize("call", [
         lambda d: propagate_bloch(d, gamma=-0.5),
@@ -454,8 +455,8 @@ class TestParams:
             call(design)
 
     @pytest.mark.parametrize("call", [
-        lambda d: LindbladParams(np.inf),
-        lambda d: NoiseParams(np.inf),
+        lambda d: check_rate("gamma", np.inf),
+        lambda d: check_noise(np.inf, "as-printed"),
         lambda d: propagate_bloch(d, lambda0=np.nan, steps=1000),
         lambda d: propagate_master(d, np.nan, steps=1000),
         lambda d: ensemble_sweep(d, [0.1, np.nan], seed=0, n_traj=4, steps=1000),
