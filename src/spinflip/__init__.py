@@ -7,10 +7,9 @@ from .core import (FieldTriple, build_heff, bloch_to_density, commutator,
                    zeeman_splitting)
 from .errors import (ConfigError, DegenerateReferenceError, IntegratorError,
                      SingularityError)
-from .fields import (FieldSample, SingularityReport, compute_b0_max,
-                     detect_singularities, effective_fields, electric_fields,
-                     fields_xyz_at, require_cancellable, sample_fields,
-                     verify_cancellation)
+from .fields import (SingularityReport, compute_b0_max, detect_singularities,
+                     effective_fields, electric_fields, fields_xyz_at,
+                     require_cancellable, sample_fields, verify_cancellation)
 from .invariant import (InvariantSpec, PerturbedEvolution, Propagation,
                         chi_eigenstates, fidelity, invariance_residual,
                         invariant_matrix, lr_phase,

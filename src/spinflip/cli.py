@@ -17,6 +17,7 @@ import json
 import math
 import numbers
 import os
+import re
 import sys
 
 import numpy as np
@@ -60,10 +61,25 @@ EXIT_CODES = {ConfigError: EXIT_CONFIG, SingularityError: EXIT_SINGULARITY,
               IntegratorError: EXIT_INTEGRATOR, DegenerateReferenceError: EXIT_DEGENERATE}
 
 
+def _leaf(key: str, value, default=0.0):
+    """value, uncoerced, if it has the kind of default: a str, an integer, or
+    a finite real number; never a bool.  Else a ConfigError naming key."""
+    if isinstance(default, str):
+        kind, ok = "a string", isinstance(value, str)
+    elif isinstance(default, int):
+        kind, ok = "an integer", isinstance(value, numbers.Integral)
+    else:
+        # abs(x) <= max float: false for NaN, inf and a float-overflowing int
+        kind, ok = "a finite number", (isinstance(value, numbers.Real)
+                                       and abs(value) <= sys.float_info.max)
+    if not ok or isinstance(value, bool):
+        raise ConfigError(f"{key} must be {kind}, got {value!r}")
+    return value
+
+
 def _merge_checked(base: dict, override: dict, defaults: dict = DEFAULT_CONFIG,
                    path: str = "") -> None:
-    """Merge override into base, uncoerced.  A leaf takes the type of its
-    default: a str, an integer, or a finite real number (never a bool)."""
+    """Merge override into base, each leaf checked by _leaf against its default."""
     for key, value in override.items():
         if key not in base:
             raise ConfigError(f"unknown config key {path + key!r}")
@@ -72,28 +88,27 @@ def _merge_checked(base: dict, override: dict, defaults: dict = DEFAULT_CONFIG,
             if not isinstance(value, dict):
                 raise ConfigError(f"config key {path + key!r} must be a mapping")
             _merge_checked(base[key], value, default, path + key + ".")
-            continue
-        if isinstance(default, str):
-            kind, ok = "a string", isinstance(value, str)
-        elif isinstance(default, int):
-            kind, ok = "an integer", isinstance(value, numbers.Integral)
         else:
-            kind, ok = "a finite number", (isinstance(value, numbers.Real)
-                                           and math.isfinite(value))
-        if not ok or isinstance(value, bool):
-            raise ConfigError(f"{path + key} must be {kind}, got {value!r}")
-        base[key] = value
+            base[key] = _leaf(path + key, value, default)
 
 
 def _read_mapping(kind: str, path: str) -> dict:
     """The YAML mapping in the file at path; an empty (or other false)
     document is an empty mapping.  An unreadable file, bad YAML or any other
-    document is a ConfigError."""
+    document is a ConfigError.  A plain 3.8e4 or 1e-3 is a float, as in
+    YAML 1.2; PyYAML's YAML 1.1 rules read it as a string."""
     import yaml  # only --config reads YAML; importing it costs every other run
 
+    class Loader(yaml.SafeLoader):
+        pass
+
+    Loader.add_implicit_resolver(
+        "tag:yaml.org,2002:float",
+        re.compile(r"^[-+]?(?:[0-9][0-9_]*(?:\.[0-9_]*)?|\.[0-9_]+)[eE][-+]?[0-9]+$"),
+        list("-+.0123456789"))
     try:
         with open(path) as fh:
-            doc = yaml.safe_load(fh) or {}
+            doc = yaml.load(fh, Loader) or {}
     except OSError as exc:
         raise ConfigError(f"cannot read {kind} {path!r}: {exc}") from exc
     except yaml.YAMLError as exc:
@@ -154,22 +169,21 @@ def design_from(config: dict) -> TrajectoryDesign:
                   config["control"]["b0_T"], material_from(config))
 
 
-def _meta(config: dict) -> dict:
-    return {
+def _emit(config: dict, args, columns: dict, meta: dict | None = None) -> int:
+    """Write the table of columns, {name: values}, with the config echo and
+    then meta in its header, to --out or output.path; exit code 0."""
+    table = OutputTable.of(columns, {
         "toolkit": f"spinflip {__version__}",
         "config": json.dumps(config, sort_keys=True, separators=(",", ":")),
-        "config_sha1": config_hash(config),
-    }
-
-
-def _write(table: OutputTable, config: dict, out_override: str | None) -> None:
-    path = out_override or config["output"]["path"]
+        "config_sha1": config_hash(config), **(meta or {})})
+    path = args.out or config["output"]["path"]
     text = table.render(config["output"]["format"])
     if path == "-":
         sys.stdout.write(text)
     else:
         with open(path, "w") as fh:
             fh.write(text)
+    return 0
 
 
 def _check_jobs(args) -> None:
@@ -201,15 +215,11 @@ def cmd_design(config: dict, args) -> int:
             f"error: B0={design.b0} T exceeds the single-singularity limit at "
             f"tf={design.tf} ns; B0_max ~ {hint}\n")
         return EXIT_SINGULARITY
-    table = OutputTable(columns=["t_ns", "theta_rad", "phi_rad", "B1_T", "B2_T",
-                                 "Ex_V_per_cm", "Ey_V_per_cm"], meta=_meta(config))
-    rows = sample_fields(design, config["control"]["samples"], report)
-    ts = np.array([s.t for s in rows])
-    thetas, phis = (poly3(c, ts).tolist() for c in design.kernel_args()[:2])
-    for s, th, ph in zip(rows, thetas, phis):
-        table.add_row(s.t, th, ph, s.b1, s.b2, s.ex, s.ey)
-    _write(table, config, args.out)
-    return 0
+    t, b1, b2, ex, ey = sample_fields(design, config["control"]["samples"], report)
+    theta, phi = (poly3(c, t) for c in design.kernel_args()[:2])
+    names = ("t_ns", "theta_rad", "phi_rad", "B1_T", "B2_T", "Ex_V_per_cm", "Ey_V_per_cm")
+    return _emit(config, args, {name: col.tolist() for name, col in
+                                zip(names, (t, theta, phi, b1, b2, ex, ey))})
 
 
 def cmd_simulate(config: dict, args) -> int:
@@ -221,19 +231,17 @@ def cmd_simulate(config: dict, args) -> int:
     psi0 = _build("simulate", initial_state, args.epsilon or 0.0, args.phi0)
     traj = propagate_bloch(design, gamma=gamma, lambda0=lambda0, channel=channel,
                            steps=steps, r0=tuple(spin_to_bloch(psi0)))
-    meta = _meta(config)
-    meta["summary_F"] = format(traj.final_fidelity, ".17g")
-    meta["summary_gamma"] = format(gamma, ".17g")
-    meta["summary_lambda0"] = format(lambda0, ".17g")
-    meta["summary_bound_1_minus_2_gamma_tf"] = format(
-        perturbative_bound(gamma, design.tf), ".17g")
-    table = OutputTable(columns=["t_ns", "u", "v", "w", "P_up", "P_down"], meta=meta)
+    meta = {"summary_F": traj.final_fidelity, "summary_gamma": gamma,
+            "summary_lambda0": lambda0,
+            "summary_bound_1_minus_2_gamma_tf": perturbative_bound(gamma, design.tf)}
     idx = np.unique(np.round(np.linspace(0, steps, config["control"]["samples"]))
                     .astype(int))
-    for t, (u, v, w) in zip(traj.times[idx].tolist(), traj.r[idx].tolist()):
-        table.add_row(t, u, v, w, (1.0 + w) / 2.0, (1.0 - w) / 2.0)
-    _write(table, config, args.out)
-    return 0
+    u, v, w = traj.r[idx].T
+    return _emit(config, args, {
+        "t_ns": traj.times[idx].tolist(), "u": u.tolist(), "v": v.tolist(),
+        "w": w.tolist(), "P_up": ((1.0 + w) / 2.0).tolist(),
+        "P_down": ((1.0 - w) / 2.0).tolist()},
+        {key: format(value, ".17g") for key, value in meta.items()})
 
 
 def cmd_b0max(config: dict, args) -> int:
@@ -243,17 +251,14 @@ def cmd_b0max(config: dict, args) -> int:
     if args.points < 2:
         raise ConfigError(f"points must be >= 2, got {args.points}")
     mat = material_from(config)
-    table = OutputTable(columns=["tf_ns", "b0max_T"], meta=_meta(config))
     # B0_max = K / tf (the design depends on tf and B0 through B0 tf alone):
     # one bisection at tf_min, within tol/2 there and tol/2 tf_min / tf beyond
     try:
         k = compute_b0_max(args.tf_min, mat) * args.tf_min
     except ValueError as exc:
         raise ConfigError(f"B0_max at tf={args.tf_min} ns: {exc}") from exc
-    for tf in np.linspace(args.tf_min, args.tf_max, args.points).tolist():
-        table.add_row(tf, k / tf)
-    _write(table, config, args.out)
-    return 0
+    tf = np.linspace(args.tf_min, args.tf_max, args.points)
+    return _emit(config, args, {"tf_ns": tf.tolist(), "b0max_T": (k / tf).tolist()})
 
 
 def _parse_grid(spec: str) -> list[float]:
@@ -282,23 +287,20 @@ def cmd_sweep(config: dict, args) -> int:
     design = design_from(config)
     steps = config["integrator"]["steps"]
     grid = _parse_grid(args.grid)
-    mc = bool(args.mc)
-    columns = ["axis_value", "F"] + (["standard_error"] if mc else [])
-    table = OutputTable(columns=columns, meta=_meta(config))
-    results = []
+    f = se = []
     if grid and args.axis == "gamma":
-        results = zip(dephasing_sweep(design, grid, steps))
+        f = dephasing_sweep(design, grid, steps).tolist()
     elif grid:
         lambda0s = [float(np.sqrt(value)) for value in grid]
-        if mc:
-            results = ensemble_sweep(design, lambda0s, config["noise"]["seed"],
-                                     config["noise"]["n_traj"], steps)
+        if args.mc:
+            f, se = zip(*ensemble_sweep(design, lambda0s, config["noise"]["seed"],
+                                        config["noise"]["n_traj"], steps))
         else:
-            results = zip(noise_sweep(design, lambda0s, config["noise"]["channel"], steps))
-    for value, res in zip(grid, results):
-        table.add_row(float(value), *[float(x) for x in res])
-    _write(table, config, args.out)
-    return 0
+            f = noise_sweep(design, lambda0s, config["noise"]["channel"], steps).tolist()
+    columns = {"axis_value": grid, "F": f}
+    if args.mc:
+        columns["standard_error"] = se
+    return _emit(config, args, columns)
 
 
 def _load_model(path: str, config: dict) -> FourLevelModel:
@@ -312,20 +314,23 @@ def _load_model(path: str, config: dict) -> FourLevelModel:
     if missing:
         raise ConfigError(f"missing model keys: {sorted(missing)}")
 
-    def as_complex(v) -> complex:
-        if isinstance(v, (int, float)):
-            return complex(v)
-        if isinstance(v, (list, tuple)) and len(v) == 2:
-            return complex(float(v[0]), float(v[1]))
-        raise ConfigError(f"pbar entries must be a number or [re, im], got {v!r}")
+    def real(key: str) -> float:
+        return float(_leaf(key, doc[key]))
+
+    def as_complex(key: str) -> complex:
+        v = doc[key]  # a finite number, or a [re, im] pair of finite numbers
+        if not isinstance(v, list):
+            return complex(real(key))
+        if len(v) != 2:
+            raise ConfigError(f"{key} must be a number or [re, im], got {v!r}")
+        return complex(*(float(_leaf(f"{key}[{i}]", x)) for i, x in enumerate(v)))
 
     try:
         return FourLevelModel(
-            e1=float(doc["e1_meV"]), e2=float(doc["e2_meV"]),
-            delta_z=float(doc["delta_z_meV"]),
-            pbar_x=as_complex(doc["pbar_x"]), pbar_y=as_complex(doc["pbar_y"]),
-            m=float(doc["mass_meV_ns2_cm2"]),
-            drive_b1=float(doc["drive_b1_T"]), drive_b2=float(doc["drive_b2_T"]),
+            e1=real("e1_meV"), e2=real("e2_meV"), delta_z=real("delta_z_meV"),
+            pbar_x=as_complex("pbar_x"), pbar_y=as_complex("pbar_y"),
+            m=real("mass_meV_ns2_cm2"),
+            drive_b1=real("drive_b1_T"), drive_b2=real("drive_b2_T"),
             mat=material_from(config))
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
@@ -344,25 +349,16 @@ def cmd_reduce(config: dict, args) -> int:
     eig_full = np.linalg.eigvalsh(h4)[:2]
     c_norm = float(np.linalg.norm(blocks.c, 2))
 
-    meta = _meta(config)
-    for i in range(2):
-        for j in range(2):
-            meta[f"effective_{i}{j}"] = (format(eff[i, j].real, ".17g") + "+"
-                                         + format(eff[i, j].imag, ".17g") + "j")
-    meta["xi_x"] = format(xi_x, ".17g")
-    meta["xi_y"] = format(xi_y, ".17g")
-    meta["validity_ratio"] = format(ratio, ".17g")
-    meta["validity_ok"] = str(ratio <= 0.1)
-    meta["hbar_over_tf_gap"] = format(adiab, ".17g")
-    meta["orbital_adiabatic"] = "yes" if adiab < 0.1 else "no"
-    meta["coupling_norm_meV"] = format(c_norm, ".17g")
-    table = OutputTable(columns=["index", "eig_effective_meV", "eig_exact_meV",
-                                 "abs_error_meV"], meta=meta)
-    for i in range(2):
-        table.add_row(i, float(eig_eff[i]), float(eig_full[i]),
-                      float(abs(eig_eff[i] - eig_full[i])))
-    _write(table, config, args.out)
-    return 0
+    meta = {f"effective_{i}{j}": f"{eff[i, j].real:.17g}+{eff[i, j].imag:.17g}j"
+            for i in range(2) for j in range(2)}
+    meta.update(xi_x=f"{xi_x:.17g}", xi_y=f"{xi_y:.17g}", validity_ratio=f"{ratio:.17g}",
+                validity_ok=str(ratio <= 0.1), hbar_over_tf_gap=f"{adiab:.17g}",
+                orbital_adiabatic="yes" if adiab < 0.1 else "no",
+                coupling_norm_meV=f"{c_norm:.17g}")
+    return _emit(config, args, {
+        "index": [0, 1], "eig_effective_meV": eig_eff.tolist(),
+        "eig_exact_meV": eig_full.tolist(),
+        "abs_error_meV": np.abs(eig_eff - eig_full).tolist()}, meta)
 
 
 def build_parser() -> argparse.ArgumentParser:

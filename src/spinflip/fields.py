@@ -38,17 +38,6 @@ CANCEL_REL_TOL = 1e-8     # numerator residual tolerance relative to its scale
 
 
 @dataclass(frozen=True)
-class FieldSample:
-    """One row of a designed-pulse table."""
-
-    t: float
-    b1: float
-    b2: float
-    ex: float
-    ey: float
-
-
-@dataclass(frozen=True)
 class SingularityReport:
     """Roots of the denominator condition on (0, tf) and their cancellability."""
 
@@ -145,8 +134,9 @@ def electric_fields(design: TrajectoryDesign, t: float) -> tuple[float, float]:
 
 
 def sample_fields(design: TrajectoryDesign, samples: int,
-                  report: SingularityReport | None = None) -> list[FieldSample]:
-    """Uniform field table on [0, tf]; endpoints filled with inside limits.
+                  report: SingularityReport | None = None) -> tuple[np.ndarray, ...]:
+    """Uniform field table on [0, tf] as the arrays (t, B1, B2, Ex, Ey);
+    endpoints filled with inside limits.
 
     Raises SingularityError when the design carries any non-cancellable
     denominator zero (the fields diverge there even if no sample lands on it),
@@ -156,9 +146,7 @@ def sample_fields(design: TrajectoryDesign, samples: int,
     tc, pc, tf, b0, al, be, eta = design.kernel_args()
     ts = np.linspace(0.0, tf, samples)
     b1, b2 = K.b1_b2(ts, tc, pc, tf, b0, al, be, eta, design.mat.xi_x, design.mat.xi_y)
-    ex, ey = _electric_stencil(design, ts)
-    return [FieldSample(*row) for row in
-            zip(ts.tolist(), b1.tolist(), b2.tolist(), ex.tolist(), ey.tolist())]
+    return (ts, b1, b2, *_electric_stencil(design, ts))
 
 
 def verify_cancellation(design: TrajectoryDesign, ts: float) -> float:

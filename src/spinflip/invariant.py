@@ -22,6 +22,9 @@ from .trajectory import TrajectoryDesign, eval_angles
 
 GATE_TOL = 1e-8
 MIN_GATED_STEPS = 1000
+# how far a population, a modulus or a Bloch-vector norm may leave [0, 1] by
+# rounding alone
+ROUNDING_TOL = 1e-12
 POLE_TOL = 1e-9
 
 
@@ -103,8 +106,8 @@ def invariance_residual(spec: InvariantSpec, t: float,
 def _simpson(values: np.ndarray, h: float) -> float:
     n = len(values)
     assert n % 2 == 1
-    return h / 3.0 * (values[0] + values[-1]
-                      + 4.0 * values[1:-1:2].sum() + 2.0 * values[2:-1:2].sum())
+    return float(h / 3.0 * (values[0] + values[-1]
+                            + 4.0 * values[1:-1:2].sum() + 2.0 * values[2:-1:2].sum()))
 
 
 def lr_phase(spec: InvariantSpec, branch: int, t: float, nodes: int = 1001) -> float:
@@ -215,10 +218,10 @@ def fidelity(prop: Propagation) -> float:
 
     The states are unit vectors only to rounding, so a full flip can read
     1 + 2e-16; the modulus is capped at 1.  A modulus that is not finite or
-    exceeds 1 + 1e-12 is no rounding: IntegratorError.
+    exceeds 1 + ROUNDING_TOL is no rounding: IntegratorError.
     """
     f = float(np.abs(prop.states[-1, 1]))
-    if not f <= 1.0 + 1e-12:  # NaN fails too
+    if not f <= 1.0 + ROUNDING_TOL:  # NaN fails too
         raise IntegratorError(f"final spin-down modulus {f} is not in [0, 1]")
     return min(1.0, f)
 

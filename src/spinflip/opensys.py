@@ -48,7 +48,7 @@ from .constants import HBAR, MU_B
 from .core import bloch_to_density, density_to_bloch
 from .errors import IntegratorError
 from .fields import require_cancellable
-from .invariant import check_steps, run_gated
+from .invariant import ROUNDING_TOL, check_steps, run_gated
 from .trajectory import TrajectoryDesign
 
 CHANNELS = ("as-printed", "x-only")
@@ -108,8 +108,20 @@ class BlochTrajectory:
 
 
 def fidelity_from_w(w):
-    """F = sqrt((1 - w)/2) capped to [0, 1], elementwise: the down-state overlap."""
-    return np.sqrt(np.clip((1.0 - w) / 2.0, 0.0, 1.0))
+    """F = sqrt((1 - w)/2), elementwise: the down-state overlap, with the
+    population (1 - w)/2 checked by _population."""
+    return np.sqrt(_population((1.0 - w) / 2.0))
+
+
+def _population(p):
+    """p capped to [0, 1], elementwise; IntegratorError if any p is NaN or
+    more than ROUNDING_TOL outside, which no rounding explains."""
+    p = np.asarray(p)
+    bad = np.flatnonzero(~((p >= -ROUNDING_TOL) & (p <= 1.0 + ROUNDING_TOL)))
+    if bad.size:
+        raise IntegratorError(
+            f"population {float(p.flat[bad[0]])!r} is outside [0, 1] beyond rounding")
+    return np.clip(p, 0.0, 1.0)
 
 
 def _shaped(name: str, value, shape: tuple[int, ...], dtype=float) -> np.ndarray:
@@ -138,7 +150,7 @@ def propagate_bloch(design: TrajectoryDesign, gamma: float = 0.0,
     propagating a design above the B0 limit.
     """
     r0 = _shaped("r0", r0, (3,))
-    if not np.linalg.norm(r0) <= 1.0 + 1e-12:  # a non-finite r0 fails too
+    if not np.linalg.norm(r0) <= 1.0 + ROUNDING_TOL:  # a non-finite r0 fails too
         raise ValueError(f"r0 must be finite with |r0| <= 1, got {r0.tolist()}")
     check_steps(steps, 1)
     check_rate("gamma", gamma)
@@ -193,7 +205,7 @@ class DensityTrajectory:
 
     @property
     def final_fidelity(self) -> float:
-        return float(np.sqrt(max(0.0, self.rho[-1, 1, 1].real)))
+        return float(np.sqrt(_population(self.rho[-1, 1, 1].real)))
 
 
 def propagate_density(design: TrajectoryDesign, gamma: float = 0.0,

@@ -1,9 +1,11 @@
 """Deterministic tabular output.
 
-Tables carry their configuration in the header (echo + content hash) so any
-output file can be reproduced exactly; numbers are serialized with 17
-significant digits, making CSV round trips bit-exact.  No timestamps: equal
-configs must give byte-identical files.
+A table is built once from whole columns, ``OutputTable.of({name: values},
+meta)``, and rendered as CSV or JSON; the JSON ``rows`` hold the same values
+as the CSV rows.  Tables carry their configuration in the header (echo +
+content hash) so any output file can be reproduced exactly; numbers are
+serialized with 17 significant digits, making CSV round trips bit-exact.  No
+timestamps: equal configs must give byte-identical files.
 """
 
 from __future__ import annotations
@@ -24,14 +26,13 @@ class OutputTable:
     """Named columns, row-major records, '#'-prefixed header metadata."""
 
     columns: list[str]
-    rows: list[list] = field(default_factory=list)
+    rows: list[tuple] = field(default_factory=list)
     meta: dict = field(default_factory=dict)
 
-    def add_row(self, *values) -> None:
-        if len(values) != len(self.columns):
-            raise ValueError(
-                f"row has {len(values)} fields, table has {len(self.columns)} columns")
-        self.rows.append(list(values))
+    @classmethod
+    def of(cls, columns: dict, meta: dict | None = None) -> OutputTable:
+        """The table of columns, {name: values}; ValueError if their lengths differ."""
+        return cls(list(columns), list(zip(*columns.values(), strict=True)), meta or {})
 
     def to_csv(self) -> str:
         lines = [f"# {k}: {v}" for k, v in self.meta.items()]

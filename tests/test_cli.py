@@ -541,6 +541,30 @@ class TestConfigHandling:
         assert doc["columns"][0] == "t_ns"
         assert len(doc["rows"]) == 5
 
+    @pytest.mark.parametrize("argv", [
+        ["design", "--samples", "5"],
+        ["simulate", "--steps", "1000", "--samples", "4"],
+        ["b0max", "--tf-min", "0.5", "--tf-max", "1", "--points", "3"],
+        ["sweep", "--axis", "gamma", "--grid", "0,0.1", "--steps", "1000"],
+        ["sweep", "--axis", "lambda0_sq", "--grid", "0.01,0.02", "--mc",
+         "--n-traj", "8", "--steps", "1000"],
+        ["reduce"],
+    ], ids=["design", "simulate", "b0max", "sweep-gamma", "sweep-mc", "reduce"])
+    def test_json_rows_equal_csv_rows(self, tmp_path, argv):
+        if argv == ["reduce"]:
+            model = tmp_path / "model.yaml"
+            write_model(model, pbar_x=[0.0, 2.9], delta_z_meV=0.05)
+            argv = argv + ["--model", str(model)]
+        code_csv, out_csv, _ = invoke(argv)
+        code_json, out_json, _ = invoke(argv + ["--format", "json"])
+        assert code_csv == code_json == 0
+        meta, header, rows = parse_csv(out_csv)
+        doc = json.loads(out_json)
+        assert doc["columns"] == header and len(doc["rows"]) == len(rows) > 0
+        assert [[float(x) for x in row] for row in doc["rows"]] == rows.tolist()
+        meta.pop("config"), meta.pop("config_sha1")  # the echo names the format
+        assert {k: v for k, v in doc["meta"].items() if k not in ("config", "config_sha1")} == meta
+
     def test_byte_identical_reruns(self, tmp_path):
         p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
         assert invoke(["design", "--samples", "64", "--out", str(p1)])[0] == 0
@@ -612,6 +636,38 @@ class TestReduce:
         code, out, err = invoke(argv)
         assert (code, out) == (2, "")
         assert err.startswith("error: " + message.format(kind))
+
+    @pytest.mark.parametrize("line, message", [
+        ("delta_z_meV: .nan", "delta_z_meV must be a finite number, got nan"),
+        ("pbar_x: [1.0, .nan]", "pbar_x[1] must be a finite number, got nan"),
+        ("delta_z_meV: .inf", "delta_z_meV must be a finite number, got inf"),
+        ("e1_meV: true", "e1_meV must be a finite number, got True"),
+        ("drive_b1_T: '0.5'", "drive_b1_T must be a finite number, got '0.5'"),
+        ("e2_meV: 1" + "0" * 400, f"e2_meV must be a finite number, got {10**400}"),
+    ], ids=["nan", "pbar-nan", "inf", "bool", "string", "int-beyond-float"])
+    def test_model_values_checked(self, tmp_path, line, message):
+        # each value as the config's values: a finite real number, never a
+        # bool, a string or an int beyond the float range; a pbar entry may be
+        # a [re, im] pair of them
+        model = tmp_path / "model.yaml"
+        write_model(model, pbar_x=[0.0, 2.9])
+        key = line.partition(":")[0]
+        doc = yaml.safe_load(model.read_text())
+        model.write_text("".join(f"{k}: {json.dumps(v)}\n" for k, v in doc.items()
+                                 if k != key) + line + "\n")
+        code, out, err = invoke(["reduce", "--model", str(model)])
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
+    def test_model_reads_yaml_1_2_exponents(self, tmp_path):
+        # PyYAML reads a plain 3.8e4 as a string; the model file reads it as
+        # the number YAML 1.2 makes it
+        model = tmp_path / "model.yaml"
+        write_model(model, pbar_x=[0.0, 2.9], delta_z_meV=0.05)
+        code, out, _ = invoke(["reduce", "--model", str(model)])
+        text = model.read_text().replace("38000.0", "3.8e4")
+        assert "mass_meV_ns2_cm2: 3.8e4" in text
+        model.write_text(text)
+        assert invoke(["reduce", "--model", str(model)]) == (code, out, "")
 
     def test_empty_model_lists_missing_keys(self, tmp_path):
         model = tmp_path / "model.yaml"

@@ -124,6 +124,10 @@ class TestLRPhase:
         assert lr_phase(spec, +1, 0.0) == 0.0
         assert lr_phase(spec, -1, 0.0) == 0.0
 
+    @pytest.mark.parametrize("branch", [+1, -1])
+    def test_returns_python_float(self, spec, branch):
+        assert type(lr_phase(spec, branch, spec.design.tf)) is float
+
     def test_branches_opposite(self, spec):
         a_p = lr_phase(spec, +1, 0.8)
         a_m = lr_phase(spec, -1, 0.8)

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from spinflip import (FieldTriple, bloch_to_density, build_heff, ensemble_sweep,
-                      fidelity, fidelity_from_w,
+from spinflip import (DensityTrajectory, FieldTriple, IntegratorError,
+                      bloch_to_density, build_heff, ensemble_sweep, fidelity, fidelity_from_w,
                       perturbative_bound, propagate_bloch, propagate_density,
                       propagate_master, propagate_schrodinger)
 from spinflip.core import IDENTITY2
@@ -502,3 +502,16 @@ class TestParams:
         assert fidelity_from_w(0.0) == pytest.approx(1 / np.sqrt(2))
         # rounding can carry a full flip just past the pole
         assert fidelity_from_w(-1.0 - 4e-16) == 1.0
+
+    @pytest.mark.parametrize("w", [1.0 + 1e-9, -1.0 - 1e-9, np.nan,
+                                   np.array([0.0, -1.0 - 1e-9])],
+                             ids=["above-1", "below-minus-1", "nan", "array"])
+    def test_fidelity_from_w_range_checked(self, w):
+        # more than 1e-12 outside [0, 1] is no rounding: the run went wrong
+        with pytest.raises(IntegratorError, match="outside"):
+            fidelity_from_w(w)
+
+    def test_density_final_fidelity_range_checked(self):
+        rho = np.array([[[1.0 + 1e-9, 0.0], [0.0, -1e-9]]], dtype=complex)
+        with pytest.raises(IntegratorError, match="outside"):
+            DensityTrajectory(times=np.zeros(1), rho=rho).final_fidelity

@@ -21,11 +21,15 @@ ROWS = [
                          ids=["kinds", "non-finite-and-tiny", "three-signatures",
                               "signatures-repeat"])
 def test_csv_matches_field_reference(rows):
-    table = OutputTable(columns=list("abcde"), meta={"seed": 1, "b0_T": 0.15})
-    for row in rows:
-        table.add_row(*row)
+    columns = {name: [row[i] for row in rows] for i, name in enumerate("abcde")}
+    table = OutputTable.of(columns, meta={"seed": 1, "b0_T": 0.15})
     expected = ["# seed: 1", "# b0_T: 0.15", "a,b,c,d,e"]
     expected += [",".join(csv_field(v) for v in row) for row in rows]
     assert table.to_csv() == "\n".join(expected) + "\n"
     assert table.render("csv") == table.to_csv()
+
+
+def test_unequal_columns_rejected():
+    with pytest.raises(ValueError):
+        OutputTable.of({"a": [1.0, 2.0], "b": [3.0]})
 
