@@ -6,7 +6,8 @@ only scalar evaluation on math functions is :func:`_denominator`, the probe
 of the singularity bisection.  The two RK4 equations, Bloch (real 3x3, with
 dephasing and either source-noise channel) and Schrodinger (complex 2x2),
 are linear with coefficients that depend on t alone, so every RK4 step is a
-transfer matrix built from fields evaluated on a block's node grid at once
+transfer matrix built from fields evaluated on a block's node grid at once,
+and a block's states are its prefix products, from a work-efficient scan
 (see :func:`_rk4_linear`).  Matrices are stored as component stacks
 (d, d, n, ...) and multiplied by one elementwise einsum, :func:`_mul`; no
 kernel calls BLAS, so its bits do not depend on the OpenBLAS core.  The one
@@ -53,14 +54,18 @@ NONCANCEL_TOL = 1e-6
 # Size in bytes of the largest array of an RK4 block: its generator on the
 # (d, d, 2L+1, *batch) node grid.  The L-step arrays are half of it, so a
 # block keeps a few hundred KB alive whatever the step count: 909 steps of
-# the real 3x3 Bloch matrix, 1023 of the complex 2x2 spin matrix, 45 of a
-# 20-strength Bloch batch (_block_steps).  A larger budget raises the peak
+# the real 3x3 Bloch matrix, 1023 of the complex 2x2 spin matrix, 302 of a
+# 3-strength Bloch batch (_block_steps).  A larger budget raises the peak
 # RSS of the one-point validations; much less, and the per-call numpy
 # overhead, paid while holding the interpreter lock, starts to dominate the
-# Bloch sweeps.  The Euler-Maruyama byte tables are built BLOCK_BYTES per
-# noise strength at a time: 8 byte rows of 16 KiB, from the nibble tables of
-# those 8 rows alone (16 KiB per strength), so the temporaries stay small.
+# Bloch sweeps.  A larger batch gets fewer steps per block, down to the
+# floor BLOCK_MIN_STEPS: a 20-strength Bloch batch runs 256-step blocks on
+# 0.74 MB of generator nodes, where the budget alone gave it 45 steps.  The
+# Euler-Maruyama byte tables are built BLOCK_BYTES per noise strength at a
+# time: 8 byte rows of 16 KiB, from the nibble tables of those 8 rows alone
+# (16 KiB per strength), so the temporaries stay small.
 BLOCK_BYTES = 1 << 17
+BLOCK_MIN_STEPS = 256
 # Euler-Maruyama steps between renormalizations of the states, whole byte
 # rows.  The step is linear, so rescaling does not move |psi_1| / |psi| in
 # exact arithmetic; the norms drift only by O(dt) factors per step.
@@ -143,10 +148,25 @@ def _mul(a, b):
     return np.einsum("ik...,kj...->ij...", a, b)
 
 
+def _prefix_products(m):
+    """The prefix products M_j ... M_0 of a (d, d, L, ...) stack along its
+    third axis, in place: the pair products M_{2i+1} M_{2i}, their prefix
+    products by the same rule (the odd positions), then M_{2i} times the
+    prefix product at 2i - 1 (the even ones).  About 2L products in about
+    2 log2 L calls, where a Hillis-Steele scan takes L log2 L."""
+    n = m.shape[2]
+    if n > 1:
+        pairs = _prefix_products(_mul(m[:, :, 1::2], m[:, :, :n - 1:2]))
+        m[:, :, 2::2] = _mul(m[:, :, 2::2], pairs[:, :, :(n - 1) // 2])
+        m[:, :, 1::2] = pairs
+    return m
+
+
 def _block_steps(y):
     """Steps per RK4 block for the (d, *batch) state y: as many as keep the
-    block's (d, d, 2L+1, *batch) generator nodes within BLOCK_BYTES."""
-    return max(1, (BLOCK_BYTES // (y.itemsize * y.size * len(y)) - 1) // 2)
+    block's (d, d, 2L+1, *batch) generator nodes within BLOCK_BYTES, and
+    at least BLOCK_MIN_STEPS."""
+    return max(BLOCK_MIN_STEPS, (BLOCK_BYTES // (y.itemsize * y.size * len(y)) - 1) // 2)
 
 
 def _rk4_linear(gen, y0, tf, steps, normalize=False, final=False):
@@ -162,16 +182,16 @@ def _rk4_linear(gen, y0, tf, steps, normalize=False, final=False):
     gen(t) returns A at n times as (d, d, n, *batch), and each product is one
     _mul over a stack.  A block of L = _block_steps(y) steps evaluates gen
     once, on its 2L+1 nodes j dt/2 (step k's A4 is step k+1's A1).  Inside a
-    block the prefix products M_j ... M_0 come from a Hillis-Steele scan
-    (log2 L rounds); the block's last state seeds the next block.
+    block the prefix products M_j ... M_0 come from _prefix_products (about
+    2L products); the block's last state seeds the next block.
 
     With normalize (batch () only), every state is divided by its norm, as a
     loop that renormalizes after each step does, and the largest one-step
     |norm - 1| (the ratio of successive norms) is returned as the drift with
     the (steps + 1, *batch, d) trajectory.  With final, a block's product is
-    formed pairwise (half the scan's products), and the final state alone is
-    returned; normalize divides only it by its norm.  A drift that was not
-    measured, with final or without normalize, is NaN.
+    formed pairwise (about L products, half the scan's), and the final state
+    alone is returned; normalize divides only it by its norm.  A drift that
+    was not measured, with final or without normalize, is NaN.
     """
     y = np.moveaxis(y0, -1, 0)
     traj = None if final else np.empty((steps + 1,) + y0.shape, dtype=y.dtype)
@@ -199,11 +219,7 @@ def _rk4_linear(gen, y0, tf, steps, normalize=False, final=False):
                     m = _mul(m[:, :, 1::2], m[:, :, ::2])
                 y = _mul(m[:, :, 0], y[:, None])[:, 0]
                 continue
-            span = 1
-            while span < stop - start:
-                m[:, :, span:] = _mul(m[:, :, span:], m[:, :, :-span])
-                span *= 2
-            ys = _mul(m, y[:, None, None])[:, 0]
+            ys = _mul(_prefix_products(m), y[:, None, None])[:, 0]
         if normalize:
             norms = np.linalg.norm(ys, axis=0)
             ratios = norms / np.concatenate(([1.0], norms[:-1]))

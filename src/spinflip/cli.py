@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import copy
+import functools
 import json
 import math
 import numbers
@@ -361,7 +362,10 @@ def cmd_reduce(config: dict, args) -> int:
         "abs_error_meV": np.abs(eig_eff - eig_full).tolist()}, meta)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first call and shared after it:
+    parse_args keeps no state between calls."""
     parser = argparse.ArgumentParser(
         prog="spinflip",
         description="Design and validate electric-field spin-flip pulses "

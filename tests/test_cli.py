@@ -1,3 +1,4 @@
+import argparse
 import io
 import json
 import subprocess
@@ -703,6 +704,34 @@ class TestEntryPoints:
             capture_output=True, text=True, timeout=300)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "False"
+
+    def test_parser_built_once_and_stateless(self, monkeypatch):
+        # main builds its parser on the first call only; a parse that fails
+        # part-way, an option given once and a seed given once must not reach
+        # a later call, whose output equals the command's own fresh process
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+        cli.build_parser.cache_clear()
+        mc = ["sweep", "--axis", "lambda0_sq", "--grid", "0.01,0.04", "--mc",
+              "--n-traj", "16", "--steps", "1000"]
+        code, out, _ = invoke(mc + ["--seed", "9", "--n-traj", "x"])
+        assert code == 2 and out == "" and built
+        runs = [["simulate", "--epsilon", "0.01", "--phi0", "0"], ["simulate"],
+                mc + ["--seed", "5"], mc]
+        for argv in runs:
+            del built[:]
+            code, out, err = invoke(argv)
+            assert code == 0 and not built, (argv, err)
+            fresh = subprocess.run([sys.executable, "-m", "spinflip", *argv],
+                                   capture_output=True, text=True, timeout=300)
+            assert fresh.returncode == 0, fresh.stderr
+            assert out == fresh.stdout, argv
 
     def test_version_flag(self):
         code, out, _ = invoke(["--version"])

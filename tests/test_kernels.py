@@ -7,8 +7,9 @@ propagator, and the density matrix run on its Bloch vector, must stay
 within 1e-12 of a step-by-step RK4 loop written here
 over the reference right-hand sides in ``tests/oracles.py`` and
 :func:`spinflip.build_heff`, at step counts below one scan block and across
-a block boundary that is not a block multiple; the final-only path must
-equal the scan's last state within 1e-14, and no RK4 bit may move when
+a block boundary that is not a block multiple; the scan's prefix products
+must equal sequential products within 1e-14 relative, the final-only path
+must equal the scan's last state within 1e-14, and no RK4 bit may move when
 numpy loads another OpenBLAS core, nor may a bit of the design's cubics or
 of a design table.  The Euler-Maruyama kernel,
 its increment bytes handed over in the program's blocks, must stay within
@@ -255,6 +256,28 @@ BLOCK_BLOCH, BLOCK_SPIN, BLOCK_BATCH20 = (
 # several blocks
 FINAL_STEPS = sorted({1, 3, 7, 1023, 1024, 1025, 1819, 1820, 1821, 5001}
                      | {b + e for b in (BLOCK_BLOCH, BLOCK_SPIN) for e in (-1, 0, 1)})
+
+
+@pytest.mark.parametrize("d, dtype", [(3, float), (2, complex)], ids=["real3", "complex2"])
+@pytest.mark.parametrize("batch", [(), (20,)], ids=["one", "batch20"])
+def test_prefix_products_equal_sequential_products(d, dtype, batch):
+    # random rotations (orthogonal 3x3, unitary 2x2), as RK4 transfer
+    # matrices nearly are; short stacks, odd and even, and a scan block +- 1
+    rng = np.random.default_rng(3)
+    block = K._block_steps(np.empty((d,) + batch, dtype))
+    for n in (1, 2, 3, 4, 5, 8, 9, block - 1, block, block + 1):
+        shape = batch + (n, d, d)
+        a = rng.normal(size=shape)
+        if dtype is complex:
+            a = a + 1j * rng.normal(size=shape)
+        q = np.linalg.qr(a)[0]
+        ref = q.copy()
+        for j in range(1, n):
+            ref[..., j, :, :] = q[..., j, :, :] @ ref[..., j - 1, :, :]
+        stack = np.moveaxis(q, (-2, -1, -3), (0, 1, 2))  # (d, d, n, *batch)
+        got = np.moveaxis(K._prefix_products(stack.copy()), (0, 1, 2), (-2, -1, -3))
+        err = np.linalg.norm(got - ref, axis=(-2, -1))
+        assert (err <= 1e-14 * np.linalg.norm(ref, axis=(-2, -1))).all(), n
 
 
 def test_rk4_final_equals_scan_last_state(args, pref):
