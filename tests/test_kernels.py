@@ -296,11 +296,11 @@ def test_rk4_final_equals_scan_last_state(args, pref):
             assert np.abs(final - scan[-1]).max() < 1e-14, (steps, channel)
 
 
-@pytest.mark.parametrize("steps", [1, 7, 90, 91, 92, 1821]
-                         + [BLOCK_BATCH20 + e for e in (-1, 0, 1)])
+@pytest.mark.parametrize("steps", sorted({1, 7, 44, 45, 46, 90, 91, 92, 1821}
+                                          | {BLOCK_BATCH20 + e for e in (-1, 0, 1)}))
 def test_rk4_bloch_batch_rows_equal_scalar_runs(args, steps):
-    # a scan block of 20 strengths +- 1, and the edges of an earlier block
-    # rule (91 steps); each row is its own scalar run
+    # a scan block of 20 strengths +- 1, and the edges of earlier block
+    # rules (91 and 45 steps); each row is its own scalar run
     r0 = np.array([0.3, -0.2, 0.9])
     lam2 = np.linspace(0.0, 2.0 * LAM2, 20)
     for channel in (None, "as-printed", "x-only"):
