@@ -24,11 +24,11 @@ along that long axis, and a last byte of p < 8 steps gets its 2^p-entry
 table the same way.  States are rescaled every RENORM_EVERY steps of the
 global step index, and only the final fidelities are returned.
 
-Angle cubics enter as raw coefficient arrays (rad/ns^j); material parameters
-as scalars; the Bloch noise channel by name, or None for no noise.  Error
-signalling is NaN poisoning: a non-cancellable field-synthesis singularity
-yields NaN fields, which wrappers in :mod:`spinflip.fields` and the
-propagator modules convert to typed errors.
+Every field and propagator kernel takes the TrajectoryDesign first and reads
+its cubics (rad/ns^j), tf, B0 and material; the Bloch noise channel comes by
+name, or None for no noise.  Error signalling is NaN poisoning: a
+non-cancellable field-synthesis singularity yields NaN fields, which wrappers
+in :mod:`spinflip.fields` and the propagator modules convert to typed errors.
 
 Numerical guards (times in units of tf):
   EDGE_FRAC   open-interval clamp; inside it the exact B1 = B2 = 0 endpoint
@@ -45,6 +45,8 @@ import functools
 import math
 
 import numpy as np
+
+from .constants import HBAR, MU_B
 
 EDGE_FRAC = 1e-6
 DEN_GUARD = 1e-6
@@ -80,7 +82,7 @@ def dpoly3(c, t):
     return (3.0 * c[3] * t + 2.0 * c[2]) * t + c[1]
 
 
-def field_parts(t, tc, pc, b0, alpha, beta, eta):
+def field_parts(design, t):
     """Numerators of B1, B2, the shared denominator factor (no eta, no xi)
     and the numerators' scale, at a time or an array of times.
 
@@ -89,36 +91,39 @@ def field_parts(t, tc, pc, b0, alpha, beta, eta):
     scale = |beta thetad| + |beta (phid + eta B0)|, which the numerators at
     a root of d0 must be small against to cancel.
     """
+    tc, pc, m = design.theta.coeffs, design.phi.coeffs, design.mat
+    alpha, beta = m.alpha, m.beta
     th = poly3(tc, t)
     ph = poly3(pc, t)
     cot, sph, cph = np.cos(th) / np.sin(th), np.sin(ph), np.cos(ph)
-    thd, drive = dpoly3(tc, t), dpoly3(pc, t) + eta * b0
+    thd, drive = dpoly3(tc, t), dpoly3(pc, t) + m.eta * design.b0
     n1 = -beta * thd * cot * cph + beta * drive * sph
     n2 = alpha * thd * cot * sph + alpha * drive * cph - beta * thd
     d0 = alpha * cot - beta * sph
     return n1, n2, d0, np.abs(beta * thd) + np.abs(beta * drive)
 
 
-def b1_b2(ts, tc, pc, tf, b0, alpha, beta, eta, xi_x, xi_y):
+def b1_b2(design, ts, xi=True):
     """Effective drive fields (B1, B2) in T at an array of times.
 
     Points inside the endpoint clamp get the exact zero limits.  Points
     inside the denominator guard window get the L'Hopital value, or NaN
-    when their numerators do not cancel.
+    when their numerators do not cancel.  xi=False drops the xi factors.
     """
     ts = np.asarray(ts, dtype=float)
-    fx, fy = eta * (1.0 + xi_x), eta * (1.0 + xi_y)
+    m, tf = design.mat, design.tf
+    fx, fy = (m.eta * (1.0 + m.xi_x), m.eta * (1.0 + m.xi_y)) if xi else (m.eta, m.eta)
     edge = EDGE_FRAC * tf
     inside = (ts >= edge) & (ts <= tf - edge)
     with np.errstate(all="ignore"):
-        n1, n2, d0, scale = field_parts(ts, tc, pc, b0, alpha, beta, eta)
+        n1, n2, d0, scale = field_parts(design, ts)
         b1 = np.where(inside, n1 / (fx * d0), 0.0)
         b2 = np.where(inside, n2 / (fy * d0), 0.0)
-        guard = np.flatnonzero(inside & (np.abs(d0) < DEN_GUARD * alpha))
+        guard = np.flatnonzero(inside & (np.abs(d0) < DEN_GUARD * m.alpha))
         if guard.size:
             t, h = ts[guard], LHOP_STEP * tf
-            n1p, n2p, d0p, _ = field_parts(t + h, tc, pc, b0, alpha, beta, eta)
-            n1m, n2m, d0m, _ = field_parts(t - h, tc, pc, b0, alpha, beta, eta)
+            n1p, n2p, d0p, _ = field_parts(design, t + h)
+            n1m, n2m, d0m, _ = field_parts(design, t - h)
             dd = d0p - d0m
             tol = NONCANCEL_TOL * scale[guard]
             bad = (np.abs(n1[guard]) > tol) | (np.abs(n2[guard]) > tol) | (dd == 0.0)
@@ -127,9 +132,9 @@ def b1_b2(ts, tc, pc, tf, b0, alpha, beta, eta, xi_x, xi_y):
     return b1, b2
 
 
-def _xyz(ts, tc, pc, tf, b0, alpha, beta, eta):
-    b1, b2 = b1_b2(ts, tc, pc, tf, b0, alpha, beta, eta, 0.0, 0.0)
-    return b2, (alpha / beta) * b1, b0 + b1
+def _xyz(design, ts):
+    b1, b2 = b1_b2(design, ts, xi=False)
+    return b2, (design.mat.alpha / design.mat.beta) * b1, design.b0 + b1
 
 
 def _denominator(t, tc, pc, alpha, beta):
@@ -138,9 +143,9 @@ def _denominator(t, tc, pc, alpha, beta):
     return alpha * math.cos(th) / math.sin(th) - beta * math.sin(poly3(pc, t))
 
 
-def denominator_grid(ts, tc, pc, alpha, beta):
-    th = poly3(tc, ts)
-    return alpha * np.cos(th) / np.sin(th) - beta * np.sin(poly3(pc, ts))
+def denominator_grid(design, ts):
+    th, m = poly3(design.theta.coeffs, ts), design.mat
+    return m.alpha * np.cos(th) / np.sin(th) - m.beta * np.sin(poly3(design.phi.coeffs, ts))
 
 
 def _mul(a, b):
@@ -233,29 +238,29 @@ def _rk4_linear(gen, y0, tf, steps, normalize=False, final=False):
     return traj, drift
 
 
-def _spin_generator(x, y, z, pref, hbar):
-    """A = -(i/hbar) pref [[Z, X+iY], [X-iY, -Z]] per entry of the field arrays,
-    a complex (2, 2, *fields) stack: [[i w, -v + i u], [v + i u, -i w]] with
-    (u, v, w) = -(pref/hbar) (X, Y, Z)."""
-    c = -1.0 / hbar
+def _spin_generator(x, y, z, mat):
+    """A = -(i/hbar) pref [[Z, X+iY], [X-iY, -Z]], pref = g mu_B / 2 of mat, per
+    entry of the field arrays, a complex (2, 2, *fields) stack: [[i w, -v + i u],
+    [v + i u, -i w]] with (u, v, w) = -(pref/hbar) (X, Y, Z)."""
+    c, pref = -1.0 / HBAR, 0.5 * mat.g * MU_B
     u, v, w = (c * (pref * np.asarray(f, dtype=float)) for f in (x, y, z))
     return np.array([[1j * w, -v + 1j * u], [v + 1j * u, -1j * w]])
 
 
-def rk4_spin(tc, pc, tf, b0, alpha, beta, eta, pref, hbar, psi0, steps, final=False):
+def rk4_spin(design, psi0, steps, final=False):
     """RK4 Schrodinger propagation under the synthesized fields.
 
-    pref = g mu_B / 2 (meV/T).  States are renormalized each step; the
-    maximum pre-renormalization drift |norm - 1| is returned alongside the
-    (steps+1, 2) complex trajectory, or with final the (2,) final state.
+    States are renormalized each step; the maximum pre-renormalization drift
+    |norm - 1| is returned alongside the (steps+1, 2) complex trajectory, or
+    with final the (2,) final state.
     """
     def gen(t):
-        return _spin_generator(*_xyz(t, tc, pc, tf, b0, alpha, beta, eta), pref, hbar)
-    return _rk4_linear(gen, np.asarray(psi0, dtype=complex), tf, steps,
+        return _spin_generator(*_xyz(design, t), design.mat)
+    return _rk4_linear(gen, np.asarray(psi0, dtype=complex), design.tf, steps,
                        normalize=True, final=final)
 
 
-def rk4_bloch(tc, pc, tf, b0, alpha, beta, eta, gamma, lam2, channel, r0, steps, final=False):
+def rk4_bloch(design, gamma, lam2, channel, r0, steps, final=False):
     """RK4 Bloch propagation: dephasing at rate gamma plus source-noise decay
     -(lam2 eta^2/2)(|a|^2 I - a a^T), Z' = Z - B0.  channel None has none;
     "as-printed" keeps the diagonal of it with a = (X, Y, Z'); "x-only" is
@@ -266,15 +271,16 @@ def rk4_bloch(tc, pc, tf, b0, alpha, beta, eta, gamma, lam2, channel, r0, steps,
     strengths in one batch: (steps+1, G, 3) or (G, 3).
     """
     def gen(t):
+        eta = design.mat.eta
         x, y, z = (f.reshape((-1,) + (1,) * np.ndim(lam2))  # to broadcast against lam2
-                   for f in _xyz(t, tc, pc, tf, b0, alpha, beta, eta))
+                   for f in _xyz(design, t))
         a = np.empty((3, 3, len(t)) + np.shape(lam2))
         a[0, 1], a[0, 2] = eta * z, -eta * y
         a[1, 0], a[1, 2] = -eta * z, eta * x
         a[2, 0], a[2, 1] = eta * y, -eta * x
         rates = (0.0,) * 3
         if channel is not None:
-            zp = z - b0
+            zp = z - design.b0
             ke = 0.5 * lam2 * eta * eta
             if channel == "as-printed":
                 rates = (ke * (y * y + zp * zp), ke * (x * x + zp * zp),
@@ -287,17 +293,18 @@ def rk4_bloch(tc, pc, tf, b0, alpha, beta, eta, gamma, lam2, channel, r0, steps,
             a[i, i] = -4.0 * gamma - rate
         return a
     r0 = np.broadcast_to(np.asarray(r0, dtype=float), np.shape(lam2) + (3,))
-    return _rk4_linear(gen, r0, tf, steps, final=final)
+    return _rk4_linear(gen, r0, design.tf, steps, final=final)
 
 
-def _em_matrices(x, y, z, b0, pref, hbar, lam, dt):
+def _em_matrices(x, y, z, b0, mat, lam, dt):
     """em_final's M = D -+ sqrt(dt) S from rk4_spin's complex generators, for
     (k, n) field arrays (step k of n groups of steps): a (k, 2, 2, 2, n G)
     stack of row, column and bit, with the group-major batch innermost."""
     a, s = (np.moveaxis(g, 2, 0)[:, :, :, None, :, None]
-            for g in (_spin_generator(x, y, z, pref, hbar),
-                      _spin_generator(np.zeros_like(y), y, z - b0, pref, hbar)))
-    decay = 1.0 - 0.5 * dt * (pref / hbar) ** 2 * ((y * y + (z - b0) ** 2)[..., None] * (lam * lam))
+            for g in (_spin_generator(x, y, z, mat),
+                      _spin_generator(np.zeros_like(y), y, z - b0, mat)))
+    decay = 1.0 - 0.5 * dt * (0.5 * mat.g * MU_B / HBAR) ** 2 * (
+        (y * y + (z - b0) ** 2)[..., None] * (lam * lam))
     m = (np.eye(2)[:, :, None, None, None] * decay[:, None, None, None] + dt * a
          + (np.sqrt(dt) * lam * np.array([-1.0, 1.0])[:, None])[:, None] * s)
     return m.reshape(m.shape[:4] + (m.shape[4] * m.shape[5],))
@@ -343,7 +350,7 @@ def _byte_tables(mats, fields, rows, tabs, idx):
         yield np.moveaxis(_products(mats(*(f[8 * whole:, None] for f in fields))), 2, -1), idx[0]
 
 
-def em_final(tc, pc, tf, b0, alpha, beta, eta, pref, hbar, lams, psi0, bits, steps):
+def em_final(design, lams, psi0, bits, steps):
     """Final fidelities |psi_1(tf)| of Euler-Maruyama ensembles under the
     x-only noise operator, a (len(lams), n_traj) array: one row per noise
     strength, every trajectory in lock step on the same increments.
@@ -354,15 +361,15 @@ def em_final(tc, pc, tf, b0, alpha, beta, eta, pref, hbar, lams, psi0, bits, ste
 
         D = (1 - kappa lam^2 dt / 2) I - (i dt / hbar) H,   S = -(i lam / hbar) H',
 
-    H' = H(0, Y, Z') and kappa = (pref/hbar)^2 (Y^2 + Z'^2), since
-    H'^2 = pref^2 (Y^2 + Z'^2) I.  A byte applies its table entry
+    H' = H(0, Y, Z') and kappa = (pref/hbar)^2 (Y^2 + Z'^2), pref = g mu_B / 2,
+    since H'^2 = pref^2 (Y^2 + Z'^2) I.  A byte applies its table entry
     M_7 ... M_0 of M = D +- sqrt(dt) S: the same 8 steps, reassociated.
     All arithmetic is elementwise, so each row equals its one-strength run,
     each trajectory its run alone, and any blocking gives the same bits.
     """
     lam = np.asarray(lams, dtype=float)
-    dt = tf / steps
-    mats = functools.partial(_em_matrices, b0=b0, pref=pref, hbar=hbar, lam=lam, dt=dt)
+    dt = design.tf / steps
+    mats = functools.partial(_em_matrices, b0=design.b0, mat=design.mat, lam=lam, dt=dt)
     done = 0
     for block in bits:
         if done == 0:  # buffers for the whole call
@@ -372,7 +379,7 @@ def em_final(tc, pc, tf, b0, alpha, beta, eta, pref, hbar, lams, psi0, bits, ste
             idx = np.empty((BLOCK_BYTES // (256 * 4 * 16), shape[2]), dtype=np.intp)
             tabs = np.empty((2, len(idx), 2, 2, lam.size, 16, 16), dtype=complex)
         ts = np.arange(8 * done, min(8 * (done + len(block)), steps)) * dt
-        fields = _xyz(ts, tc, pc, tf, b0, alpha, beta, eta)
+        fields = _xyz(design, ts)
         for k, (table, index) in enumerate(_byte_tables(mats, fields, block, tabs, idx), done + 1):
             np.take(table, index, axis=-1, out=entry, mode="clip")  # "raise" buffers out
             np.multiply(entry, psi, out=entry)

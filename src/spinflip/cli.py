@@ -217,7 +217,7 @@ def cmd_design(config: dict, args) -> int:
             f"tf={design.tf} ns; B0_max ~ {hint}\n")
         return EXIT_SINGULARITY
     t, b1, b2, ex, ey = sample_fields(design, config["control"]["samples"], report)
-    theta, phi = (poly3(c, t) for c in design.kernel_args()[:2])
+    theta, phi = (poly3(c.coeffs, t) for c in (design.theta, design.phi))
     names = ("t_ns", "theta_rad", "phi_rad", "B1_T", "B2_T", "Ex_V_per_cm", "Ey_V_per_cm")
     return _emit(config, args, {name: col.tolist() for name, col in
                                 zip(names, (t, theta, phi, b1, b2, ex, ey))})

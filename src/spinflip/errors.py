@@ -10,14 +10,11 @@ class SingularityError(RuntimeError):
     so callers can report how far the design is from a removable singularity.
     """
 
-    def __init__(self, t: float, residual: float, message: str | None = None):
+    def __init__(self, t: float, residual: float):
         self.t = t
         self.residual = residual
-        super().__init__(
-            message
-            or f"non-cancellable singularity at t={t:.9g} ns "
-            f"(numerator residual {residual:.3e} T rad/ns)"
-        )
+        super().__init__(f"non-cancellable singularity at t={t:.9g} ns "
+                         f"(numerator residual {residual:.3e} T rad/ns)")
 
 
 class IntegratorError(RuntimeError):

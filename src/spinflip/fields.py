@@ -55,12 +55,12 @@ class SingularityReport:
         return len(self.times) == 1 and self.all_cancellable
 
 
-def _at(design: TrajectoryDesign, t: float, kernel, *extra) -> tuple[float, ...]:
-    """kernel's arrays at the one time t in [0, tf], as floats; SingularityError
-    on NaN."""
+def _at(design: TrajectoryDesign, t: float, kernel) -> tuple[float, ...]:
+    """kernel(design, ts)'s arrays at the one time t in [0, tf], as floats;
+    SingularityError on NaN."""
     if not 0.0 <= t <= design.tf:
         raise ValueError(f"t={t} outside [0, {design.tf}]")
-    values = kernel(np.array([t], dtype=float), *design.kernel_args(), *extra)
+    values = kernel(design, np.array([t], dtype=float))
     if np.isnan(values).any():
         raise SingularityError(t, verify_cancellation(design, t))
     return tuple(float(v[0]) for v in values)
@@ -72,7 +72,7 @@ def effective_fields(design: TrajectoryDesign, t: float) -> tuple[float, float]:
     Raises SingularityError when t falls in the guard window of a
     denominator zero whose numerators do not cancel.
     """
-    return _at(design, t, K.b1_b2, design.mat.xi_x, design.mat.xi_y)
+    return _at(design, t, K.b1_b2)
 
 
 def fields_xyz_at(design: TrajectoryDesign, t: float) -> FieldTriple:
@@ -91,15 +91,14 @@ def _electric_stencil(design: TrajectoryDesign, ts: np.ndarray):
     Both central differences, at t +- h and t +- h/2, come from one field
     evaluation on all stencil points; the first failing sample raises.
     """
-    tc, pc, tf, b0, al, be, eta = design.kernel_args()
+    tf, mat = design.tf, design.mat
     edge = E_EDGE_FRAC * tf
     ts = np.clip(ts, edge, tf - edge)
-    pref_x = design.mat.g * MU_B / (2.0 * be) * MEV_PER_E_CM_TO_V_PER_CM
-    pref_y = design.mat.g * MU_B / (2.0 * al) * MEV_PER_E_CM_TO_V_PER_CM
+    pref_x = mat.g * MU_B / (2.0 * mat.beta) * MEV_PER_E_CM_TO_V_PER_CM
+    pref_y = mat.g * MU_B / (2.0 * mat.alpha) * MEV_PER_E_CM_TO_V_PER_CM
     h = E_STEP_FRAC * tf
     offsets = (h, -h, 0.5 * h, -0.5 * h)
-    b = np.stack(K.b1_b2(np.concatenate([ts + s for s in offsets]), tc, pc, tf, b0,
-                          al, be, eta, design.mat.xi_x, design.mat.xi_y)).reshape(2, 4, -1)
+    b = np.stack(K.b1_b2(design, np.concatenate([ts + s for s in offsets]))).reshape(2, 4, -1)
     # coarse (step h) and fine (step h/2) estimates of dB1/dt and dB2/dt
     coarse = (b[:, 0] - b[:, 1]) / (2.0 * h)
     fine = (b[:, 2] - b[:, 3]) / (2.0 * (0.5 * h))
@@ -127,10 +126,7 @@ def electric_fields(design: TrajectoryDesign, t: float) -> tuple[float, float]:
     differences raise SingularityError; the step-halved estimate must agree
     to 1e-4 relative, else IntegratorError.
     """
-    if not 0.0 <= t <= design.tf:
-        raise ValueError(f"t={t} outside [0, {design.tf}]")
-    ex, ey = _electric_stencil(design, np.array([t], dtype=float))
-    return float(ex[0]), float(ey[0])
+    return _at(design, t, _electric_stencil)
 
 
 def sample_fields(design: TrajectoryDesign, samples: int,
@@ -143,9 +139,8 @@ def sample_fields(design: TrajectoryDesign, samples: int,
     read from report, the design's own scan, when the caller has one.
     """
     require_cancellable(design, report)
-    tc, pc, tf, b0, al, be, eta = design.kernel_args()
-    ts = np.linspace(0.0, tf, samples)
-    b1, b2 = K.b1_b2(ts, tc, pc, tf, b0, al, be, eta, design.mat.xi_x, design.mat.xi_y)
+    ts = np.linspace(0.0, design.tf, samples)
+    b1, b2 = K.b1_b2(design, ts)
     return (ts, b1, b2, *_electric_stencil(design, ts))
 
 
@@ -155,14 +150,12 @@ def verify_cancellation(design: TrajectoryDesign, ts: float) -> float:
     The root is cancellable when the residual is below
     CANCEL_REL_TOL * cancellation_scale(design, ts).
     """
-    tc, pc, tf, b0, al, be, eta = design.kernel_args()
-    n1, n2, _, _ = K.field_parts(ts, tc, pc, b0, al, be, eta)
+    n1, n2, _, _ = K.field_parts(design, ts)
     return float(max(abs(n1), abs(n2)))
 
 
 def cancellation_scale(design: TrajectoryDesign, ts: float) -> float:
-    tc, pc, tf, b0, al, be, eta = design.kernel_args()
-    return float(K.field_parts(ts, tc, pc, b0, al, be, eta)[3])
+    return float(K.field_parts(design, ts)[3])
 
 
 def detect_singularities(design: TrajectoryDesign, grid: int = 1001) -> SingularityReport:
@@ -174,21 +167,20 @@ def detect_singularities(design: TrajectoryDesign, grid: int = 1001) -> Singular
     """
     if grid < 100:
         raise ValueError(f"grid must be >= 100, got {grid}")
-    tc, pc, tf, b0, al, be, eta = design.kernel_args()
+    tf, al, be = design.tf, design.mat.alpha, design.mat.beta
+    tc, pc = design.theta.coeffs, design.phi.coeffs
     eps = K.EDGE_FRAC * tf
     ts = np.linspace(eps, tf - eps, grid)
-    fv = K.denominator_grid(ts, tc, pc, al, be)
+    fv = K.denominator_grid(design, ts)
 
     roots = [tf / 2.0] + [float(ts[i]) for i in np.flatnonzero(fv[:-1] == 0.0)]
     tol = ROOT_ABS_TOL * al
-    # the probes run on Python floats: same values, a third of the cost
-    tcl, pcl = tc.tolist(), pc.tolist()
     for i in np.flatnonzero(fv[:-1] * fv[1:] < 0.0):
         a, b = float(ts[i]), float(ts[i + 1])
         fa = fv[i]
         for _ in range(100):
             m = 0.5 * (a + b)
-            fm = K._denominator(m, tcl, pcl, al, be)
+            fm = K._denominator(m, tc, pc, al, be)
             if abs(fm) < tol or m == a or m == b:
                 a = b = m
                 break
@@ -203,7 +195,7 @@ def detect_singularities(design: TrajectoryDesign, grid: int = 1001) -> Singular
         if not merged or abs(r - merged[-1]) > 1e-6 * tf:
             merged.append(r)
     # one float per call: a one-point array costs eight times the overhead
-    parts = [K.field_parts(r, tcl, pcl, b0, al, be, eta) for r in merged]
+    parts = [K.field_parts(design, r) for r in merged]
     residuals = tuple(float(max(abs(n1), abs(n2))) for n1, n2, _, _ in parts)
     cancellable = tuple(res < CANCEL_REL_TOL * p[3] for res, p in zip(residuals, parts))
     return SingularityReport(times=tuple(merged), cancellable=cancellable,

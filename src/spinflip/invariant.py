@@ -127,12 +127,12 @@ def lr_phase(spec: InvariantSpec, branch: int, t: float, nodes: int = 1001) -> f
         raise ValueError("nodes must be >= 3")
     if nodes % 2 == 0:
         nodes += 1
-    tc, pc, tf, b0, al, be, eta = design.kernel_args()
+    tc, pc, eta = design.theta.coeffs, design.phi.coeffs, design.mat.eta
 
     def quad(n: int) -> float:
         # d(alpha_plus)/dt on the nodes; the minus branch is its negative
         ts = np.linspace(0.0, t, n)
-        x, y, z = K._xyz(ts, tc, pc, tf, b0, al, be, eta)
+        x, y, z = K._xyz(design, ts)
         bad = np.flatnonzero(~(np.isfinite(x) & np.isfinite(y) & np.isfinite(z)))
         if bad.size:
             t_bad = float(ts[bad[0]])
@@ -164,15 +164,14 @@ def _unit_state(psi0: np.ndarray) -> np.ndarray:
 
 def run_gated(design: TrajectoryDesign, kernel, args: tuple, steps: int,
               scan: bool = False) -> Propagation:
-    """Run kernel(*design.kernel_args(), *args, n, final=...), which returns
+    """Run kernel(design, *args, n, final=...), which returns
     (states, drift), at n = steps (the whole trajectory with scan, else the
     final state) and final-only at 2 steps, and gate the pair: the one gated
     path.  steps >= MIN_GATED_STEPS and the singularity scan come first."""
     check_steps(steps, MIN_GATED_STEPS)
     require_cancellable(design)
-    kargs = (*design.kernel_args(), *args)
-    states, drift = kernel(*kargs, steps, final=not scan)
-    fine, _ = kernel(*kargs, 2 * steps, final=True)
+    states, drift = kernel(design, *args, steps, final=not scan)
+    fine, _ = kernel(design, *args, 2 * steps, final=True)
     delta = gate(states[-1] if scan else states, fine)
     return Propagation(times=np.linspace(0.0, design.tf, steps + 1), states=states,
                        steps=steps, max_norm_drift=float(drift), gate_delta=delta)
@@ -186,8 +185,7 @@ def propagate_schrodinger(design: TrajectoryDesign, psi0: np.ndarray,
     move the final state by less than 1e-8, else IntegratorError.  A design
     above the B0 limit raises SingularityError before propagating.
     """
-    return run_gated(design, K.rk4_spin,
-                     (0.5 * design.mat.g * MU_B, HBAR, _unit_state(psi0)), steps, scan=True)
+    return run_gated(design, K.rk4_spin, (_unit_state(psi0),), steps, scan=True)
 
 
 def propagate_constant(fields: FieldTriple, design_or_mat, psi0: np.ndarray,
@@ -205,7 +203,7 @@ def propagate_constant(fields: FieldTriple, design_or_mat, psi0: np.ndarray,
         raise ValueError(f"tf must be finite and positive, got {tf}")
     psi0 = _unit_state(psi0)
     mat = getattr(design_or_mat, "mat", design_or_mat)
-    a = K._spin_generator(*fields, 0.5 * mat.g * MU_B, HBAR)[:, :, None]
+    a = K._spin_generator(*fields, mat)[:, :, None]
     traj, drift = K._rk4_linear(lambda t: np.broadcast_to(a, (2, 2, len(t))), psi0, tf,
                                 steps, normalize=True)
     times = np.linspace(0.0, tf, steps + 1)

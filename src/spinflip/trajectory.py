@@ -41,16 +41,13 @@ class CubicPolynomial:
     def deriv(self, t: float) -> float:
         return dpoly3(self.coeffs, self._check(t))
 
-    def coeff_array(self) -> np.ndarray:
-        return np.asarray(self.coeffs, dtype=float)
-
 
 def _rescale(c_norm: np.ndarray, tf: float) -> tuple[float, float, float, float]:
-    """Coefficients of p(s), s = t/tf, as coefficients of p(t); ValueError
-    when one is not finite (tf so small that tf^3 underflows or c / tf^3
-    overflows)."""
+    """Coefficients of p(s), s = t/tf, in ns powers, as Python floats (the scalar
+    bisection probes run a third faster on them); ValueError when one is not
+    finite (tf so small that tf^3 underflows or c / tf^3 overflows)."""
     with np.errstate(all="ignore"):
-        c = tuple(c_norm[j] / tf**j for j in range(4))
+        c = tuple(float(c_norm[j] / tf**j) for j in range(4))
     if not np.isfinite(c).all():
         raise ValueError(f"tf={tf} ns is too small: the cubic's coefficients in ns "
                          f"powers are not finite")
@@ -95,13 +92,6 @@ class TrajectoryDesign:
     def design(cls, tf: float, b0: float, mat: MaterialParams) -> "TrajectoryDesign":
         return cls(theta=solve_theta(tf), phi=solve_phi(tf, b0, mat),
                    tf=tf, b0=b0, mat=mat)
-
-    def kernel_args(self) -> tuple:
-        """(theta coeffs, phi coeffs, tf, B0, alpha, beta, eta): the design
-        arguments of the field kernels and propagators in _kernels."""
-        m = self.mat
-        return (self.theta.coeff_array(), self.phi.coeff_array(), self.tf,
-                self.b0, m.alpha, m.beta, m.eta)
 
     def boundary_residuals(self) -> np.ndarray:
         """The eight boundary-condition residuals, in imposition order."""

@@ -17,8 +17,8 @@ def electric_reference(design, samples):
     """(Ex, Ey) on the sample grid by per-point central differences (step
     h/2) over the per-point oracles.b1_b2_at: the oracle for the vectorized
     stencil."""
-    tc, pc, tf, b0, al, be, eta = design.kernel_args()
-    xi = (design.mat.xi_x, design.mat.xi_y)
+    tc, pc, tf, b0, m = design.theta.coeffs, design.phi.coeffs, design.tf, design.b0, design.mat
+    al, be, eta, xi = m.alpha, m.beta, m.eta, (m.xi_x, m.xi_y)
     edge, h = E_EDGE_FRAC * tf, 0.5 * E_STEP_FRAC * tf
     pref_x = design.mat.g * MU_B / (2.0 * be) * MEV_PER_E_CM_TO_V_PER_CM
     pref_y = design.mat.g * MU_B / (2.0 * al) * MEV_PER_E_CM_TO_V_PER_CM
@@ -252,7 +252,7 @@ class TestVerifyCancellation:
         # shifts phid(tf/2) by a, leaving numerator ~ alpha*a behind
         residuals = []
         for a in (1.0, 2.0):
-            c = design.phi.coeff_array().copy()
+            c = np.array(design.phi.coeffs)
             c[0] -= a * design.tf / 2
             c[1] += a
             bad = TrajectoryDesign(theta=design.theta,

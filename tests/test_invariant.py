@@ -357,12 +357,12 @@ class TestGate:
         # the delta is max |coarse - fine| of two direct kernel runs, bit for
         # bit; the states and the drift are the coarse run's
         if scan:
-            kernel, args = K.rk4_spin, (0.5 * design.mat.g * MU_B, HBAR, UP)
+            kernel, args = K.rk4_spin, (UP,)
         else:
             kernel, args = K.rk4_bloch, (0.0, np.array([0.0, 0.02]), "x-only", (0.0, 0.0, 1.0))
         prop = run_gated(design, kernel, args, 1000, scan=scan)
-        coarse, drift = kernel(*design.kernel_args(), *args, 1000, final=not scan)
-        fine, _ = kernel(*design.kernel_args(), *args, 2000, final=True)
+        coarse, drift = kernel(design, *args, 1000, final=not scan)
+        fine, _ = kernel(design, *args, 2000, final=True)
         assert prop.gate_delta == np.abs((coarse[-1] if scan else coarse) - fine).max()
         assert np.array_equal(prop.states, coarse) and prop.steps == 1000
         assert np.array_equal(prop.times, np.linspace(0.0, design.tf, 1001))

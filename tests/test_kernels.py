@@ -23,6 +23,7 @@ within 1e-14 relative.
 """
 
 import ast
+import dataclasses
 import functools
 import hashlib
 import io
@@ -43,7 +44,7 @@ from spinflip import (FieldTriple, IntegratorError, SingularityError, Trajectory
                       propagate_schrodinger)
 from spinflip import _kernels as K
 from spinflip.cli import main
-from spinflip.constants import HBAR, MU_B
+from spinflip.constants import HBAR, MU_B, MaterialParams
 from spinflip.invariant import GATE_TOL
 from spinflip.opensys import (_em_fidelities, _increment_blocks, dephasing_sweep,
                               ensemble_sweep, noise_sweep)
@@ -54,16 +55,6 @@ from oracles import (b1_b2_at, bloch_of, bloch_rhs, fields_xyz, lindblad_step_rh
 STEP_COUNTS = (300, 2500)
 GAMMA, LAM2 = 0.02, 0.03
 TOL = 1e-12
-
-
-@pytest.fixture(scope="module")
-def args(design):
-    return design.kernel_args()
-
-
-@pytest.fixture(scope="module")
-def pref(mat):
-    return 0.5 * mat.g * MU_B
 
 
 @pytest.fixture(scope="module")
@@ -112,7 +103,7 @@ def test_oracles_stay_independent():
     assert imported <= {"numpy", "spinflip.constants", "spinflip.core"}, imported
 
 
-def test_field_kernels_match(args, design):
+def test_field_kernels_match(design):
     # endpoints, points inside and on the clamp edges, the guarded root tf/2
     # and a point inside its window, a dense interior grid, and two
     # 2001-point windows at tf/2: one of +- 3e-6 tf across the edges of the
@@ -121,45 +112,50 @@ def test_field_kernels_match(args, design):
                          [1e-7, 1.0 - 1e-7, 1e-6, 1.0 - 1e-6, 0.5, 0.5 + 1e-9]])
     guarded = 0.5 + np.linspace(-1e-7, 1e-7, 2001)
     windows = np.concatenate([ts, 0.5 + np.linspace(-3e-6, 3e-6, 2001), guarded])
-    tc, pc, _, _, al, be, _ = args
-    assert (np.abs(K.denominator_grid(guarded, tc, pc, al, be)) < K.DEN_GUARD * al).all()
+    tc, pc, al, be = design.theta.coeffs, design.phi.coeffs, design.mat.alpha, design.mat.beta
+    assert (np.abs(K.denominator_grid(design, guarded)) < K.DEN_GUARD * al).all()
     # the near-limit design, and the over-limit one with windows at its
     # non-cancellable roots, where the NaN positions must match
     over = TrajectoryDesign.design(1.0, 2.0, design.mat)
     roots = detect_singularities(over).times
     xi_both = ((0.0, 0.0), (0.03, -0.02))
-    cases = [(args, windows, xi_both),
-             (TrajectoryDesign.design(1.0, 1.05, design.mat).kernel_args(), windows, xi_both[1:]),
-             (over.kernel_args(),
+    cases = [(design, windows, xi_both),
+             (TrajectoryDesign.design(1.0, 1.05, design.mat), windows, xi_both[1:]),
+             (over,
               np.concatenate([windows] + [r + np.linspace(-3e-6, 3e-6, 201) for r in roots]),
               xi_both[1:])]
-    for (ctc, cpc, *rest), grid, xis in cases:
+    for case, grid, xis in cases:
         for xi in xis:
+            # the cubics do not depend on xi: the same design in a material with it
+            d = dataclasses.replace(case, mat=dataclasses.replace(case.mat, xi_x=xi[0],
+                                                                  xi_y=xi[1]))
+            m = d.mat
             # the reference on Python floats: the same arithmetic, less overhead
-            loop = np.array([b1_b2_at(t, ctc.tolist(), cpc.tolist(), *rest, *xi)
+            loop = np.array([b1_b2_at(t, d.theta.coeffs, d.phi.coeffs, d.tf, d.b0,
+                                      m.alpha, m.beta, m.eta, *xi)
                              for t in grid.tolist()]).T
-            assert np.array_equal(K.b1_b2(grid, ctc, cpc, *rest, *xi), loop, equal_nan=True)
+            assert np.array_equal(K.b1_b2(d, grid), loop, equal_nan=True)
     assert np.isnan(loop).any()
     # the Hamiltonian triple on the grid, against the public map of the
     # one-point drive fields (xi = 0: its factors are exactly 1)
     loop = np.array([fields_xyz(*effective_fields(design, t), design.b0, design.mat)
                      for t in ts])
-    assert np.array_equal(np.column_stack(K._xyz(ts, *args)), loop)
+    assert np.array_equal(np.column_stack(K._xyz(design, ts)), loop)
     # the denominator point by point with math functions, off t = 0 where
     # theta = 0
     inner = ts[ts > 0.0]
     loop = [al * math.cos(K.poly3(tc, t)) / math.sin(K.poly3(tc, t))
             - be * math.sin(K.poly3(pc, t)) for t in inner]
-    assert np.array_equal(K.denominator_grid(inner, tc, pc, al, be), loop)
+    assert np.array_equal(K.denominator_grid(design, inner), loop)
     assert [K._denominator(float(t), tc, pc, al, be) for t in inner] == loop
 
 
-def test_field_grids_emit_no_warnings(args):
+def test_field_grids_emit_no_warnings(design):
     with np.errstate(all="raise"):
-        K._xyz(np.linspace(0.0, 1.0, 1001), *args)
+        K._xyz(design, np.linspace(0.0, 1.0, 1001))
 
 
-def test_rk4_bloch_matches(args, design, mat, fields):
+def test_rk4_bloch_matches(design, mat, fields):
     r0 = np.array([0.36, -0.48, 0.8])
     lam = np.sqrt(LAM2)
 
@@ -176,7 +172,7 @@ def test_rk4_bloch_matches(args, design, mat, fields):
                              ("as-printed", noisy("as-printed")),
                              ("x-only", noisy("x-only"))):
             ref, _ = rk4_reference(rhs, r0, design.tf, steps)
-            got, _ = K.rk4_bloch(*args, GAMMA, LAM2, channel, r0, steps)
+            got, _ = K.rk4_bloch(design, GAMMA, LAM2, channel, r0, steps)
             assert got.shape == (steps + 1, 3)
             assert np.abs(got - ref).max() < TOL, (steps, channel)
 
@@ -235,13 +231,13 @@ def test_density_rejects_non_physical_rho0(design, monkeypatch, rho0):
         propagate_density(design, steps=1000, rho0=np.array(rho0))
 
 
-def test_rk4_spin_matches(args, design, mat, pref, fields):
+def test_rk4_spin_matches(design, mat, fields):
     psi0 = np.array([0.6, 0.8j])
     for steps in STEP_COUNTS:
         ref, ref_drift = rk4_reference(
             lambda t, psi: -1j / HBAR * build_heff(fields(t), mat) @ psi,
             psi0, design.tf, steps, normalize=True)
-        got, drift = K.rk4_spin(*args, pref, HBAR, psi0, steps)
+        got, drift = K.rk4_spin(design, psi0, steps)
         assert np.abs(got - ref).max() < TOL, steps
         assert drift == pytest.approx(ref_drift, abs=TOL)
 
@@ -280,45 +276,45 @@ def test_prefix_products_equal_sequential_products(d, dtype, batch):
         assert (err <= 1e-14 * np.linalg.norm(ref, axis=(-2, -1))).all(), n
 
 
-def test_rk4_final_equals_scan_last_state(args, pref):
+def test_rk4_final_equals_scan_last_state(design):
     psi0 = np.array([0.6, 0.8j])
     r0 = np.array([0.3, -0.2, 0.9])
     for steps in FINAL_STEPS:
-        scan, _ = K.rk4_spin(*args, pref, HBAR, psi0, steps)
-        final, drift = K.rk4_spin(*args, pref, HBAR, psi0, steps, final=True)
+        scan, _ = K.rk4_spin(design, psi0, steps)
+        final, drift = K.rk4_spin(design, psi0, steps, final=True)
         assert final.shape == (2,) and math.isnan(drift)
         assert np.abs(final - scan[-1]).max() < 1e-14, steps
         for channel in (None, "as-printed", "x-only"):
             # no run of the Bloch kernel normalizes, so none measures a drift
-            scan, scan_drift = K.rk4_bloch(*args, GAMMA, LAM2, channel, r0, steps)
-            final, drift = K.rk4_bloch(*args, GAMMA, LAM2, channel, r0, steps, final=True)
+            scan, scan_drift = K.rk4_bloch(design, GAMMA, LAM2, channel, r0, steps)
+            final, drift = K.rk4_bloch(design, GAMMA, LAM2, channel, r0, steps, final=True)
             assert final.shape == (3,) and math.isnan(scan_drift) and math.isnan(drift)
             assert np.abs(final - scan[-1]).max() < 1e-14, (steps, channel)
 
 
 @pytest.mark.parametrize("steps", sorted({1, 7, 44, 45, 46, 90, 91, 92, 1821}
                                           | {BLOCK_BATCH20 + e for e in (-1, 0, 1)}))
-def test_rk4_bloch_batch_rows_equal_scalar_runs(args, steps):
+def test_rk4_bloch_batch_rows_equal_scalar_runs(design, steps):
     # a scan block of 20 strengths +- 1, and the edges of earlier block
     # rules (91 and 45 steps); each row is its own scalar run
     r0 = np.array([0.3, -0.2, 0.9])
     lam2 = np.linspace(0.0, 2.0 * LAM2, 20)
     for channel in (None, "as-printed", "x-only"):
-        scan, _ = K.rk4_bloch(*args, GAMMA, lam2, channel, r0, steps)
-        final, _ = K.rk4_bloch(*args, GAMMA, lam2, channel, r0, steps, final=True)
+        scan, _ = K.rk4_bloch(design, GAMMA, lam2, channel, r0, steps)
+        final, _ = K.rk4_bloch(design, GAMMA, lam2, channel, r0, steps, final=True)
         assert scan.shape == (steps + 1, 20, 3) and final.shape == (20, 3)
         for g in (0, 7, 19):
-            one, _ = K.rk4_bloch(*args, GAMMA, float(lam2[g]), channel, r0, steps)
+            one, _ = K.rk4_bloch(design, GAMMA, float(lam2[g]), channel, r0, steps)
             assert np.abs(scan[:, g] - one).max() < 1e-14, (steps, channel, g)
             assert np.abs(final[g] - one[-1]).max() < 1e-14, (steps, channel, g)
 
 
-def test_schrodinger_gate_uses_final_run(design, args, pref):
+def test_schrodinger_gate_uses_final_run(design):
     # the gate's fine run keeps only its final state; the delta it reports
     # is the one against the full scan's last state
     psi0 = np.array([1.0, 0.0], dtype=complex)
     prop = propagate_schrodinger(design, psi0, 10000)
-    fine, _ = K.rk4_spin(*args, pref, HBAR, psi0, 20000)
+    fine, _ = K.rk4_spin(design, psi0, 20000)
     assert prop.gate_delta <= GATE_TOL
     assert abs(prop.gate_delta - np.abs(prop.states[-1] - fine[-1]).max()) < 1e-14
 
@@ -348,17 +344,17 @@ def test_propagate_constant_reports_its_drift(mat):
         assert math.isnan(prop.gate_delta)
 
 
-def kernel_digest(tc, pc, tf, b0, al, be, eta, pref, hbar):
+def kernel_digest(tf, b0):
     """sha256 over the scan and final-only runs of rk4_bloch (20 x-only noise
-    strengths) and rk4_spin, 2000 steps each."""
+    strengths) and rk4_spin, 2000 steps each, on the GaAs design at (tf, b0)."""
+    design = TrajectoryDesign.design(tf, b0, gaas())
     lam2 = np.linspace(0.0, 2.0 * LAM2, 20)
     r0, psi0 = np.array([0.3, -0.2, 0.9]), np.array([0.6, 0.8j])
     h = hashlib.sha256()
     for final in (False, True):
-        h.update(K.rk4_bloch(tc, pc, tf, b0, al, be, eta, GAMMA, lam2, "x-only", r0, 2000,
+        h.update(K.rk4_bloch(design, GAMMA, lam2, "x-only", r0, 2000,
                              final=final)[0].tobytes())
-        h.update(K.rk4_spin(tc, pc, tf, b0, al, be, eta, pref, hbar, psi0, 2000,
-                            final=final)[0].tobytes())
+        h.update(K.rk4_spin(design, psi0, 2000, final=final)[0].tobytes())
     return h.hexdigest()
 
 
@@ -374,16 +370,14 @@ def under_prescott(code, *argv):
     return child.stdout.strip()
 
 
-def test_rk4_bits_independent_of_openblas_core(args, pref):
+def test_rk4_bits_independent_of_openblas_core(design):
     # the kernels call no BLAS, so forcing another OpenBLAS core cannot move a
-    # bit; the arguments travel as float.hex so that the child does not
-    # design again
-    values = [float(v) for v in (*args[0], *args[1], *args[2:], pref, HBAR)]
-    code = ("import sys; from test_kernels import kernel_digest; import numpy as np; "
-            "v = [float.fromhex(h) for h in sys.argv[1:]]; "
-            "print(kernel_digest(np.array(v[:4]), np.array(v[4:8]), *v[8:]))")
-    assert under_prescott(code, *map(float.hex, values)) == kernel_digest(
-        np.array(values[:4]), np.array(values[4:8]), *values[8:])
+    # bit; the child designs again from (tf, b0), travelling as float.hex: the
+    # design is closed form and calls no LAPACK either
+    values = (design.tf, design.b0)
+    code = ("import sys; from test_kernels import kernel_digest; "
+            "print(kernel_digest(*map(float.fromhex, sys.argv[1:])))")
+    assert under_prescott(code, *map(float.hex, values)) == kernel_digest(*values)
 
 
 def design_digest():
@@ -463,7 +457,7 @@ def increments(rows, steps, dt):
     return np.where(bits == 1, np.sqrt(dt), -np.sqrt(dt))
 
 
-def test_em_final_matches(args, design, mat, pref, fields):
+def test_em_final_matches(design, mat, fields):
     # a noise-strength grid as one lock-step ensemble on shared increments,
     # in the program's blocks: a partial last byte (1, 7, 9, 300, 8500
     # steps), a narrower last block (300) and the 8192-step chunk edge (8500)
@@ -471,7 +465,7 @@ def test_em_final_matches(args, design, mat, pref, fields):
     lams = (0.0, 0.2, 0.45)
     for steps in (1, 7, 9, 300, 8500):
         dw = increments(byte_rows(1, 4, steps), steps, design.tf / steps)
-        fid = K.em_final(*args, pref, HBAR, lams, psi0, _increment_blocks(1, 4, steps), steps)
+        fid = K.em_final(design, lams, psi0, _increment_blocks(1, 4, steps), steps)
         assert fid.shape == (3, 4)
         for row, lam in zip(fid, lams):
             ref = em_reference(design, mat, fields, lam, psi0, dw)
@@ -484,7 +478,9 @@ def test_byte_tables_equal_sequential_products():
     # p = 1..7 steps, is M_{k-1} ... M_0 of its steps' matrices, MSB first
     rng = np.random.default_rng(5)
     lam = np.array([0.0, 0.7, 2.0])
-    mats = functools.partial(K._em_matrices, b0=0.15, pref=1.0, hbar=1.0, lam=lam, dt=0.05)
+    # g mu_B / 2 = hbar: the generators' scale pref / hbar is 1
+    unit = MaterialParams(hbar_alpha=2e-6, hbar_beta=1e-6, g=2.0 * HBAR / MU_B)
+    mats = functools.partial(K._em_matrices, b0=0.15, mat=unit, lam=lam, dt=0.05)
     idx = np.empty((K.BLOCK_BYTES // (256 * 4 * 16), 256), dtype=np.intp)
     tabs = np.empty((2, len(idx), 2, 2, lam.size, 16, 16), dtype=complex)
     for part in range(8):
@@ -508,29 +504,29 @@ def test_byte_tables_equal_sequential_products():
             assert (err <= 1e-14 * np.abs(ref).max(axis=(0, 1))).all(), (part, j)
 
 
-def test_em_final_rows_equal_one_strength_runs(args, design, pref):
+def test_em_final_rows_equal_one_strength_runs(design):
     # the lock-step grid and one run per lam, on the same uneven blocks
     psi0 = np.array([0.6, 0.8j])
     lams, steps = (0.0, 0.2, 0.45), 300
     rows = byte_rows(2, 8, steps)
-    fid = K.em_final(*args, pref, HBAR, lams, psi0, np.split(rows, (12, 31)), steps)
+    fid = K.em_final(design, lams, psi0, np.split(rows, (12, 31)), steps)
     for row, lam in zip(fid, lams):
-        ref = K.em_final(*args, pref, HBAR, [lam], psi0, np.split(rows, (12, 31)), steps)
+        ref = K.em_final(design, [lam], psi0, np.split(rows, (12, 31)), steps)
         assert np.array_equal(row, ref[0]), lam
 
 
-def test_em_final_independent_of_blocking(args, design, pref):
+def test_em_final_independent_of_blocking(design):
     # the states are renormalized on the global step index, so blocks of 32
     # byte rows and uneven blocks that end on whole bytes give the same bits
     psi0 = np.array([0.6, 0.8j])
     lams, steps = (0.0, 0.2, 0.45), 3000
     rows = byte_rows(3, 8, steps)
-    even = K.em_final(*args, pref, HBAR, lams, psi0, np.split(rows, range(32, 375, 32)), steps)
-    uneven = K.em_final(*args, pref, HBAR, lams, psi0, np.split(rows, (12, 125, 374)), steps)
+    even = K.em_final(design, lams, psi0, np.split(rows, range(32, 375, 32)), steps)
+    uneven = K.em_final(design, lams, psi0, np.split(rows, (12, 125, 374)), steps)
     assert np.array_equal(even, uneven)
 
 
-def test_em_final_trajectory_independent_of_ensemble(args, design, pref):
+def test_em_final_trajectory_independent_of_ensemble(design):
     # the arithmetic is elementwise, so a trajectory's result does not
     # depend on its column or on the other trajectories: trajectory 0 of a
     # 64-trajectory ensemble is the one-trajectory run on the same seed, and
@@ -539,9 +535,9 @@ def test_em_final_trajectory_independent_of_ensemble(args, design, pref):
     one = _em_fidelities(design, [0.3], 99, 1, 2000)[0]
     assert many[0] == one[0]
     psi0, lams, rows = np.array([0.6, 0.8j]), (0.0, 0.2, 0.45), byte_rows(4, 64, 2000)
-    fid = K.em_final(*args, pref, HBAR, lams, psi0, [rows], 2000)
+    fid = K.em_final(design, lams, psi0, [rows], 2000)
     for i in (5, 37, 63):
-        alone = K.em_final(*args, pref, HBAR, lams, psi0, [rows[:, i:i + 1]], 2000)
+        alone = K.em_final(design, lams, psi0, [rows[:, i:i + 1]], 2000)
         assert np.array_equal(fid[:, i:i + 1], alone), i
 
 
@@ -560,9 +556,7 @@ def test_nan_poisoning_on_noncancellable(design):
     bad = TrajectoryDesign.design(1.0, 2.0, design.mat)
     rep = detect_singularities(bad)
     t_bad = [t for t, ok in zip(rep.times, rep.cancellable) if not ok][0]
-    m = bad.mat
-    b1, b2 = K.b1_b2(np.array([t_bad]), bad.theta.coeff_array(), bad.phi.coeff_array(),
-                     bad.tf, bad.b0, m.alpha, m.beta, m.eta, 0.0, 0.0)
+    b1, b2 = K.b1_b2(bad, np.array([t_bad]))
     assert np.isnan(b1) and np.isnan(b2)
 
 
@@ -581,8 +575,8 @@ def test_propagate_bloch_rejects_noncancellable_design(design):
     steps = min(range(1000, 20001),
                 key=lambda n: abs(np.round(2 * t_bad * n) / (2 * n) - t_bad))
     t_stage = np.round(2 * t_bad * steps) / (2 * steps)
-    assert np.isnan(K.b1_b2(np.array([t_stage]), *bad.kernel_args(), 0.0, 0.0)[0])
-    r, _ = K.rk4_bloch(*bad.kernel_args(), 0.0, 0.0, None, np.array([0.0, 0.0, 1.0]), steps)
+    assert np.isnan(K.b1_b2(bad, np.array([t_stage]))[0])
+    r, _ = K.rk4_bloch(bad, 0.0, 0.0, None, np.array([0.0, 0.0, 1.0]), steps)
     assert np.isnan(r[-1]).all()
 
 
@@ -594,8 +588,7 @@ def test_ensemble_nan_check_on_noncancellable_design(design, monkeypatch):
     rep = detect_singularities(bad)
     t_bad = [t for t, ok in zip(rep.times, rep.cancellable) if not ok][0]
     steps = min(range(1000, 20001), key=lambda n: abs(np.round(t_bad * n) / n - t_bad))
-    assert np.isnan(K.b1_b2(np.array([np.round(t_bad * steps) / steps]), *bad.kernel_args(),
-                            0.0, 0.0)[0])
+    assert np.isnan(K.b1_b2(bad, np.array([np.round(t_bad * steps) / steps]))[0])
     monkeypatch.setattr("spinflip.opensys.require_cancellable", lambda d: None)
     with pytest.raises(IntegratorError, match="non-finite"):
         ensemble_sweep(bad, [0.1], seed=0, n_traj=4, steps=steps)

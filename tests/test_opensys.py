@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from spinflip import (DensityTrajectory, FieldTriple, IntegratorError,
+from spinflip import (DensityTrajectory, FieldTriple, IntegratorError, TrajectoryDesign,
                       bloch_to_density, build_heff, ensemble_sweep, fidelity, fidelity_from_w,
                       perturbative_bound, propagate_bloch, propagate_density,
                       propagate_master, propagate_schrodinger)
@@ -127,6 +127,15 @@ class TestPropagateMaster:
         dn = propagate_density(design, gamma=gamma, steps=10000)
         assert np.abs(dn.bloch() - bl.r).max() < 1e-8
         check_density_trajectory(dn)
+
+    def test_bloch_norm_above_one_refused(self, mat):
+        # t_f = 1 ns, B0 = 0.5 T, 1000 steps: RK4 truncation lets |r| reach
+        # 1 + 2.4e-12, and rho a -1.2e-12 eigenvalue; 2000 steps keep it
+        # within 1 + 7.6e-14
+        design = TrajectoryDesign.design(1.0, 0.5, mat)
+        with pytest.raises(IntegratorError, match=r"\|r\|.*more than 1000 steps"):
+            propagate_density(design, steps=1000)
+        check_density_trajectory(propagate_density(design, steps=2000))
 
 
 class TestNoiseSweep:

@@ -8,7 +8,9 @@ ball, and the fidelity must lie in [0, 1].  For any unit initial spinor, the
 Schrodinger states (run as a real 4-vector) must keep unit norm, the
 fidelity must lie in [0, 1], and the final state must agree with the Bloch
 propagator started from the same point, unless the step-halving gate
-refuses the run.
+refuses the run.  A draw whose density run the propagator refuses for
+leaving the unit ball (too few steps near the B0 limit) is skipped, as a
+gate refusal is.
 
 The design depends on t_f and B0 only through B0 t_f, so the B0 limit is
 K / t_f for one material constant K: compute_b0_max(t_f) t_f must equal K
@@ -57,8 +59,14 @@ def unit_spinors(draw):
        r0=unit_vectors(), steps=st.integers(1000, 2000))
 def test_density_stays_physical(tf, b0, gamma, lambda0, channel, r0, steps):
     design = TrajectoryDesign.design(tf, b0, gaas())
-    traj = propagate_density(design, gamma=gamma, lambda0=lambda0, channel=channel,
-                             steps=steps, rho0=bloch_to_density(r0))
+    try:
+        traj = propagate_density(design, gamma=gamma, lambda0=lambda0, channel=channel,
+                                 steps=steps, rho0=bloch_to_density(r0))
+    except IntegratorError as exc:
+        # t_f = 1 ns, B0 = 0.5 T at 1000 steps reaches |r| = 1 + 2.4e-12
+        if "|r|" not in str(exc):
+            raise
+        assume(False)
     rho = traj.rho
     assert np.abs(rho[:, 0, 0] + rho[:, 1, 1] - 1.0).max() < TOL
     assert np.abs(rho - rho.conj().transpose(0, 2, 1)).max() < TOL
