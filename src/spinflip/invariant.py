@@ -113,8 +113,9 @@ def _simpson(values: np.ndarray, h: float) -> float:
 def lr_phase(spec: InvariantSpec, branch: int, t: float, nodes: int = 1001) -> float:
     """Lewis-Riesenfeld phase alpha_n(t) by composite Simpson quadrature.
 
-    branch is +1 or -1.  Halving the node count must shift the result by
-    less than 1e-6 rad, else IntegratorError.
+    branch is +1 or -1.  nodes rounds up to the next 4k + 1, so that Simpson's
+    rule on every other node, the halved estimate, has an odd count too; the
+    two estimates must differ by less than 1e-6 rad, else IntegratorError.
     """
     if branch not in (+1, -1):
         raise ValueError(f"branch must be +1 or -1, got {branch}")
@@ -125,29 +126,20 @@ def lr_phase(spec: InvariantSpec, branch: int, t: float, nodes: int = 1001) -> f
         return 0.0
     if nodes < 3:
         raise ValueError("nodes must be >= 3")
-    if nodes % 2 == 0:
-        nodes += 1
+    nodes += (1 - nodes) % 4
     tc, pc, eta = design.theta.coeffs, design.phi.coeffs, design.mat.eta
-
-    def quad(n: int) -> float:
-        # d(alpha_plus)/dt on the nodes; the minus branch is its negative
-        ts = np.linspace(0.0, t, n)
-        x, y, z = K._xyz(design, ts)
-        bad = np.flatnonzero(~(np.isfinite(x) & np.isfinite(y) & np.isfinite(z)))
-        if bad.size:
-            t_bad = float(ts[bad[0]])
-            raise SingularityError(t_bad, verify_cancellation(design, t_bad))
-        th, ph, phd = K.poly3(tc, ts), K.poly3(pc, ts), K.dpoly3(pc, ts)
-        geometric = -phd * np.cos(th / 2.0) ** 2
-        dynamical = -0.5 * eta * (z * np.cos(th)
-                                  + np.sin(th) * (x * np.cos(ph) + y * np.sin(ph)))
-        return _simpson(geometric + dynamical, ts[1] - ts[0])
-
-    half_nodes = nodes // 2 + 1
-    if half_nodes % 2 == 0:
-        half_nodes += 1
-    full = quad(nodes)
-    half = quad(half_nodes)
+    ts = np.linspace(0.0, t, nodes)
+    x, y, z = K._xyz(design, ts)
+    bad = np.flatnonzero(~(np.isfinite(x) & np.isfinite(y) & np.isfinite(z)))
+    if bad.size:
+        t_bad = float(ts[bad[0]])
+        raise SingularityError(t_bad, verify_cancellation(design, t_bad))
+    th, ph, phd = K.poly3(tc, ts), K.poly3(pc, ts), K.dpoly3(pc, ts)
+    # d(alpha_plus)/dt on the nodes; the minus branch is its negative
+    rate = (-phd * np.cos(th / 2.0) ** 2
+            - 0.5 * eta * (z * np.cos(th) + np.sin(th) * (x * np.cos(ph) + y * np.sin(ph))))
+    full = _simpson(rate, ts[1] - ts[0])
+    half = _simpson(rate[::2], ts[2] - ts[0])
     if abs(full - half) > 1e-6:
         raise IntegratorError(
             f"LR-phase quadrature not converged: {full!r} vs {half!r} rad")

@@ -44,9 +44,12 @@ class CubicPolynomial:
 
 def _rescale(c_norm: np.ndarray, tf: float) -> tuple[float, float, float, float]:
     """Coefficients of p(s), s = t/tf, in ns powers, as Python floats (the scalar
-    bisection probes run a third faster on them); ValueError when one is not
-    finite (tf so small that tf^3 underflows or c / tf^3 overflows)."""
+    bisection probes run a third faster on them); ValueError when tf^3
+    overflows, or when a coefficient is not finite (tf so small that tf^3
+    underflows or c / tf^3 overflows)."""
     with np.errstate(all="ignore"):
+        if not np.isfinite(np.float64(tf) ** 3):
+            raise ValueError(f"tf={tf} ns is too large: tf^3 overflows")
         c = tuple(float(c_norm[j] / tf**j) for j in range(4))
     if not np.isfinite(c).all():
         raise ValueError(f"tf={tf} ns is too small: the cubic's coefficients in ns "

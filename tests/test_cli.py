@@ -503,6 +503,11 @@ class TestConfigHandling:
         (["design", "--tf", "1e-110"], None, "control: tf=1e-110 ns is too small"),
         (["simulate", "--tf", "1e-110", "--steps", "1000"], None,
          "control: tf=1e-110 ns is too small"),
+        (["design", "--tf", "1e200"], None, "control: tf=1e+200 ns is too large"),
+        (["simulate", "--tf", "1e200", "--steps", "1000"], None,
+         "control: tf=1e+200 ns is too large"),
+        (["b0max", "--tf-min", "1e200", "--tf-max", "2e200"], None,
+         "B0_max at tf=1e+200 ns: tf=1e+200 ns is too large"),
         (["design", "--samples", "1"], None, "samples must be >= 2, got 1"),
         (["design"], {"output": {"format": "xml"}}, "format must be csv or json, got 'xml'"),
         (["design"], {"material": {"hbar_alpha_meV_cm": 0}},
@@ -511,7 +516,8 @@ class TestConfigHandling:
          "material: hbar_beta must be nonzero"),
     ], ids=["gamma-negative", "lambda0-negative", "channel-unknown", "n_traj-zero",
             "n_traj-above-2**32", "steps-999", "tf_ns-zero", "tf_ns-tiny-design",
-            "tf_ns-tiny-simulate", "samples-1", "format-xml", "hbar_alpha-zero",
+            "tf_ns-tiny-simulate", "tf_ns-huge-design", "tf_ns-huge-simulate",
+            "tf_min-huge-b0max", "samples-1", "format-xml", "hbar_alpha-zero",
             "beta_over_alpha-zero"])
     def test_config_values_rejected(self, tmp_path, argv, doc, message):
         # every value check on the merged config: exit 2 before any output

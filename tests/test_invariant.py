@@ -143,6 +143,26 @@ class TestLRPhase:
         a2 = lr_phase(spec, +1, 1.0, nodes=2001)
         assert abs(a1 - a2) < 1e-6
 
+    def test_one_field_evaluation_per_call(self, spec, monkeypatch):
+        calls = []
+        xyz = K._xyz
+        monkeypatch.setattr(K, "_xyz", lambda *a: calls.append(a) or xyz(*a))
+        lr_phase(spec, +1, 1.0)
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("nodes", [999, 1000])
+    def test_nodes_round_up_to_4k_plus_1(self, spec, nodes):
+        assert lr_phase(spec, +1, 1.0, nodes=nodes) == lr_phase(spec, +1, 1.0, nodes=1001)
+
+    @pytest.mark.parametrize("nodes", [3, 5, 9, 41, 81])
+    def test_unconverged_quadrature_raises(self, spec, nodes):
+        # 3 nodes round up to 5, so the halved estimate has 3 nodes of its own
+        with pytest.raises(IntegratorError, match="LR-phase quadrature not converged"):
+            lr_phase(spec, +1, 1.0, nodes=nodes)
+
+    def test_converged_at_161_nodes(self, spec):
+        assert abs(lr_phase(spec, +1, 1.0, nodes=161) - lr_phase(spec, +1, 1.0)) < 1e-6
+
     @pytest.mark.parametrize("t", [0.6, 0.8, 1.0])
     def test_matches_per_point_simpson(self, spec, design, t):
         assert abs(lr_phase(spec, +1, t) - lr_reference(design, t)) < 1e-12

@@ -121,6 +121,16 @@ class TestConditioning:
         with pytest.raises(ValueError, match="too small"):
             solve_phi(tf, 0.0, gaas())
 
+    @pytest.mark.parametrize("tf", [1e103, 1e200, np.float64(1e200), 1e308],
+                             ids=["1e103", "1e200", "1e200-numpy", "1e308"])
+    def test_cube_overflow_rejected(self, tf):
+        # tf^3 overflows: as a Python float power it raises OverflowError, as
+        # a numpy one it is inf and would leave zero coefficients
+        with pytest.raises(ValueError, match="too large"):
+            solve_theta(tf)
+        with pytest.raises(ValueError, match="too large"):
+            solve_phi(tf, 0.0, gaas())
+
     def test_tiny_finite_coefficients_accepted(self):
         # 1e-100 ns: pi / tf^3 is about 3e300, still finite
         design = TrajectoryDesign.design(1e-100, 0.15, gaas())
