@@ -31,9 +31,9 @@ from .errors import (ConfigError, DegenerateReferenceError, IntegratorError,
                      SingularityError)
 from .fields import compute_b0_max, detect_singularities, sample_fields
 from .invariant import MIN_GATED_STEPS
-from .lowdin import (FourLevelModel, build_full_hamiltonian, lowdin_reduce,
-                     orbital_adiabaticity, partition, validity_check,
-                     xi_factors)
+from .lowdin import (FourLevelModel, build_full_hamiltonian, coupling_norm,
+                     lowdin_reduce, lowest_eigenvalues, orbital_adiabaticity,
+                     partition, validity_check, xi_factors)
 from .opensys import (check_ensemble, check_noise, check_rate, dephasing_sweep,
                       ensemble_sweep, noise_sweep, perturbative_bound, propagate_bloch)
 from .tables import OutputTable, config_hash
@@ -346,9 +346,9 @@ def cmd_reduce(config: dict, args) -> int:
     ratio = validity_check(model)
     tf = config["control"]["tf_ns"]
     adiab = orbital_adiabaticity(tf, model.gap)
-    eig_eff = np.linalg.eigvalsh(eff)
-    eig_full = np.linalg.eigvalsh(h4)[:2]
-    c_norm = float(np.linalg.norm(blocks.c, 2))
+    eig_eff = lowest_eigenvalues(eff, 2)
+    eig_full = lowest_eigenvalues(h4, 2)
+    c_norm = coupling_norm(blocks)
 
     meta = {f"effective_{i}{j}": f"{eff[i, j].real:.17g}+{eff[i, j].imag:.17g}j"
             for i in range(2) for j in range(2)}
@@ -357,9 +357,8 @@ def cmd_reduce(config: dict, args) -> int:
                 orbital_adiabatic="yes" if adiab < 0.1 else "no",
                 coupling_norm_meV=f"{c_norm:.17g}")
     return _emit(config, args, {
-        "index": [0, 1], "eig_effective_meV": eig_eff.tolist(),
-        "eig_exact_meV": eig_full.tolist(),
-        "abs_error_meV": np.abs(eig_eff - eig_full).tolist()}, meta)
+        "index": [0, 1], "eig_effective_meV": eig_eff, "eig_exact_meV": eig_full,
+        "abs_error_meV": [abs(a - b) for a, b in zip(eig_eff, eig_full)]}, meta)
 
 
 @functools.cache

@@ -148,7 +148,7 @@ def lr_phase(spec: InvariantSpec, branch: int, t: float, nodes: int = 1001) -> f
 
 def _unit_state(psi0: np.ndarray) -> np.ndarray:
     psi0 = np.asarray(psi0, dtype=complex)
-    nrm = np.linalg.norm(psi0)
+    nrm = np.sqrt((psi0.real ** 2 + psi0.imag ** 2).sum())
     if not abs(nrm - 1.0) <= 1e-9:  # a NaN norm fails too
         raise ValueError(f"psi0 norm {nrm} differs from 1 beyond 1e-9")
     return psi0

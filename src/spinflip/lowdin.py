@@ -17,6 +17,8 @@ comparison (their Zeeman normalization differs from the 2x2 convention).
 
 from __future__ import annotations
 
+import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -109,18 +111,117 @@ def partition(h4: np.ndarray) -> BlockPartition:
                           c=h4[:2, 2:].copy())
 
 
+def _abs2(z: complex) -> float:
+    return z.real * z.real + z.imag * z.imag
+
+
+def _tridiagonal(h) -> tuple[list[float], list[float]]:
+    """Diagonal of a tridiagonal T = Q^dagger h Q of the Hermitian h, and the
+    squared moduli of its subdiagonal after a leading 0.
+
+    Q is a product of Householder reflections, each zeroing one column below
+    the subdiagonal (Golub & Van Loan, *Matrix Computations*, 4th ed., 2013,
+    section 8.3.1).  A column already zero there is not reflected, so a
+    block-diagonal h keeps its blocks' entries bit for bit.
+    """
+    a = np.asarray(h, dtype=complex).tolist()
+    n = len(a)
+    e2 = [0.0]
+    for k in range(n - 1):
+        x = [a[i][k] for i in range(k + 1, n)]
+        tail = sum(_abs2(v) for v in x[1:])
+        e2.append(_abs2(x[0]) + tail)
+        if not tail:
+            continue
+        # H = I - tau v v^dagger maps x onto its first axis; the trailing block
+        # becomes H A H = A - v w^dagger - w v^dagger (ibid., section 8.3.1)
+        v = [x[0] + (x[0] / abs(x[0]) if x[0] else 1.0) * math.sqrt(e2[-1])] + x[1:]
+        tau = 2.0 / sum(map(_abs2, v))
+        rows = range(k + 1, n)
+        p = [tau * sum(a[i][j] * vj for j, vj in zip(rows, v)) for i in rows]
+        half = 0.5 * tau * sum(vi.conjugate() * pi for vi, pi in zip(v, p)).real
+        w = [pi - half * vi for vi, pi in zip(v, p)]
+        for i, vi, wi in zip(rows, v, w):
+            for j, vj, wj in zip(rows, v, w):
+                a[i][j] -= vi * wj.conjugate() + wi * vj.conjugate()
+    return [a[i][i].real for i in range(n)], e2
+
+
+def lowest_eigenvalues(h, k: int) -> list[float]:
+    """The k lowest eigenvalues of the Hermitian h, ascending, in scalar
+    arithmetic: the digits do not depend on the BLAS or LAPACK build.
+
+    Eigenvalue j is the smallest double x at which the LDL^T factorization
+    of T - x I, T the tridiagonal form of h, has more than j negative
+    pivots: by Sylvester's law of inertia (Golub & Van Loan, section 8.4)
+    that many eigenvalues lie at or below x.  A zero pivot counts as
+    negative and becomes -tiny, as in LAPACK's dstebz.  The count decides
+    every step and the search ends at adjacent doubles, so how the probes
+    are chosen does not change the result.  They bisect until the bracket
+    holds eigenvalue j alone, then follow regula falsi on det(T - x I)
+    (Illinois variant), bisecting whenever the bracket has not halved in
+    three steps.
+    """
+    d, e2 = _tridiagonal(h)
+    # Gershgorin, doubled: no eigenvalue lies within bound / 2 of +-bound
+    bound = 2.0 * (max(map(abs, d)) + 2.0 * math.sqrt(max(e2))) + sys.float_info.min
+    if not math.isfinite(bound):
+        raise ValueError(f"need a finite Hermitian matrix, got {h!r}")
+    out, lo = [], -bound
+    for j in range(k):
+        # f_lo, f_hi: det(T - x I) at the ends while they bracket eigenvalue j
+        # alone, else 0; the end that stays put twice running has its f halved
+        hi, f_lo, f_hi, last = bound, 0.0, 0.0, None
+        widths, x = [math.inf] * 3, 0.5 * (lo + hi)
+        while lo < x < hi:
+            count, q, det = 0, 1.0, 1.0
+            for dj, ej in zip(d, e2):
+                q = dj - x - ej / q
+                if q <= 0.0:
+                    count += 1
+                    q = q or -sys.float_info.min
+                det *= q
+            if count > j:
+                f_lo *= 0.5 if last == "hi" else 1.0
+                hi, f_hi, last = x, det if count == j + 1 else 0.0, "hi"
+            else:
+                f_hi *= 0.5 if last == "lo" else 1.0
+                lo, f_lo, last = x, det if count == j else 0.0, "lo"
+            widths.append(hi - lo)
+            x = 0.5 * (lo + hi)
+            if f_lo and f_hi and widths[-1] <= 0.5 * widths[-4]:
+                falsi = hi - f_hi * ((hi - lo) / (f_hi - f_lo))
+                x = falsi if lo < falsi < hi else x
+        out.append(hi)
+    return out
+
+
+def _mul(a: list, b: list) -> list:
+    """Product of two 2x2 nested lists."""
+    return [[a[i][0] * b[0][j] + a[i][1] * b[1][j] for j in (0, 1)] for i in (0, 1)]
+
+
 def lowdin_reduce(p: BlockPartition, e_ref: float) -> np.ndarray:
-    """Effective 2x2: Q + C (e_ref I - B)^{-1} C^dagger.
+    """Effective 2x2: Q + C (e_ref I - B)^{-1} C^dagger, the inverse by its adjugate.
 
     Raises DegenerateReferenceError when e_ref sits (nearly) on an
-    eigenvalue of B (condition number above 1e12).
+    eigenvalue of B: |lambda|max / |lambda|min of e_ref I - B is 1e12 or
+    more, or one of its eigenvalues is 0.
     """
-    shifted = e_ref * np.eye(2) - p.b
-    if np.linalg.cond(shifted) >= 1e12:
+    s = (e_ref * np.eye(2) - p.b).tolist()
+    small, large = sorted(map(abs, lowest_eigenvalues(s, 2)))
+    if not large < 1e12 * small:
         raise DegenerateReferenceError(
             f"e_ref={e_ref} is degenerate with the folded block "
-            f"(eigenvalues {np.linalg.eigvalsh(p.b)})")
-    return p.q + p.c @ np.linalg.inv(shifted) @ p.c.conj().T
+            f"(eigenvalues {lowest_eigenvalues(p.b, 2)})")
+    det = s[0][0] * s[1][1] - s[0][1] * s[1][0]
+    inv = [[s[1][1] / det, -s[0][1] / det], [-s[1][0] / det, s[0][0] / det]]
+    return p.q + np.array(_mul(_mul(p.c.tolist(), inv), p.c.conj().T.tolist()))
+
+
+def coupling_norm(p: BlockPartition) -> float:
+    """||C||_2, the square root of the largest eigenvalue of C^dagger C."""
+    return math.sqrt(lowest_eigenvalues(_mul(p.c.conj().T.tolist(), p.c.tolist()), 2)[1])
 
 
 def xi_factors(model: FourLevelModel) -> tuple[float, float]:

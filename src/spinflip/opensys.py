@@ -149,7 +149,7 @@ def propagate_bloch(design: TrajectoryDesign, gamma: float = 0.0,
     propagating a design above the B0 limit.
     """
     r0 = _shaped("r0", r0, (3,))
-    if not np.linalg.norm(r0) <= 1.0 + ROUNDING_TOL:  # a non-finite r0 fails too
+    if not np.sqrt((r0 * r0).sum()) <= 1.0 + ROUNDING_TOL:  # a non-finite r0 fails too
         raise ValueError(f"r0 must be finite with |r0| <= 1, got {r0.tolist()}")
     check_steps(steps, 1)
     check_rate("gamma", gamma)

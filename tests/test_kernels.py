@@ -10,8 +10,8 @@ over the reference right-hand sides in ``tests/oracles.py`` and
 a block boundary that is not a block multiple; the scan's prefix products
 must equal sequential products within 1e-14 relative, the final-only path
 must equal the scan's last state within 1e-14, and no RK4 bit may move when
-numpy loads another OpenBLAS core, nor may a bit of the design's cubics or
-of a design table.  The Euler-Maruyama kernel,
+numpy loads another OpenBLAS core, nor may a bit of the design's cubics,
+of a design table or of the ``reduce`` table.  The Euler-Maruyama kernel,
 its increment bytes handed over in the program's blocks, must stay within
 1e-12 of a step-by-step loop over :func:`spinflip.build_heff` and
 ``oracles.xonly_hprime`` on the +-sqrt(dt) increments decoded from the
@@ -43,6 +43,7 @@ from spinflip import (FieldTriple, IntegratorError, SingularityError, Trajectory
                       gaas, propagate_bloch, propagate_constant, propagate_density,
                       propagate_schrodinger)
 from spinflip import _kernels as K
+from spinflip import cli, lowdin
 from spinflip.cli import main
 from spinflip.constants import HBAR, MU_B, MaterialParams
 from spinflip.invariant import GATE_TOL
@@ -398,11 +399,44 @@ def test_design_bits_independent_of_openblas_core():
     assert under_prescott(code) == design_digest()
 
 
+def reduce_digest():
+    """sha256 of the ``reduce --model perfbench/data/model.yaml`` table."""
+    model = Path(__file__).parents[1] / "perfbench" / "data" / "model.yaml"
+    out = io.StringIO()
+    with redirect_stdout(out):
+        assert main(["reduce", "--model", str(model)]) == 0
+    return hashlib.sha256(out.getvalue().encode()).hexdigest()
+
+
+def test_reduce_bits_independent_of_openblas_core():
+    # the fold and its eigenvalues are scalar arithmetic, with no LAPACK or BLAS
+    code = "from test_kernels import reduce_digest; print(reduce_digest())"
+    assert under_prescott(code) == reduce_digest()
+
+
 def test_kernels_call_no_blas():
     # one RK4 path, on einsum products: no matrix-product operator or call
     tree = ast.parse(Path(K.__file__).read_text())
     for node in ast.walk(tree):
         assert not isinstance(node, ast.MatMult), ast.dump(node)
+        if isinstance(node, ast.Call):
+            f = node.func
+            name = f.attr if isinstance(f, ast.Attribute) else getattr(f, "id", None)
+            assert name not in ("matmul", "dot", "tensordot"), (node.lineno, name)
+
+
+@pytest.mark.parametrize("module", [lowdin, cli], ids=["lowdin", "cli"])
+def test_reduce_path_calls_no_lapack_or_blas(module):
+    # no printing path calls LAPACK or BLAS: the fold and its eigenvalues are
+    # scalar arithmetic.  core.commutator and invariance_residual keep their
+    # `@` and norm: they are library functions that print no table
+    tree = ast.parse(Path(module.__file__).read_text())
+    for node in ast.walk(tree):
+        assert not isinstance(node, ast.MatMult), (node.lineno, ast.dump(node))
+        if isinstance(node, ast.Attribute):
+            assert node.attr != "linalg", (node.lineno, ast.dump(node))
+        if isinstance(node, ast.ImportFrom):
+            assert "linalg" not in (node.module or ""), (node.lineno, node.module)
         if isinstance(node, ast.Call):
             f = node.func
             name = f.attr if isinstance(f, ast.Attribute) else getattr(f, "id", None)

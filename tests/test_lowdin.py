@@ -6,6 +6,7 @@ from spinflip import (DegenerateReferenceError, FourLevelModel,
                       lowdin_reduce, orbital_adiabaticity, partition,
                       validity_check, xi_factors, zeeman_splitting)
 from spinflip.constants import MU_B
+from spinflip.lowdin import lowest_eigenvalues
 
 MASS = 3.8e4      # ~0.067 m_e in meV ns^2/cm^2
 GAP = 1.0         # meV
@@ -125,6 +126,45 @@ class TestLowdinReduce:
             for _ in range(5):
                 e_sc = float(np.linalg.eigvalsh(lowdin_reduce(p, e_sc))[branch])
             assert abs(e_sc - exact[branch]) < 1e-10
+
+
+class TestLowestEigenvalues:
+    @pytest.mark.parametrize("n", [2, 4])
+    def test_matches_lapack(self, n):
+        # LAPACK is the oracle here only: the program calls none.  Scales
+        # 1e-4 to 10; every fourth draw has a lowest pair 1e-9 apart, relative
+        rng = np.random.default_rng(320 + n)
+        for i in range(200):
+            m = 10.0 ** rng.uniform(-4, 1) * (rng.normal(size=(n, n))
+                                               + 1j * rng.normal(size=(n, n)))
+            h = m + m.conj().T
+            if i % 4 == 0:
+                w, v = np.linalg.eigh(h)
+                w[1] = w[0] + 1e-9 * abs(w[0])
+                h = v * w @ v.conj().T
+                h = 0.5 * (h + h.conj().T)
+            want = np.linalg.eigvalsh(h)
+            got = lowest_eigenvalues(h, n)
+            assert np.abs(np.array(got) - want).max() <= 1e-14 * np.abs(want).max(), i
+
+    def test_block_diagonal_gives_block_bits(self):
+        # with no coupling the 4x4's eigenvalues are its blocks' bit for bit,
+        # whether the lower block lies above the upper one or interlaces it
+        rng = np.random.default_rng(321)
+        for i in range(200):
+            scale = 10.0 ** rng.uniform(-4, 1)
+            m = scale * (rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
+            h = m + m.conj().T
+            h[:2, 2:] = h[2:, :2] = 0.0
+            h[2:, 2:] += scale * rng.uniform(-2.0, 12.0) * np.eye(2)
+            upper = lowest_eigenvalues(h[:2, :2], 2)
+            assert lowest_eigenvalues(h, 4) == sorted(upper + lowest_eigenvalues(h[2:, 2:], 2)), i
+            if lowest_eigenvalues(h[2:, 2:], 1)[0] > upper[1]:
+                assert lowest_eigenvalues(h, 2) == upper, i
+
+    def test_non_finite_matrix_rejected(self):
+        with pytest.raises(ValueError, match="finite"):
+            lowest_eigenvalues(np.array([[np.nan, 0.0], [0.0, 1.0]]), 1)
 
 
 class TestXiFactors:
