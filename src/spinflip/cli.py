@@ -341,14 +341,14 @@ def cmd_reduce(config: dict, args) -> int:
     model = _load_model(args.model, config)
     h4 = build_full_hamiltonian(model)
     blocks = partition(h4)
-    eff = lowdin_reduce(blocks, model.e1)
+    eff = _build("model", lowdin_reduce, blocks, model.e1)
     xi_x, xi_y = xi_factors(model)
     ratio = validity_check(model)
     tf = config["control"]["tf_ns"]
     adiab = orbital_adiabaticity(tf, model.gap)
-    eig_eff = lowest_eigenvalues(eff, 2)
-    eig_full = lowest_eigenvalues(h4, 2)
-    c_norm = coupling_norm(blocks)
+    eig_eff = _build("model", lowest_eigenvalues, eff, 2)
+    eig_full = _build("model", lowest_eigenvalues, h4, 2)
+    c_norm = _build("model", coupling_norm, blocks)
 
     meta = {f"effective_{i}{j}": f"{eff[i, j].real:.17g}+{eff[i, j].imag:.17g}j"
             for i in range(2) for j in range(2)}

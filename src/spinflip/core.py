@@ -110,3 +110,14 @@ def bloch_to_density(r: np.ndarray) -> np.ndarray:
     rho[..., 0, 0], rho[..., 0, 1] = (1 + w) / 2, (u + 1j * v) / 2
     rho[..., 1, 0], rho[..., 1, 1] = (u - 1j * v) / 2, (1 - w) / 2
     return rho
+
+
+def bisect(below, lo: float, hi: float, tol: float = 0.0) -> tuple[float, float]:
+    """Halve [lo, hi] until hi - lo <= tol or the ends are adjacent doubles;
+    below(x) is true when x lies on lo's side."""
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            break
+        lo, hi = (mid, hi) if below(mid) else (lo, mid)
+    return lo, hi

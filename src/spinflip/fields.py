@@ -23,7 +23,7 @@ import numpy as np
 
 from . import _kernels as K
 from .constants import MU_B, MEV_PER_E_CM_TO_V_PER_CM, MaterialParams
-from .core import FieldTriple
+from .core import FieldTriple, bisect
 from .errors import IntegratorError, SingularityError
 from .trajectory import TrajectoryDesign
 
@@ -241,12 +241,5 @@ def compute_b0_max(tf: float, mat: MaterialParams, b0_hi: float | None = None,
             raise ValueError(
                 f"single singularity still holds at B0={hi} T; raise b0_hi to bracket the limit")
         hi, doublings = 2.0 * hi, doublings - 1
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if not lo < mid < hi:  # adjacent floats: tol is below their spacing
-            break
-        if single(mid):
-            lo = mid
-        else:
-            hi = mid
+    lo, hi = bisect(single, lo, hi, tol)
     return 0.5 * (lo + hi)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels as K
-from .constants import HBAR, MU_B
+from .constants import HBAR, MU_B, MaterialParams
 from .core import FieldTriple, build_heff, commutator, initial_state, spin_to_bloch
 from .errors import IntegratorError, SingularityError
 from .fields import fields_xyz_at, require_cancellable, verify_cancellation
@@ -180,7 +180,7 @@ def propagate_schrodinger(design: TrajectoryDesign, psi0: np.ndarray,
     return run_gated(design, K.rk4_spin, (_unit_state(psi0),), steps, scan=True)
 
 
-def propagate_constant(fields: FieldTriple, design_or_mat, psi0: np.ndarray,
+def propagate_constant(fields: FieldTriple, mat: MaterialParams, psi0: np.ndarray,
                        tf: float, steps: int = 10000) -> Propagation:
     """RK4 under a time-independent field triple (e.g. no drive: (0, 0, B0)).
 
@@ -194,7 +194,6 @@ def propagate_constant(fields: FieldTriple, design_or_mat, psi0: np.ndarray,
     if not 0.0 < tf < np.inf:  # NaN fails too
         raise ValueError(f"tf must be finite and positive, got {tf}")
     psi0 = _unit_state(psi0)
-    mat = getattr(design_or_mat, "mat", design_or_mat)
     a = K._spin_generator(*fields, mat)[:, :, None]
     traj, drift = K._rk4_linear(lambda t: np.broadcast_to(a, (2, 2, len(t))), psi0, tf,
                                 steps, normalize=True)

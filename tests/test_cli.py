@@ -6,6 +6,7 @@ import sys
 import tracemalloc
 import warnings
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -579,6 +580,9 @@ class TestConfigHandling:
         assert p1.read_bytes() == p2.read_bytes()
 
 
+README_MODEL = Path(__file__).parents[1] / "perfbench" / "data" / "model.yaml"
+
+
 def write_model(path, **kw):
     doc = {"e1_meV": 0.0, "e2_meV": 1.0, "delta_z_meV": -1.91e-3,
            "pbar_x": [0.0, 0.0], "pbar_y": [0.0, 0.0],
@@ -675,6 +679,44 @@ class TestReduce:
         assert "mass_meV_ns2_cm2: 3.8e4" in text
         model.write_text(text)
         assert invoke(["reduce", "--model", str(model)]) == (code, out, "")
+
+    def test_readme_model_values_pinned(self):
+        # the 17-digit strings of the scalar eigenvalue search; any change of
+        # the fold or the search that moves a digit shows here
+        code, out, err = invoke(["reduce", "--model", str(README_MODEL)])
+        assert (code, err) == (0, "")
+        meta = parse_csv(out)[0]
+        assert {k: meta[k] for k in meta if k not in ("toolkit", "config", "config_sha1")} == {
+            "effective_00": "-0.0054662583461044774+0j",
+            "effective_01": "0+-0.00025406210122709755j",
+            "effective_10": "0+0.00025406210122709755j",
+            "effective_11": "-0.0033105781243874654+0j",
+            "xi_x": "0.020013157894736844", "xi_y": "0",
+            "validity_ratio": "4.3012692833767985e-05", "validity_ok": "True",
+            "hbar_over_tf_gap": "0.00065821195690000001", "orbital_adiabatic": "yes",
+            "coupling_norm_meV": "0.066288125842412129",
+        }
+        assert out.splitlines()[-3:] == [
+            "index,eig_effective_meV,eig_exact_meV,abs_error_meV",
+            "0,-0.00549579660592846,-0.0054719434703492387,2.3853135579221356e-05",
+            "1,-0.0032810398645634819,-0.0032667331372211099,1.4306727342372049e-05",
+        ]
+
+    @pytest.mark.parametrize("key, value", [
+        ("pbar_x", [0.0, 1.0e160]), ("pbar_y", [1.0e200, 0.0]), ("drive_b1_T", 1.0e306),
+        ("drive_b2_T", 1.0e300), ("e2_meV", 1.0e308), ("mass_meV_ns2_cm2", 1.0e-320),
+        ("delta_z_meV", 1.0e308),
+    ], ids=["pbar_x", "pbar_y", "drive_b1", "drive_b2", "e2", "mass", "delta_z"])
+    def test_overflowing_model_exits_2(self, tmp_path, key, value):
+        # finite inputs whose squares, fold or tridiagonal form overflow: a
+        # config error naming the model, never a traceback or a wrong table
+        doc = yaml.safe_load(README_MODEL.read_text())
+        doc[key] = value
+        model = tmp_path / "model.yaml"
+        model.write_text(yaml.safe_dump(doc))
+        code, out, err = invoke(["reduce", "--model", str(model)])
+        assert (code, out) == (2, "")
+        assert err.startswith("error: model: ") and "Traceback" not in err
 
     def test_empty_model_lists_missing_keys(self, tmp_path):
         model = tmp_path / "model.yaml"

@@ -4,7 +4,7 @@ import pytest
 from spinflip import (FieldTriple, build_heff, bloch_to_density, commutator,
                       density_to_bloch, gaas, spin_to_bloch, zeeman_splitting)
 from spinflip.constants import HBAR, K_B, MU_B, MaterialParams
-from spinflip.core import IDENTITY2, SIGMA_X, SIGMA_Y, SIGMA_Z
+from spinflip.core import IDENTITY2, SIGMA_X, SIGMA_Y, SIGMA_Z, bisect
 
 UP = np.array([1.0, 0.0], dtype=complex)
 DOWN = np.array([0.0, 1.0], dtype=complex)
@@ -164,3 +164,23 @@ class TestMaterialParams:
         with pytest.raises(ValueError, match="must be > -1"):
             MaterialParams(hbar_alpha=2e-6, hbar_beta=1e-6, g=-0.44, **xi)
         assert MaterialParams(2e-6, 1e-6, -0.44, -0.5, -0.5).xi_x == -0.5
+
+
+class TestBisect:
+    @pytest.mark.parametrize("root", [0.0, 1e-300, 0.3, -2.5, 1e10])
+    def test_ends_at_adjacent_doubles(self, root):
+        lo, hi = bisect(lambda x: x < root, -1e12, 1e12)
+        assert np.nextafter(lo, np.inf) == hi
+        assert lo < root <= hi
+
+    def test_stops_within_tol(self):
+        calls = []
+        lo, hi = bisect(lambda x: calls.append(x) or x < 0.7, 0.0, 1.0, tol=1e-3)
+        assert hi - lo <= 1e-3 < 2.0 * (hi - lo)
+        assert lo < 0.7 <= hi and len(calls) == 10
+
+    def test_bracket_within_tol_unchanged(self):
+        def below(x):
+            raise AssertionError(f"probed {x}")
+        assert bisect(below, 0.25, 0.2505, tol=1e-3) == (0.25, 0.2505)
+        assert bisect(below, 1.0, np.nextafter(1.0, 2.0)) == (1.0, np.nextafter(1.0, 2.0))

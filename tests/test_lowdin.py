@@ -165,6 +165,19 @@ class TestLowestEigenvalues:
     def test_non_finite_matrix_rejected(self):
         with pytest.raises(ValueError, match="finite"):
             lowest_eigenvalues(np.array([[np.nan, 0.0], [0.0, 1.0]]), 1)
+        # a NaN anywhere, not only in T's first diagonal entry
+        for n in (2, 4):
+            for i in range(n):
+                for j in range(i + 1):
+                    h = np.diag(np.arange(1.0, n + 1.0)).astype(complex)
+                    h[i, j] = h[j, i] = np.nan
+                    with pytest.raises(ValueError, match="finite"):
+                        lowest_eigenvalues(h, 1)
+
+    @pytest.mark.parametrize("diag", [[0.0, 1.0], [0.0, 0.0, 1.0, 1.0]], ids=["2x2", "4x4"])
+    def test_exact_zero_eigenvalue(self, diag):
+        # the longest search: bisection runs down to the subnormal spacing of 0
+        assert lowest_eigenvalues(np.diag(diag), len(diag)) == diag
 
 
 class TestXiFactors:
