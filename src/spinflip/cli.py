@@ -342,7 +342,7 @@ def cmd_reduce(config: dict, args) -> int:
     h4 = build_full_hamiltonian(model)
     blocks = partition(h4)
     eff = _build("model", lowdin_reduce, blocks, model.e1)
-    xi_x, xi_y = xi_factors(model)
+    xi_x, xi_y = _build("model", xi_factors, model)
     ratio = validity_check(model)
     tf = config["control"]["tf_ns"]
     adiab = orbital_adiabaticity(tf, model.gap)

@@ -197,7 +197,7 @@ def detect_singularities(design: TrajectoryDesign, grid: int = 1001) -> Singular
     # one float per call: a one-point array costs eight times the overhead
     parts = [K.field_parts(design, r) for r in merged]
     residuals = tuple(float(max(abs(n1), abs(n2))) for n1, n2, _, _ in parts)
-    cancellable = tuple(res < CANCEL_REL_TOL * p[3] for res, p in zip(residuals, parts))
+    cancellable = tuple(bool(res < CANCEL_REL_TOL * p[3]) for res, p in zip(residuals, parts))
     return SingularityReport(times=tuple(merged), cancellable=cancellable,
                              numerator_residuals=residuals)
 

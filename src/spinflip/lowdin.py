@@ -196,7 +196,8 @@ def lowdin_reduce(p: BlockPartition, e_ref: float) -> np.ndarray:
 
     Raises DegenerateReferenceError when e_ref sits (nearly) on an
     eigenvalue of B: |lambda|max / |lambda|min of e_ref I - B is 1e12 or
-    more, or one of its eigenvalues is 0.
+    more, or one of its eigenvalues is 0; ValueError when the fold
+    overflows (an entry is not finite).
     """
     s = (e_ref * np.eye(2) - p.b).tolist()
     small, large = sorted(map(abs, lowest_eigenvalues(s, 2)))
@@ -206,7 +207,11 @@ def lowdin_reduce(p: BlockPartition, e_ref: float) -> np.ndarray:
             f"(eigenvalues {lowest_eigenvalues(p.b, 2)})")
     det = s[0][0] * s[1][1] - s[0][1] * s[1][0]
     inv = [[s[1][1] / det, -s[0][1] / det], [-s[1][0] / det, s[0][0] / det]]
-    return p.q + np.array(_mul(_mul(p.c.tolist(), inv), p.c.conj().T.tolist()))
+    fold = p.q + np.array(_mul(_mul(p.c.tolist(), inv), p.c.conj().T.tolist()))
+    if not np.isfinite(fold).all():
+        raise ValueError(f"the fold Q + C (e_ref I - B)^-1 C^dagger is not finite, "
+                         f"got {fold.tolist()}")
+    return fold
 
 
 def coupling_norm(p: BlockPartition) -> float:
@@ -215,10 +220,16 @@ def coupling_norm(p: BlockPartition) -> float:
 
 
 def xi_factors(model: FourLevelModel) -> tuple[float, float]:
-    """Orbital-correction factors xi_i = 2 |pbar_i|^2 / [m (E2 - E1)]."""
+    """Orbital-correction factors xi_i = 2 |pbar_i|^2 / [m (E2 - E1)];
+    ValueError naming pbar_i when xi_i overflows (is not finite)."""
     denom = model.m * model.gap
-    return (2.0 * _abs2(model.pbar_x) / denom,
-            2.0 * _abs2(model.pbar_y) / denom)
+    xi = []
+    for name, pbar in (("pbar_x", model.pbar_x), ("pbar_y", model.pbar_y)):
+        xi.append(2.0 * _abs2(pbar) / denom)
+        if not math.isfinite(xi[-1]):
+            raise ValueError(f"xi factor 2 |{name}|^2 / [m (E2 - E1)] is not finite: "
+                             f"{name}={pbar}, m (E2 - E1)={denom}")
+    return xi[0], xi[1]
 
 
 def validity_check(model: FourLevelModel) -> float:

@@ -57,8 +57,7 @@ CHANNELS = ("as-printed", "x-only")
 # _increment_blocks).  Memory does not grow with the step count.
 INCREMENT_BLOCK = 256
 INCREMENT_CHUNK = 8192
-# numpy's SeedSequence: pool size and the constants of its hash mix
-_POOL = 4
+# numpy's SeedSequence: the constants of its hash mix
 _MASK32 = 0xFFFFFFFF
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
@@ -251,34 +250,25 @@ def _mix(x, y):
 
 def _child_states(seed: int, n_traj: int) -> np.ndarray:
     """SeedSequence(seed).spawn(n_traj)[i].generate_state(4, np.uint64) for
-    every child i, as one (n_traj, 4) uint64 array, from one vectorized
-    uint32 pass of numpy's documented SeedSequence hash mix (pool of 4 words).
+    every child i, as one (n_traj, 4) uint64 array: one vectorized uint32
+    pass of numpy's documented SeedSequence hash mix over the spawn keys.
 
-    Child i's entropy is the seed's 32-bit words, least significant first,
-    padded with zeros to the pool size, then its spawn key (i,).  The hash
-    constants do not depend on the data, so every child runs the same
-    sequence of operations, elementwise on a column of the (words, n_traj)
-    array.  The key is one word only for i < 2**32, so n_traj must be at
-    most 2**32.
+    Child i's entropy is the seed's 32-bit words, then its spawn key (i,).
+    numpy mixes the seed's words into the child's pool of 4 exactly as into
+    the parent's, so the pass starts from SeedSequence(seed).pool, the one
+    SeedSequence built, with the hash constant 4 max(words, 4) steps on (one
+    per pool word, one per ordered pair of pool words, four per seed word
+    beyond the pool), and mixes only the key into each pool word.  The key
+    is one word only for i < 2**32, so n_traj must be at most 2**32.
     """
-    words, rest = [], int(seed)
-    while rest or not words:  # a seed of 0 is one word
-        words.append(rest & _MASK32)
-        rest >>= 32
-    entropy = np.empty((max(len(words), _POOL) + 1, n_traj), dtype=np.uint32)
-    entropy[:-1] = np.array(words + [0] * (_POOL - len(words)), dtype=np.uint32)[:, None]
-    entropy[-1] = np.arange(n_traj, dtype=np.uint32)
-    hashmix = _hasher(_INIT_A, _MULT_A)
-    pool = [hashmix(word) for word in entropy[:_POOL]]
-    for src in range(_POOL):
-        for dst in range(_POOL):
-            if src != dst:
-                pool[dst] = _mix(pool[dst], hashmix(pool[src]))
-    for word in entropy[_POOL:]:
-        for dst in range(_POOL):
-            pool[dst] = _mix(pool[dst], hashmix(word))
+    words = max(-(-int(seed).bit_length() // 32), 1)  # a seed of 0 is one word
+    hashmix = _hasher(_INIT_A * pow(_MULT_A, 4 * max(words, 4), 1 << 32) & _MASK32, _MULT_A)
+    keys = np.arange(n_traj, dtype=np.uint32)
+    # arrays, not uint32 scalars, whose products warn when they wrap
+    pool = [_mix(np.full(n_traj, word), hashmix(keys))
+            for word in np.random.SeedSequence(seed).pool]
     hashmix = _hasher(_INIT_B, _MULT_B)  # generate_state: 8 words from the pool, cycled
-    state = np.stack([hashmix(pool[i % _POOL]) for i in range(8)], axis=1)
+    state = np.stack([hashmix(word) for word in pool + pool], axis=1)
     return state.astype("<u4").view("<u8").astype(np.uint64)
 
 
@@ -295,11 +285,12 @@ def _increment_blocks(seed: int, n_traj: int, steps: int):
     scheme (Kloeden & Platen, Numerical Solution of SDEs, 1992, sec. 14.1).
     Trajectory i has a private generator, spawned from
     np.random.SeedSequence(seed), so that the streams of different
-    trajectories and different seeds are independent.  No SeedSequence is
-    built: the children's seeding states, generate_state(4, np.uint64) of
-    each spawned child, come from one vectorized pass over all trajectories
-    (_child_states), and each reaches PCG64 through a minimal ISeedSequence
-    that returns it, so every stream is the one PCG64(child) gives.
+    trajectories and different seeds are independent.  One SeedSequence,
+    the parent, is built: each child's seeding state, generate_state(4,
+    np.uint64), comes from its pool by one vectorized pass that mixes in
+    only the spawn keys of all trajectories (_child_states), and reaches
+    PCG64 through a minimal ISeedSequence that returns it, so every stream
+    is the one PCG64(child) gives.
 
     The generator is the PCG64 bit generator that default_rng(child) wraps,
     read with random_raw, and its bytes are those of one

@@ -1,3 +1,6 @@
+import dataclasses
+import json
+
 import numpy as np
 import pytest
 
@@ -230,6 +233,13 @@ class TestDetectSingularities:
         assert rep.times == times
         assert rep.cancellable == cancellable
         assert rep.numerator_residuals == residuals
+
+    def test_report_is_plain_json(self, mat):
+        # Python bools and floats, so the report serializes as it stands
+        rep = detect_singularities(TrajectoryDesign.design(1.0, 2.0, mat))
+        assert [type(c) for c in rep.cancellable] == [bool] * len(rep.times)
+        doc = dataclasses.asdict(rep)
+        assert json.loads(json.dumps(doc)) == {k: list(v) for k, v in doc.items()}
 
     def test_midpoint_always_reported(self, mat):
         for b0 in (0.0, 0.3, 1.5):

@@ -83,6 +83,12 @@ class TestLowdinReduce:
         with pytest.raises(DegenerateReferenceError):
             lowdin_reduce(p, e_bad)
 
+    def test_overflowing_fold_rejected(self, mat):
+        # finite blocks whose fold overflows: |pbar_x|^2 alone is 1e320
+        p = partition(build_full_hamiltonian(make_model(mat, pbar_x=1.0e160j)))
+        with pytest.raises(ValueError, match="fold .* not finite"):
+            lowdin_reduce(p, 0.0)
+
     def test_weak_coupling_eigenvalues(self, mat):
         # ||C||/gap = 1e-2: single-shot reduction at e_ref = E1 should track
         # the two lowest exact eigenvalues to better than 1e-3 ||C||
@@ -188,6 +194,12 @@ class TestXiFactors:
         x1, _ = xi_factors(make_model(mat, pbar_x=10j))
         x2, _ = xi_factors(make_model(mat, pbar_x=20j))
         assert x2 == pytest.approx(4 * x1, rel=1e-12)
+
+    @pytest.mark.parametrize("name", ["pbar_x", "pbar_y"])
+    def test_overflow_names_pbar(self, mat, name):
+        # |pbar|^2 overflows a double: an error naming the pbar, not inf
+        with pytest.raises(ValueError, match=f"{name}.* not finite"):
+            xi_factors(make_model(mat, **{name: 1.0e160j}))
 
     def test_direct_value(self, mat):
         # |pbar_x|^2 / (m gap) = 0.05  ->  xi_x = 0.1

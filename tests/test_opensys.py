@@ -315,10 +315,11 @@ class TestSSE:
         assert np.array_equal(np.concatenate(list(_increment_blocks(7, n_traj, steps))), ref)
 
     @pytest.mark.parametrize("n_traj", [1, 1000])
-    @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 + 5])
+    @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 + 5,
+                                      2**96, 2**128 + 1, 2**300 + 12345])
     def test_child_states_equal_spawned_seed_sequences(self, seed, n_traj):
         # oracle: numpy's own SeedSequence children, one at a time; seeds of
-        # one, two and three 32-bit words
+        # one to five and ten 32-bit words, within the pool of four and beyond
         ref = [c.generate_state(4, np.uint64) for c in np.random.SeedSequence(seed).spawn(n_traj)]
         got = _child_states(seed, n_traj)
         assert got.dtype == np.uint64 and got.shape == (n_traj, 4)
